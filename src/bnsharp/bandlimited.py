@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from itertools import product as iter_product
 from typing import Callable, Sequence
 
@@ -275,14 +276,22 @@ def window_axis_sum(theta: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
     full sum equals 1 for every t.
     """
     theta = np.asarray(theta, dtype=float)
-    ls = np.arange(-K, K + 1)
-    # sin(t)^2/(t+l*pi)^2 == sinc((t+l*pi)/pi)^2 since sin(t+l*pi) = +-sin(t);
-    # np.sinc handles the removable singularity
-    total = np.sinc(theta[..., None] / math.pi + ls) ** 2
-    value = total.sum(axis=-1)
     t0 = np.abs(theta) / math.pi
     if K <= np.max(t0) + 1:
         raise ValueError("truncation K too small for these arguments")
+    ls = np.arange(-K, K + 1)
+    # sin(t+l*pi)^2 == sin(t)^2, so one sin per point serves every term
+    total = theta[..., None] + math.pi * ls
+    total *= total
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(np.sin(theta)[..., None] ** 2, total, out=total)
+    # the term nearest t + l*pi = 0 goes through np.sinc: it holds the
+    # removable singularity, and there the rounding of l*pi would spoil
+    # sin(t)^2 / (t+l*pi)^2
+    l0 = np.rint(-theta / math.pi).astype(np.int64)
+    np.put_along_axis(total, (l0 + K)[..., None],
+                      (np.sinc(theta / math.pi + l0) ** 2)[..., None], axis=-1)
+    value = total.sum(axis=-1)
     bound = np.sin(theta) ** 2 * (2.0 / math.pi ** 2) / (K - t0)
     return value, bound
 
@@ -592,6 +601,27 @@ def _box_multiterm(body: ConvexBody, op: DifferentialOperator,
         label=f"cs({body.label},{op.label})", partials=partials)
 
 
+def _grid_transform(weights: np.ndarray, nodes: Sequence[np.ndarray],
+                    x) -> np.ndarray:
+    """sum_n weights[n] exp(i x . node_n) over the tensor grid of ``nodes``.
+
+    Contracts the last grid axis by one matrix product and the others
+    pointwise, over chunks of the rows of x; one point gives a 0-d result.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    lead = weights.reshape(-1, weights.shape[-1])
+    out = np.empty(x.shape[0], dtype=complex)
+    chunk = max(1, 2 ** 22 // lead.shape[0])
+    for i in range(0, x.shape[0], chunk):
+        E = [np.exp(1j * np.multiply.outer(xj, nj))
+             for xj, nj in zip(x[i:i + chunk].T, nodes)]
+        acc = (lead @ E[-1].T).reshape(*weights.shape[:-1], -1)
+        for Ej in reversed(E[:-1]):
+            acc = np.einsum("...an,na->...n", acc, Ej)
+        out[i:i + chunk] = acc
+    return out if out.shape[0] > 1 else out.reshape(())
+
+
 def _indicator_transform(body: ConvexBody, op: DifferentialOperator,
                          freq_budget: float,
                          nodes_per_axis: int | None) -> BandLimitedFunction:
@@ -608,25 +638,11 @@ def _indicator_transform(body: ConvexBody, op: DifferentialOperator,
     grids = np.meshgrid(*axes_nodes, indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=-1)
     inside = body.contains(pts)
-    wts = np.ones(pts.shape[0])
-    for j in range(m):
-        shape = [1] * m
-        shape[j] = G[j]
-        wts = wts * np.broadcast_to(
-            np.asarray(axes_w[j]).reshape(shape), [*G]).ravel()
+    wts = np.prod(np.meshgrid(*axes_w, indexing="ij"), axis=0).ravel()
     # conj(symbol(ix)): symbol_at_ik evaluates symbol(i*(real vector))
     W = wts * inside * np.conj(op.symbol_at_ik(pts))
-
-    def evaluate(x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        out = np.empty(x.shape[0], dtype=complex)
-        chunk = max(1, 2 ** 24 // max(1, pts.shape[0]))
-        for i in range(0, x.shape[0], chunk):
-            phase = np.exp(1j * x[i:i + chunk] @ pts.T)
-            out[i:i + chunk] = phase @ W
-        return out if out.shape[0] > 1 else out.reshape(())
-
-    W_grid = (W * 1.0).reshape(G)
+    W_grid = W.reshape(G)
+    evaluate = partial(_grid_transform, W_grid, axes_nodes)
 
     def tensor_eval(axes):
         # contract the leading node axis each round and append the target
@@ -640,17 +656,8 @@ def _indicator_transform(body: ConvexBody, op: DifferentialOperator,
 
     def partials(beta):
         mono = np.prod([pts[:, j] ** beta[j] for j in range(m)], axis=0)
-        Wb = W * mono * (1j ** sum(beta))
-
-        def d_eval(x):
-            x = np.atleast_2d(np.asarray(x, dtype=float))
-            out = np.empty(x.shape[0], dtype=complex)
-            chunk = max(1, 2 ** 24 // max(1, pts.shape[0]))
-            for i in range(0, x.shape[0], chunk):
-                phase = np.exp(1j * x[i:i + chunk] @ pts.T)
-                out[i:i + chunk] = phase @ Wb
-            return out if out.shape[0] > 1 else out.reshape(())
-        return d_eval
+        Wb = (W * mono * (1j ** sum(beta))).reshape(G)
+        return partial(_grid_transform, Wb, axes_nodes)
 
     sup = float(np.abs(W).sum())
     d = 1.0 if body.mu < 2.0 else (m + 1) / 2.0

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -36,31 +35,35 @@ class BodySpecError(ValueError):
     """Malformed body specification string."""
 
 
-@dataclass(frozen=True)
 class LatticeSet:
-    """A finite set of integer lattice vectors, sorted lexicographically."""
+    """A finite set of integer lattice vectors, sorted lexicographically,
+    held as a read-only (n, m) int64 array (``points``: tuples of ints)."""
 
-    m: int
-    points: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if any(len(p) != self.m for p in self.points):
+    def __init__(self, m: int, points) -> None:
+        arr = np.array(points, dtype=np.int64).reshape(-1, m)
+        if len(arr) != len(points):
             raise ValueError("lattice point of wrong dimension")
+        arr.flags.writeable = False
+        self.m = m
+        self._array = arr
+
+    @property
+    def points(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(self)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self._array)
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return iter(self.points)
+        return map(tuple, self._array.tolist())
 
     def __contains__(self, k) -> bool:
-        return tuple(int(c) for c in k) in set(self.points)
+        k = tuple(int(c) for c in k)
+        return len(k) == self.m and bool((self._array == k).all(axis=1).any())
 
     def as_array(self) -> np.ndarray:
-        """Points as an (n, m) integer array in enumeration order."""
-        if not self.points:
-            return np.zeros((0, self.m), dtype=np.int64)
-        return np.array(self.points, dtype=np.int64)
+        """Points as a read-only (n, m) int64 array in enumeration order."""
+        return self._array
 
 
 @dataclass(frozen=True)
@@ -204,33 +207,28 @@ class ConvexBody:
         """
         if a <= 0:
             raise ValueError("scale a must be positive")
-        radii = [int(math.floor(a * s * (1.0 + 1e-9))) for s in self.sigma]
-        box = 1
-        for r in radii:
-            box *= 2 * r + 1
+        if math.isinf(self.mu):
+            # the bounding box IS the body; radii must be exact floors
+            radii = [_exact_floor_prod(a, s) for s in self.sigma]
+        else:
+            radii = [int(math.floor(a * s * (1.0 + 1e-9))) for s in self.sigma]
+        box = math.prod(2 * r + 1 for r in radii)
         if box > cap:
             raise OverflowError(
                 f"bounding box of {self.label} at a={a} holds {box} points "
                 f"(cap {cap})")
 
-        ranges = [np.arange(-r, r + 1) for r in radii]
-        if math.isinf(self.mu):
-            # the bounding box IS the body; radii must be exact floors
-            radii = [_exact_floor_prod(a, s) for s in self.sigma]
-            ranges = [np.arange(-r, r + 1) for r in radii]
-            pts = [tuple(int(c) for c in p) for p in product(*ranges)]
-            return LatticeSet(self.m, tuple(sorted(pts)))
-
-        grids = np.meshgrid(*ranges, indexing="ij")
+        # meshgrid(indexing="ij") over ascending ranges is lexicographic
+        grids = np.meshgrid(*[np.arange(-r, r + 1) for r in radii],
+                            indexing="ij")
         k = np.stack([g.ravel() for g in grids], axis=-1)
+        if math.isinf(self.mu):
+            return LatticeSet(self.m, k)
         val = (np.abs(k / (a * np.asarray(self.sigma))) ** self.mu).sum(axis=-1)
-        inside = val < 1.0 - 1e-9
-        boundary = np.abs(val - 1.0) <= 1e-9
-        accepted = [tuple(int(c) for c in p) for p in k[inside]]
-        for p in k[boundary]:
-            if self._exact_member(tuple(int(c) for c in p), a):
-                accepted.append(tuple(int(c) for c in p))
-        return LatticeSet(self.m, tuple(sorted(accepted)))
+        keep = val < 1.0 - 1e-9
+        for i in np.flatnonzero(np.abs(val - 1.0) <= 1e-9):
+            keep[i] = self._exact_member(tuple(k[i].tolist()), a)
+        return LatticeSet(self.m, k[keep])
 
     def _exact_member(self, k: tuple[int, ...], a: float) -> bool:
         mu_round = round(self.mu)

@@ -25,7 +25,7 @@ import sys
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -445,7 +445,7 @@ def run_candidates(cfg: ExperimentConfig) -> tuple[list[str], dict]:
             factors = [akhiezer_family(body.sigma[j], p, 0.05 * body.sigma[j],
                                        s=max(1, alpha[j]))
                        for j in range(cfg.m)]
-            fa = tensor_product(factors)
+            fa = replace(tensor_product(factors), spectral_body=body)
             cand2 = candidate_lower_bound_E(fa, p, q, op)
             rows.append(estimate_row(cand2, cfg.seed,
                                      (time.perf_counter() - t0) * 1000.0))

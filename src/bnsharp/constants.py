@@ -298,7 +298,7 @@ def kamzolov_target(M: float, m: int) -> SharpConstantEstimate:
     """Literature value m*M^2 for the Laplacian on the ball at p = q = inf."""
     return SharpConstantEstimate(float(m) * M * M, "exact-closed-form",
                                  math.inf, math.inf, f"laplacian:{m}",
-                                 f"ball:{M}", None, 0.0,
+                                 ConvexBody.ball(M, m).label, None, 0.0,
                                  "literature closed form")
 
 

@@ -155,6 +155,49 @@ def test_cs_extremal_generic_matches_factored_on_boxes():
     assert np.allclose(fact(u), gen(u), rtol=1e-9, atol=1e-9)
 
 
+def dense_indicator_transform(body, op, G, beta, x):
+    """sum over the node grid of W * node^beta * i^|beta| * exp(i x.node),
+    with one phase per point and node (the reference for the separable
+    evaluator)."""
+    nodes, weights = [], []
+    for g, s in zip(G, body.sigma):
+        t, w = np.polynomial.legendre.leggauss(g)
+        nodes.append(s * t)
+        weights.append(s * w)
+    pts = np.stack([g.ravel() for g in np.meshgrid(*nodes, indexing="ij")],
+                   axis=-1)
+    wts = np.prod([g.ravel() for g in np.meshgrid(*weights, indexing="ij")],
+                  axis=0)
+    W = (wts * body.contains(pts) * np.conj(op.symbol_at_ik(pts)) *
+         np.prod(pts ** np.asarray(beta), axis=-1) * 1j ** sum(beta))
+    return np.exp(1j * (x @ pts.T)) @ W
+
+
+@pytest.mark.parametrize("body, op, budget, G, beta, n_points", [
+    # unequal grids: G_j = ceil(0.8 * sigma_j * 16) + 64
+    (ConvexBody.lp_ellipsoid([1.0, 2.0], 3.0),
+     DifferentialOperator.monomial((1, 0)), 16.0, (77, 90), (0, 1), 40),
+    # 2700 points span two chunks of 2^22 // 40^2 = 2621
+    (ConvexBody.ball(1.0, 3), DifferentialOperator.laplacian(3), None,
+     (40, 40, 40), (1, 0, 1), 2700),
+])
+def test_indicator_transform_matches_dense_phase_sum(body, op, budget, G,
+                                                     beta, n_points):
+    from bnsharp.bandlimited import _indicator_transform
+    f = _indicator_transform(body, op, budget or 0.0,
+                             None if budget else G[0])
+    x = np.random.default_rng(7).uniform(-6.0, 6.0,
+                                         size=(n_points, body.m))
+    rows = np.r_[0:20, 2611:2631]
+    rows = rows[rows < n_points]
+    for alpha in ((0,) * body.m, beta):
+        got = f.derivative(alpha)(x)[rows]
+        ref = dense_indicator_transform(body, op, G, alpha, x[rows])
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert f.evaluate(x[0]).shape == ()
+    assert f.evaluate(x[:1]).shape == ()
+
+
 def test_cos_product_spectrum_and_coefficients():
     T = cos_product(1.0, [2.0, 3.0])
     assert sorted(T.coefficients) == [(-2, -3), (-2, 3), (2, -3), (2, 3)]

@@ -1,4 +1,6 @@
 import math
+from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -134,6 +136,63 @@ def test_lattice_boundary_points_included():
     assert (1,) in cube.lattice_points(2.0)        # 1/2 == 0.5
     ball = ConvexBody.ball(5.0, 2)
     assert (3, 4) in ball.lattice_points(1.0)      # |.| == 5 exactly
+
+
+def exact_member(body, k, a):
+    """Exact rational test of k/a in the body (integer mu, inf, or 3/2)."""
+    t = [Fraction(abs(kj)) / (Fraction(a) * Fraction(s))
+         for kj, s in zip(k, body.sigma)]
+    if math.isinf(body.mu):
+        return all(tj <= 1 for tj in t)
+    if body.mu == 1.5:
+        # t1^1.5 + t2^1.5 <= 1  <=>  t2 <= 1 and 2 t2^1.5 <= R, with
+        # R = 1 + t2^3 - t1^3 (square both sides twice)
+        t1, t2 = t
+        R = 1 + t2 ** 3 - t1 ** 3
+        return t2 <= 1 and R >= 0 and 4 * t2 ** 3 <= R * R
+    return sum(tj ** int(body.mu) for tj in t) <= 1
+
+
+def brute_lattice(body, a):
+    """Sorted tuples of the box scan, each settled by exact_member."""
+    r = int(math.ceil(a * max(body.sigma))) + 1
+    return [k for k in product(range(-r, r + 1), repeat=body.m)
+            if exact_member(body, k, a)]
+
+
+LATTICE_CASES = [
+    (ConvexBody.parallelepiped([1.0, 2.0]), (2.5, 3.0, 3.7)),
+    (ConvexBody.cube(0.1, 2), (30.0, 10.0)),        # 30 * 0.1 is just above 3
+    (ConvexBody.ball(1.0, 2), (5.0, 25.0, 7.3)),    # Pythagorean triples
+    (ConvexBody.ball(1.0, 3), (3.0, 9.0)),          # (2,2,1): 4+4+1 = 9
+    (ConvexBody.lp_ellipsoid([1.0, 2.0], 3.0), (2.0, 3.0, 4.6)),
+    (ConvexBody.lp_ellipsoid([1.0, 2.0], 1.5), (2.0, 4.0, 5.5)),
+]
+
+
+def test_lattice_points_match_exact_reference():
+    for body, scales in LATTICE_CASES:
+        for a in scales:
+            expect = brute_lattice(body, a)
+            assert list(body.lattice_points(a).points) == expect, \
+                (body.label, a)
+
+
+def test_lattice_array_read_only_and_membership():
+    for body, scales in LATTICE_CASES:
+        a = scales[0]
+        pts = body.lattice_points(a)
+        arr = pts.as_array()
+        assert arr.dtype == np.int64 and arr.shape == (len(pts), body.m)
+        assert [tuple(row) for row in arr.tolist()] == list(pts.points)
+        assert list(pts) == list(pts.points)
+        with pytest.raises(ValueError):
+            arr[0, 0] = 99
+        expect = set(brute_lattice(body, a))
+        r = int(math.ceil(a * max(body.sigma))) + 1
+        for k in product(range(-r, r + 1), repeat=body.m):
+            assert (k in pts) == (k in expect), (body.label, a, k)
+        assert (0,) * (body.m + 1) not in pts
 
 
 def test_aliased_representations_agree():

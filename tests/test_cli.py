@@ -134,6 +134,16 @@ def test_candidates_subcommand(tmp_path):
     assert by_kind["exact-closed-form"] == pytest.approx(1 / math.sqrt(math.pi))
 
 
+def test_candidates_rows_share_the_requested_body(tmp_path):
+    out = tmp_path / "cand.csv"
+    code = main(["candidates", "--body", "cube:1", "--m", "2", "--p", "2",
+                 "--q", "2", "--operator", "1,1:1,0", "--out", str(out)])
+    assert code == 0
+    rows = read_rows(out)
+    assert len(rows) > 2
+    assert {r[3] for r in rows[1:]} == {"cube:1"}
+
+
 def test_config_file_defaults(tmp_path):
     cfg_file = tmp_path / "exp.json"
     cfg_file.write_text(json.dumps({"body": "cube:1", "m": 1, "p": "2",

@@ -125,6 +125,9 @@ def test_kamzolov_values():
     assert kamzolov_target(1.0, 2).value == 2.0
     assert kamzolov_target(1.0, 1).value == 1.0
     assert kamzolov_target(2.0, 3).value == 12.0
+    lap = DifferentialOperator.laplacian(2)
+    assert kamzolov_target(1.0, 2).body == crude_upper(
+        math.inf, math.inf, lap, ConvexBody.ball(1.0, 2)).body == "ball:1"
 
 
 def test_optimizer_matches_two_inf_closed_form():
