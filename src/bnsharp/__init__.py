@@ -32,9 +32,8 @@ from .levitan import (LevitanResult, check_norm_contraction,
 from .constants import (BernsteinBracket, OptimizerConfig,
                         SharpConstantEstimate, bernstein_pq,
                         candidate_lower_bound_E, check_order_consistency,
-                        closed_e2_inf, closed_e22, closed_p2_inf, closed_p22,
-                        crude_upper, kamzolov_target, limit_study,
-                        monomial_integral, nikolskii_upper,
-                        optimize_full, optimize_sharp_constant)
+                        closed_e2_inf, closed_e22, closed_form,
+                        closed_p2_inf, closed_p22, crude_upper, limit_study,
+                        monomial_integral, nikolskii_upper, optimize_full)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import product as iter_product
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .body import ConvexBody
+from .body import ConvexBody, exact_floor
 from .trigpoly import DifferentialOperator, TrigPolynomial
 
 MultiIndex = tuple[int, ...]
@@ -327,6 +326,18 @@ def poisson_window_sum(x, K: int) -> tuple[np.ndarray, np.ndarray]:
 # Akhiezer family: near-extremal functions for same-exponent derivative ratios
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=64)
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-node Gauss-Legendre rule on [-1, 1], computed once per n.
+
+    The arrays are shared between callers, so they are read-only.
+    """
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def _flat_bump_poly(d: int) -> np.polynomial.Polynomial:
     """(t(1-t))^{d+1}: d+1-fold flat at both endpoints of [0, 1]."""
     base = np.polynomial.Polynomial([0.0, 1.0, -1.0])
@@ -363,7 +374,7 @@ def akhiezer_family(M: float, q: float, h_param: float, s: int = 1,
         raise ValueError("derivative order s must be positive")
     d = (0 if math.isinf(q) else math.floor(1.0 / q)) + 1
     phi = _flat_bump_poly(d)
-    nodes, weights = np.polynomial.legendre.leggauss(quad_nodes)
+    nodes, weights = _leggauss(quad_nodes)
     tau = 0.5 * (nodes + 1.0)
     w = 0.5 * weights * phi(tau)
 
@@ -405,11 +416,6 @@ def akhiezer_family(M: float, q: float, h_param: float, s: int = 1,
 # extremal cosine products (periodic same-exponent problem)
 # ---------------------------------------------------------------------------
 
-def _exact_floor(a: float, s: float) -> int:
-    f = Fraction(a) * Fraction(s)
-    return f.numerator // f.denominator
-
-
 def cos_product(a: float, sigma: Sequence[float]) -> TrigPolynomial:
     """T(x) = prod_j cos(floor(a*sigma_j) x_j) as a sparse polynomial.
 
@@ -417,7 +423,7 @@ def cos_product(a: float, sigma: Sequence[float]) -> TrigPolynomial:
     each carries coefficient 2^{-m}.
     """
     sigma = [float(s) for s in sigma]
-    n = [_exact_floor(a, s) for s in sigma]
+    n = [exact_floor(a, s) for s in sigma]
     if any(v < 1 for v in n):
         raise ValueError(f"a={a} too small: floor(a*sigma_j)={n} needs all >= 1")
     m = len(sigma)
@@ -434,7 +440,7 @@ def cos_product(a: float, sigma: Sequence[float]) -> TrigPolynomial:
 # ---------------------------------------------------------------------------
 
 def _leggauss_scaled(n: int, lo: float, hi: float):
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _leggauss(n)
     return 0.5 * (hi - lo) * x + 0.5 * (hi + lo), 0.5 * (hi - lo) * w
 
 
@@ -714,7 +720,7 @@ def _axis_panels(R: float, sigma: float, nodes: int = 8):
     panel = min(math.pi / (2.0 * max(sigma, 1e-9)), R)
     n_panels = max(2, int(math.ceil(2.0 * R / panel)))
     edges = np.linspace(-R, R, n_panels + 1)
-    xg, wg = np.polynomial.legendre.leggauss(nodes)
+    xg, wg = _leggauss(nodes)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])
     x = (mid[:, None] + half * xg[None, :]).ravel()

@@ -209,7 +209,7 @@ class ConvexBody:
             raise ValueError("scale a must be positive")
         if math.isinf(self.mu):
             # the bounding box IS the body; radii must be exact floors
-            radii = [_exact_floor_prod(a, s) for s in self.sigma]
+            radii = [exact_floor(a, s) for s in self.sigma]
         else:
             radii = [int(math.floor(a * s * (1.0 + 1e-9))) for s in self.sigma]
         box = math.prod(2 * r + 1 for r in radii)
@@ -242,8 +242,11 @@ class ConvexBody:
         return bool(val <= 1.0 + MEMBERSHIP_GUARD)
 
 
-def _exact_floor_prod(a: float, s: float) -> int:
-    """floor(a*s) computed exactly for float inputs (both are rationals)."""
+def exact_floor(a: float, s: float) -> int:
+    """floor(a*s) computed exactly for float inputs (both are rationals).
+
+    The ceiling is ``-exact_floor(-a, s)``.
+    """
     f = Fraction(a) * Fraction(s)
     return f.numerator // f.denominator
 

@@ -24,7 +24,6 @@ import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -34,9 +33,8 @@ from .bandlimited import akhiezer_family, cs_extremal, sinc_sq_half_kernel, \
     tensor_product
 from .body import BodySpecError, ConvexBody, parse_body
 from .constants import OptimizerConfig, SharpConstantEstimate, \
-    candidate_lower_bound_E, closed_e2_inf, closed_e22, closed_p2_inf, \
-    closed_p22, crude_upper, kamzolov_target, nikolskii_upper, \
-    optimize_full
+    candidate_lower_bound_E, closed_form, crude_upper, limit_study, \
+    nikolskii_upper, optimize_full
 from .levitan import check_norm_contraction, levitan_coefficients
 from .trigpoly import DifferentialOperator
 
@@ -300,10 +298,6 @@ def write_manifest(path: str, config: ExperimentConfig,
 # the experiments
 # ---------------------------------------------------------------------------
 
-def _workers() -> int:
-    return max(1, int(os.environ.get("BNSHARP_WORKERS", "1")))
-
-
 def _opt_config(cfg: ExperimentConfig) -> OptimizerConfig:
     return OptimizerConfig(restarts=cfg.restarts, seed=cfg.seed,
                            iterations=cfg.iterations,
@@ -318,26 +312,16 @@ def run_constant(cfg: ExperimentConfig) -> tuple[list[str], dict]:
     rows = []
     for i, a in enumerate(parse_sweep(cfg.a)):
         t0 = time.perf_counter()
-        ests: list[SharpConstantEstimate] = []
-        if (p, q) == (2.0, math.inf):
-            ests.append(closed_p2_inf(body, op, a))
-        elif p == q == 2.0:
-            ests.append(closed_p22(body, op, a))
+        ests = [closed_form(p, q, body, op, a)]
         if i == 0:
             # continuum rows do not depend on the sweep point
-            if (p, q) == (2.0, math.inf):
-                ests.append(closed_e2_inf(body, op))
-            elif p == q == 2.0:
-                ests.append(closed_e22(body, op))
+            ests.append(closed_form(p, q, body, op))
             if op.order == 0:
                 ests.append(nikolskii_upper(p, q, body))
             ests.append(crude_upper(p, q, op, body))
-            if (math.isinf(p) and math.isinf(q)
-                    and op.label.startswith("laplacian")
-                    and body.mu == 2.0 and len(set(body.sigma)) == 1):
-                ests.append(kamzolov_target(body.sigma[0], body.m))
         ms = (time.perf_counter() - t0) * 1000.0
-        rows.extend(estimate_row(e, cfg.seed, ms) for e in ests)
+        rows.extend(estimate_row(e, cfg.seed, ms) for e in ests
+                    if e is not None)
     return rows, {}
 
 
@@ -360,37 +344,16 @@ def run_converge(cfg: ExperimentConfig) -> tuple[list[str], dict]:
     body = parse_body(cfg.body, cfg.m)
     op = operator_parse(cfg.operator, cfg.m)
     p, q = parse_exponent(cfg.p), parse_exponent(cfg.q)
-    sweep = parse_sweep(cfg.a)
-
-    def point(a: float):
-        t0 = time.perf_counter()
-        if (p, q) == (2.0, math.inf):
-            est = closed_p2_inf(body, op, a)
-        elif p == q == 2.0:
-            est = closed_p22(body, op, a)
-        else:
-            est = optimize_full(p, q, op, a, body, _opt_config(cfg)).estimate
-        return est, (time.perf_counter() - t0) * 1000.0
-
-    if _workers() > 1:
-        with ThreadPoolExecutor(max_workers=_workers()) as ex:
-            results = list(ex.map(point, sweep))
-    else:
-        results = [point(a) for a in sweep]
-    rows = [estimate_row(est, cfg.seed, ms) for est, ms in results]
-
+    # each point starts afresh, so a row equals the optimize row at that a
+    study = limit_study(p, q, op, body, parse_sweep(cfg.a), _opt_config(cfg),
+                        chain_warm_start=False)
+    rows = [estimate_row(est, cfg.seed, ms)
+            for est, ms in zip(study.rows, study.runtime_ms)]
     extra = {}
-    if (p, q) == (2.0, math.inf):
-        extra["reference_E"] = closed_e2_inf(body, op).value
-    elif p == q == 2.0:
-        extra["reference_E"] = closed_e22(body, op).value
-    values = [est.value for est, _ in results]
-    if len(values) >= 3:
-        x0, x1, x2 = values[-3:]
-        denom = (x2 - x1) - (x1 - x0)
-        extra["extrapolated"] = (x2 - (x2 - x1) ** 2 / denom
-                                 if abs(denom) > 1e-15 * max(1.0, abs(x2))
-                                 else x2)
+    if study.reference is not None:
+        extra["reference_E"] = study.reference.value
+    if study.extrapolated is not None:
+        extra["extrapolated"] = study.extrapolated
     return rows, extra
 
 
@@ -436,8 +399,11 @@ def run_candidates(cfg: ExperimentConfig) -> tuple[list[str], dict]:
     cand = candidate_lower_bound_E(f, p, q, op)
     rows.append(estimate_row(cand, cfg.seed,
                              (time.perf_counter() - t0) * 1000.0))
-    if (p, q) == (2.0, math.inf):
-        rows.append(estimate_row(closed_e2_inf(body, op), cfg.seed, 0.0))
+    if math.isinf(q):
+        # the (2, inf) continuum form; (2, 2) is listed by `constant`
+        ref = closed_form(p, q, body, op)
+        if ref is not None:
+            rows.append(estimate_row(ref, cfg.seed, 0.0))
     if p == q and math.isinf(body.mu) and len(op.terms) == 1:
         (alpha, b), = op.terms.items()
         if b == 1.0 and not math.isinf(p):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -21,7 +22,7 @@ from scipy.optimize import minimize_scalar, minimize
 
 from .bandlimited import BandLimitedFunction, DecayModel, \
     norm_lp_truncated, tensor_product, _scaled
-from .body import ConvexBody, LatticeSet
+from .body import ConvexBody, LatticeSet, exact_floor
 from .trigpoly import DifferentialOperator
 
 TWO_PI = 2.0 * math.pi
@@ -172,9 +173,16 @@ def closed_e22(body: ConvexBody, op: DifferentialOperator,
         thetas = np.linspace(0.0, math.pi, 721)
         vals = [neg_mod_sq([t]) for t in thetas]
         t0 = thetas[int(np.argmin(vals))]
-        res = minimize_scalar(lambda t: neg_mod_sq([t]),
-                              bracket=(t0 - 0.01, t0, t0 + 0.01),
-                              options={"xtol": refine_tol})
+        try:
+            res = minimize_scalar(lambda t: neg_mod_sq([t]),
+                                  bracket=(t0 - 0.01, t0, t0 + 0.01),
+                                  options={"xtol": refine_tol})
+        except ValueError:
+            # a maximum along a flat edge (boxes) leaves no strict bracket
+            res = minimize_scalar(lambda t: neg_mod_sq([t]),
+                                  bounds=(t0 - 0.01, t0 + 0.01),
+                                  method="bounded",
+                                  options={"xatol": refine_tol})
         best = -res.fun
     elif m == 3:
         grid = [(t, ph) for t in np.linspace(0.0, math.pi, 61)
@@ -201,6 +209,22 @@ def _unit_from_angles(angles, m: int) -> np.ndarray:
     return np.array([math.sin(t) * math.cos(ph),
                      math.sin(t) * math.sin(ph),
                      math.cos(t)])
+
+
+def closed_form(p: float, q: float, body: ConvexBody,
+                op: DifferentialOperator,
+                a: float | None = None) -> SharpConstantEstimate | None:
+    """The closed form at (p, q) = (2, inf) or (2, 2), else None.
+
+    Gives the periodic constant at scale ``a``, or the continuum constant
+    when ``a`` is None.
+    """
+    if (p, q) == (2.0, math.inf):
+        return closed_e2_inf(body, op) if a is None else \
+            closed_p2_inf(body, op, a)
+    if p == q == 2.0:
+        return closed_e22(body, op) if a is None else closed_p22(body, op, a)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -232,14 +256,8 @@ def bernstein_pq(body: ConvexBody, alpha: Sequence[int], a: float,
     alpha = tuple(int(v) for v in alpha)
     op = DifferentialOperator.monomial(alpha)
     N = sum(alpha)
-    from fractions import Fraction
-    floors, ceils = [], []
-    for s in body.sigma:
-        fr = Fraction(a) * Fraction(s)
-        fl = fr.numerator // fr.denominator
-        ce = -((-fr.numerator) // fr.denominator)
-        floors.append(fl)
-        ceils.append(ce)
+    floors = [exact_floor(a, s) for s in body.sigma]
+    ceils = [-exact_floor(-a, s) for s in body.sigma]
     if any(f < 1 for f, al in zip(floors, alpha) if al > 0):
         raise ValueError(f"a={a} too small: floor(a*sigma)={floors}")
     e_val = math.prod(s ** al for s, al in zip(body.sigma, alpha))
@@ -292,14 +310,6 @@ def crude_upper(p: float, q: float, op: DifferentialOperator,
     return SharpConstantEstimate(value, "upper-bound", p, q, op.label,
                                  body.label, None, 0.0,
                                  "enclosing-cube composition bound")
-
-
-def kamzolov_target(M: float, m: int) -> SharpConstantEstimate:
-    """Literature value m*M^2 for the Laplacian on the ball at p = q = inf."""
-    return SharpConstantEstimate(float(m) * M * M, "exact-closed-form",
-                                 math.inf, math.inf, f"laplacian:{m}",
-                                 ConvexBody.ball(M, m).label, None, 0.0,
-                                 "literature closed form")
 
 
 # ---------------------------------------------------------------------------
@@ -592,14 +602,6 @@ def optimize_full(p: float, q: float, op: DifferentialOperator,
     return OptimizerOutcome(est, tuple(f for f, _ in finals), coeffs)
 
 
-def optimize_sharp_constant(p: float, q: float, op: DifferentialOperator,
-                            a: float, body: ConvexBody,
-                            config: OptimizerConfig = OptimizerConfig(),
-                            ) -> SharpConstantEstimate:
-    """Certified lower bound of the periodic constant by multistart ascent."""
-    return optimize_full(p, q, op, a, body, config).estimate
-
-
 # ---------------------------------------------------------------------------
 # continuum candidates
 # ---------------------------------------------------------------------------
@@ -730,6 +732,7 @@ class LimitStudy:
     rows: tuple[SharpConstantEstimate, ...]
     reference: SharpConstantEstimate | None
     extrapolated: float | None
+    runtime_ms: tuple[float, ...]          # wall time of each row
 
 
 def limit_study(p: float, q: float, op: DifferentialOperator,
@@ -741,30 +744,30 @@ def limit_study(p: float, q: float, op: DifferentialOperator,
     a_list = [float(a) for a in a_list]
     if any(b <= a for a, b in zip(a_list, a_list[1:])):
         raise ValueError("scale sweep must be strictly increasing")
-    rows = []
+    rows, runtime_ms = [], []
     warm: tuple = ()
     for a in a_list:
-        if (p, q) == (2.0, math.inf):
-            rows.append(closed_p2_inf(body, op, a))
-        elif p == q == 2.0:
-            rows.append(closed_p22(body, op, a))
-        else:
+        t0 = time.perf_counter()
+        est = closed_form(p, q, body, op, a)
+        if est is None:
             cfg = replace(config, warm_starts=warm)
             out = optimize_full(p, q, op, a, body, cfg)
-            rows.append(out.estimate)
+            est = out.estimate
             if chain_warm_start:
                 # lattices are nested along an increasing sweep, so the best
                 # coefficient pattern seeds one restart at the next scale
                 warm = (out.best_coefficients,)
-    reference = None
-    if (p, q) == (2.0, math.inf):
-        reference = closed_e2_inf(body, op)
-    elif p == q == 2.0:
-        reference = closed_e22(body, op)
-    elif p == q and len(op.terms) == 1 and math.isinf(body.mu):
+        rows.append(est)
+        runtime_ms.append((time.perf_counter() - t0) * 1000.0)
+    reference = closed_form(p, q, body, op)
+    if (reference is None and p == q and len(op.terms) == 1
+            and math.isinf(body.mu)):
         (alpha, b), = op.terms.items()
         if abs(b - 1.0) < 1e-15:
-            reference = bernstein_pq(body, alpha, a_list[-1], q).continuum
+            try:
+                reference = bernstein_pq(body, alpha, a_list[-1], q).continuum
+            except ValueError:
+                pass    # a * sigma_j < 1 on a differentiated axis
     extrapolated = None
     if len(rows) >= 3:
         x0, x1, x2 = (r.value for r in rows[-3:])
@@ -773,4 +776,5 @@ def limit_study(p: float, q: float, op: DifferentialOperator,
             extrapolated = x2 - (x2 - x1) ** 2 / denom
         else:
             extrapolated = x2
-    return LimitStudy(tuple(rows), reference, extrapolated)
+    return LimitStudy(tuple(rows), reference, extrapolated,
+                      tuple(runtime_ms))

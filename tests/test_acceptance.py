@@ -22,8 +22,8 @@ from bnsharp.constants import (OptimizerConfig, TWO_PI, bernstein_pq,
                                check_order_consistency, closed_e2_inf,
                                closed_e22, closed_p2_inf, closed_p22,
                                crude_upper, limit_study, nikolskii_upper,
-                               optimize_full, optimize_sharp_constant,
-                               _Problem, _make_objective, _shape_for)
+                               optimize_full, _Problem, _make_objective,
+                               _shape_for)
 from bnsharp.levitan import (check_norm_contraction, levitan_evaluate)
 from bnsharp.trigpoly import (DifferentialOperator, apply_operator, norm_lp)
 
@@ -80,15 +80,15 @@ def _random_instance(rng):
 
 def test_02_optimizer_oracle_equivalence():
     t0 = time.perf_counter()
-    est = optimize_sharp_constant(
+    est = optimize_full(
         2.0, math.inf, IDENT1, 1.0, SEG,
-        OptimizerConfig(restarts=4, iterations=250, seed=0))
+        OptimizerConfig(restarts=4, iterations=250, seed=0)).estimate
     err = abs(est.value - 0.690988)
     rng = np.random.default_rng(2024)
     exact_matches = 0
     for _ in range(10):
         body, op, a = _random_instance(rng)
-        got = optimize_sharp_constant(2.0, 2.0, op, a, body)
+        got = optimize_full(2.0, 2.0, op, a, body).estimate
         want = closed_p22(body, op, a)
         exact_matches += got.value == want.value
     dt = time.perf_counter() - t0
@@ -108,7 +108,7 @@ def test_03_same_exponent_bracket():
     oks = []
     for a in (3.0, 6.0, 12.0):
         br = bernstein_pq(body, alpha, a)
-        est = optimize_sharp_constant(2.0, 2.0, op, a, body)
+        est = optimize_full(2.0, 2.0, op, a, body).estimate
         lo, hi = br.periodic_lower.value, br.periodic_upper.value
         oks.append(lo / (1 + 1e-6) <= est.value <= hi * (1 + 1e-6))
         widths.append(br.width)
@@ -285,8 +285,8 @@ def test_11_sup_metric_limit_trend():
             op = IDENT1 if N == 0 else DifferentialOperator.monomial((1,))
             values = {}
             for a in (2.0, 4.0, 8.0, 16.0, 32.0):
-                values[a] = optimize_sharp_constant(
-                    p, math.inf, op, a, SEG, cfg).value
+                values[a] = optimize_full(
+                    p, math.inf, op, a, SEG, cfg).estimate.value
             stab_late = abs(values[32.0] - values[16.0])
             stab_early = abs(values[8.0] - values[4.0])
             cands = []
@@ -342,7 +342,7 @@ def _dual_upper_sup_sup(op, body, a):
 
 
 def test_12_sup_sup_laplacian_ball_probe():
-    # crude_upper and kamzolov_target give m*M^2 = 2 for this problem; the
+    # crude_upper gives the upper bound m*M^2 = 2 for this problem; the
     # paper does not say whether lim P equals that value.  P(a) at a finite
     # scale can sit well below the limit: the LP dual certificate puts
     # P(4) <= 1.416, under the band's lower edge, so that edge applies only

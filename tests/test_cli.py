@@ -82,6 +82,19 @@ def test_converge_csv_and_manifest(tmp_path):
         pytest.approx(1 / math.sqrt(math.pi))
 
 
+def test_converge_rows_equal_optimize_rows(tmp_path):
+    # sweep points do not seed each other, so each row is the optimize row
+    flags = ["--body", "cube:1", "--m", "1", "--operator", "1:1,0",
+             "--p", "1", "--q", "inf", "--a", "2,4,8", "--restarts", "2",
+             "--iterations", "80", "--seed", "3"]
+    conv, opt = tmp_path / "conv.csv", tmp_path / "opt.csv"
+    assert main(["converge", *flags, "--out", str(conv)]) == 0
+    assert main(["optimize", *flags, "--out", str(opt)]) == 0
+    strip = lambda p: [r[:-1] for r in read_rows(p)]
+    assert len(strip(conv)) == 4
+    assert strip(conv) == strip(opt)
+
+
 def test_reproducible_output_modulo_runtime(tmp_path):
     args = ["optimize", "--body", "cube:1", "--m", "1", "--p", "1",
             "--q", "inf", "--a", "2", "--restarts", "2", "--iterations",
@@ -117,9 +130,9 @@ def test_constant_subcommand_kamzolov_row(tmp_path):
     assert code == 0
     rows = read_rows(out)
     kinds = {r[5] for r in rows[1:]}
-    assert "upper-bound" in kinds
+    assert "exact-closed-form" not in kinds
     values = {r[5]: float(r[6]) for r in rows[1:]}
-    assert values.get("exact-closed-form") == pytest.approx(2.0)
+    assert values.get("upper-bound") == pytest.approx(2.0)
 
 
 def test_candidates_subcommand(tmp_path):
@@ -163,6 +176,9 @@ def test_usage_errors_exit_two(tmp_path):
                  "2,0:1,0 + 0,1:1,0", "--out", str(out)]) == 2
     assert main(["converge", "--body", "cube:1", "--m", "1", "--a", "",
                  "--out", str(out)]) == 2
+    # a converge sweep must increase
+    assert main(["converge", "--body", "cube:1", "--m", "1", "--p", "2",
+                 "--q", "inf", "--a", "8,4", "--out", str(out)]) == 2
     assert not out.exists()
 
 

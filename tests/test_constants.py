@@ -9,9 +9,8 @@ from bnsharp.constants import (OptimizerConfig, bernstein_pq,
                                candidate_lower_bound_E,
                                check_order_consistency, closed_e2_inf,
                                closed_e22, closed_p2_inf, closed_p22,
-                               crude_upper, kamzolov_target, limit_study,
-                               monomial_integral, nikolskii_upper,
-                               optimize_full, optimize_sharp_constant,
+                               crude_upper, limit_study, monomial_integral,
+                               nikolskii_upper, optimize_full,
                                symbol_sq_integral)
 from bnsharp.trigpoly import DifferentialOperator
 
@@ -83,6 +82,18 @@ def test_closed_two_two_forms():
     assert closed_e22(body, op).value == pytest.approx(2.0, rel=1e-7)
 
 
+def test_closed_e22_flat_box_edge():
+    # a first derivative peaks along a whole edge of a box, where the
+    # direction grid has no strict minimum to bracket
+    d1, d2 = DifferentialOperator.monomial((1, 0)), \
+        DifferentialOperator.monomial((0, 1))
+    assert closed_e22(ConvexBody.cube(1.0, 2), d1).value == \
+        pytest.approx(1.0, rel=1e-8)
+    box = ConvexBody.parallelepiped([1.0, 2.0])
+    assert closed_e22(box, d1).value == pytest.approx(1.0, rel=1e-8)
+    assert closed_e22(box, d2).value == pytest.approx(2.0, rel=1e-8)
+
+
 def test_bernstein_bracket():
     body = ConvexBody.parallelepiped([2.0, 3.0])
     br = bernstein_pq(body, (1, 1), 1.0)
@@ -122,19 +133,21 @@ def test_crude_upper_composition():
 
 
 def test_kamzolov_values():
-    assert kamzolov_target(1.0, 2).value == 2.0
-    assert kamzolov_target(1.0, 1).value == 1.0
-    assert kamzolov_target(2.0, 3).value == 12.0
-    lap = DifferentialOperator.laplacian(2)
-    assert kamzolov_target(1.0, 2).body == crude_upper(
-        math.inf, math.inf, lap, ConvexBody.ball(1.0, 2)).body == "ball:1"
+    # m*M^2 for the Laplacian on the ball at p = q = inf, as an upper bound
+    for M, m, want in [(1.0, 2, 2.0), (1.0, 1, 1.0), (2.0, 3, 12.0)]:
+        est = crude_upper(math.inf, math.inf,
+                          DifferentialOperator.laplacian(m),
+                          ConvexBody.ball(M, m))
+        assert est.value == want
+        assert est.kind == "upper-bound"
+        assert est.body == ConvexBody.ball(M, m).label
 
 
 def test_optimizer_matches_two_inf_closed_form():
     seg = ConvexBody.cube(1.0, 1)
     ident = DifferentialOperator.identity(1)
     cfg = OptimizerConfig(restarts=4, iterations=250, seed=0)
-    est = optimize_sharp_constant(2.0, math.inf, ident, 1.0, seg, cfg)
+    est = optimize_full(2.0, math.inf, ident, 1.0, seg, cfg).estimate
     assert est.value == pytest.approx(closed_p2_inf(seg, ident, 1.0).value,
                                       abs=1e-6)
     assert est.kind == "lower-bound-optimizer"
@@ -144,12 +157,12 @@ def test_optimizer_deterministic_per_seed():
     seg = ConvexBody.cube(1.0, 1)
     op = DifferentialOperator.monomial((1,))
     cfg = OptimizerConfig(restarts=3, iterations=120, seed=11)
-    a = optimize_sharp_constant(1.0, math.inf, op, 2.0, seg, cfg)
-    b = optimize_sharp_constant(1.0, math.inf, op, 2.0, seg, cfg)
+    a = optimize_full(1.0, math.inf, op, 2.0, seg, cfg).estimate
+    b = optimize_full(1.0, math.inf, op, 2.0, seg, cfg).estimate
     assert a.value == b.value  # bitwise
-    c = optimize_sharp_constant(1.0, math.inf, op, 2.0, seg,
-                                OptimizerConfig(restarts=3, iterations=120,
-                                                seed=12))
+    c = optimize_full(1.0, math.inf, op, 2.0, seg,
+                      OptimizerConfig(restarts=3, iterations=120,
+                                      seed=12)).estimate
     assert c.value != a.value or c.value == pytest.approx(a.value, rel=1e-9)
 
 
@@ -167,7 +180,7 @@ def test_optimizer_restart_robustness():
 def test_optimizer_two_two_exact_path():
     body = ConvexBody.parallelepiped([1.0, 2.0])
     op = DifferentialOperator.monomial((1, 1))
-    est = optimize_sharp_constant(2.0, 2.0, op, 3.0, body)
+    est = optimize_full(2.0, 2.0, op, 3.0, body).estimate
     assert est.value == closed_p22(body, op, 3.0).value
 
 
@@ -176,7 +189,7 @@ def test_optimizer_real_coefficient_toggle():
     ident = DifferentialOperator.identity(1)
     cfg = OptimizerConfig(restarts=3, iterations=200, seed=2,
                           real_coefficients=True)
-    est = optimize_sharp_constant(2.0, math.inf, ident, 1.0, seg, cfg)
+    est = optimize_full(2.0, math.inf, ident, 1.0, seg, cfg).estimate
     # real and complex constants coincide at q = inf
     assert est.value == pytest.approx(closed_p2_inf(seg, ident, 1.0).value,
                                       abs=1e-5)
@@ -187,16 +200,16 @@ def test_optimizer_validation():
     seg = ConvexBody.cube(1.0, 1)
     ident = DifferentialOperator.identity(1)
     with pytest.raises(ValueError):
-        optimize_sharp_constant(3.0, 2.0, ident, 1.0, seg)
+        optimize_full(3.0, 2.0, ident, 1.0, seg)
 
 
 def test_optimizer_concurrent_restarts_deterministic(monkeypatch):
     seg = ConvexBody.cube(1.0, 1)
     op = DifferentialOperator.monomial((1,))
     cfg = OptimizerConfig(restarts=4, iterations=100, seed=21)
-    serial = optimize_sharp_constant(1.0, math.inf, op, 2.0, seg, cfg)
+    serial = optimize_full(1.0, math.inf, op, 2.0, seg, cfg).estimate
     monkeypatch.setenv("BNSHARP_WORKERS", "3")
-    threaded = optimize_sharp_constant(1.0, math.inf, op, 2.0, seg, cfg)
+    threaded = optimize_full(1.0, math.inf, op, 2.0, seg, cfg).estimate
     assert serial.value == threaded.value  # bitwise
 
 
@@ -245,6 +258,16 @@ def test_limit_study_two_two_lattice_max():
     ls = limit_study(2.0, 2.0, op, body, [5.0, 10.0, 20.0])
     assert ls.rows[-1].value == pytest.approx(1.0)
     assert ls.reference.value == pytest.approx(1.0, rel=1e-8)
+
+
+def test_limit_study_same_exponent_reference():
+    # the box-monomial continuum sigma^alpha, where the sweep reaches it
+    seg = ConvexBody.cube(1.0, 1)
+    d1 = DifferentialOperator.monomial((1,))
+    cfg = OptimizerConfig(restarts=1, iterations=20, seed=0)
+    assert limit_study(3.0, 3.0, d1, seg, [2.0, 3.0],
+                       cfg).reference.value == 1.0
+    assert limit_study(3.0, 3.0, d1, seg, [0.5], cfg).reference is None
 
 
 def test_order_consistency_checker():
