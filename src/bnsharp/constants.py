@@ -293,7 +293,8 @@ def nikolskii_upper(p: float, q: float,
     else:
         base = (math.ceil(p / 2.0) / TWO_PI) ** body.m * body.volume()
         value = base ** inv
-    return SharpConstantEstimate(value, "upper-bound", p, q, "identity",
+    return SharpConstantEstimate(value, "upper-bound", p, q,
+                                 DifferentialOperator.identity(body.m).label,
                                  body.label, None, 0.0,
                                  "metric-change bound; asymptotic for the "
                                  "periodic constant")
@@ -337,7 +338,12 @@ class OptimizerConfig:
 
 
 class _Problem:
-    """Synthesis/analysis machinery for one (spectrum, grid) pair."""
+    """Synthesis/analysis machinery for one (spectrum, grid) pair.
+
+    The transforms are separable and pruned: on axis j the spectrum
+    occupies only the residues ``rows[j]``, so ``synth`` skips the grid
+    lines that are all zero and ``analyze`` skips those it never reads.
+    """
 
     def __init__(self, spectrum: LatticeSet, shape: tuple[int, ...]):
         self.m = spectrum.m
@@ -348,14 +354,35 @@ class _Problem:
         self.idx = tuple(self.keys[:, j] % shape[j] for j in range(self.m))
         self.phase = (-1.0) ** (self.keys.sum(axis=1) % 2)
         self.weight = float(np.prod([TWO_PI / L for L in shape]))
+        # rows[j]: sorted distinct residues on axis j; cidx: positions in rows
+        found = [np.unique(r, return_inverse=True) for r in self.idx]
+        self.rows = tuple(rows for rows, _ in found)
+        self.cidx = tuple(pos for _, pos in found)
+
+    # numpy's ifftn/fftn run 1-D transforms from the last axis to the first
+    # and normalise per axis.  Both methods keep that order, so every line
+    # they transform sees the same input and gives the same bits; they only
+    # leave out lines that are exactly zero or never read.
 
     def synth(self, c: np.ndarray) -> np.ndarray:
-        B = np.zeros(self.shape, dtype=complex)
-        B[self.idx] = c * self.phase
-        return np.fft.ifftn(B) * self.size
+        m = self.m
+        B = np.zeros(tuple(len(r) for r in self.rows[:-1]) + self.shape[-1:],
+                     dtype=complex)
+        B[self.cidx[:-1] + self.idx[-1:]] = c * self.phase
+        u = np.fft.ifft(B, axis=m - 1)
+        for j in range(m - 2, -1, -1):
+            full = np.zeros(u.shape[:j] + (self.shape[j],) + u.shape[j + 1:],
+                            dtype=complex)
+            full[(slice(None),) * j + (self.rows[j],)] = u
+            u = np.fft.ifft(full, axis=j)
+        u *= self.size
+        return u
 
     def analyze(self, u: np.ndarray) -> np.ndarray:
-        return self.phase * np.fft.fftn(u)[self.idx]
+        for j in range(self.m - 1, 0, -1):
+            u = np.fft.fft(u, axis=j)[(slice(None),) * j + (self.rows[j],)]
+        return self.phase * np.fft.fft(u, axis=0)[self.idx[:1] +
+                                                  self.cidx[1:]]
 
 
 def _shape_for(spectrum: LatticeSet, oversample: int) -> tuple[int, ...]:
@@ -380,12 +407,18 @@ def _grad_norm_p(prob: _Problem, v: np.ndarray, p: float, norm: float,
 def _lse(prob: _Problem, v: np.ndarray, t: float):
     av = np.abs(v)
     M = av.max()
-    e = np.exp(t * (av - M))
-    val = M + math.log(e.mean()) / t
-    s = e / e.sum()
+    e = np.subtract(av, M)
+    e *= t
+    np.exp(e, out=e)
+    total = e.sum()
+    val = M + math.log(total / e.size) / t
+    e /= total                      # the soft-max weights
     tiny = 1e-300 + 1e-14 * M
-    g = prob.analyze(s * v / np.maximum(av, tiny))
-    return val, g
+    # (e * v) / max(|v|, tiny) in this order: a reciprocal multiply rounds
+    # differently
+    w = e * v
+    w /= np.maximum(av, tiny, out=av)
+    return val, prob.analyze(w)
 
 
 @dataclass(frozen=True)
@@ -648,6 +681,12 @@ def derived_function(f: BandLimitedFunction,
         prod0 = math.prod(C for C, _ in axes)
         if peak > prod0:
             axes[0] = (axes[0][0] * (1.25 * peak / prod0), axes[0][1])
+        # and along the diagonal ray, which verify_decay also samples
+        pts = radii[:, None] * (np.ones(f.m) / math.sqrt(f.m))[None, :]
+        ratio = float(np.max(np.abs(evaluate(pts)) /
+                             DecayModel.make_product(axes).envelope(pts)))
+        if ratio > 1.0:
+            axes[0] = (axes[0][0] * (1.25 * ratio), axes[0][1])
         decay = DecayModel.make_product(axes)
 
     grid = np.linspace(-16.0, 16.0, 257)

@@ -135,6 +135,16 @@ def test_constant_subcommand_kamzolov_row(tmp_path):
     assert values.get("upper-bound") == pytest.approx(2.0)
 
 
+def test_constant_rows_share_one_operator_label(tmp_path):
+    out = tmp_path / "c.csv"
+    code = main(["constant", "--body", "cube:1", "--m", "1", "--p", "2",
+                 "--q", "inf", "--a", "1", "--out", str(out)])
+    assert code == 0
+    rows = read_rows(out)
+    assert len(rows) > 2
+    assert {r[2] for r in rows[1:]} == {"0:1,0"}
+
+
 def test_candidates_subcommand(tmp_path):
     out = tmp_path / "cand.csv"
     code = main(["candidates", "--body", "cube:1", "--m", "1", "--p", "2",

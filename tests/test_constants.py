@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from bnsharp.bandlimited import akhiezer_family, cs_extremal, tensor_product
-from bnsharp.body import ConvexBody
-from bnsharp.constants import (OptimizerConfig, bernstein_pq,
-                               candidate_lower_bound_E,
+from bnsharp.body import ConvexBody, parse_body
+from bnsharp.constants import (OptimizerConfig, _Problem, _shape_for,
+                               bernstein_pq, candidate_lower_bound_E,
                                check_order_consistency, closed_e2_inf,
                                closed_e22, closed_p2_inf, closed_p22,
-                               crude_upper, limit_study, monomial_integral,
-                               nikolskii_upper, optimize_full,
-                               symbol_sq_integral)
+                               crude_upper, derived_function, limit_study,
+                               monomial_integral, nikolskii_upper,
+                               optimize_full, symbol_sq_integral)
 from bnsharp.trigpoly import DifferentialOperator
 
 
@@ -201,6 +201,55 @@ def test_optimizer_validation():
     ident = DifferentialOperator.identity(1)
     with pytest.raises(ValueError):
         optimize_full(3.0, 2.0, ident, 1.0, seg)
+
+
+def _dense_synth(prob, c):
+    B = np.zeros(prob.shape, dtype=complex)
+    B[prob.idx] = c * prob.phase
+    return np.fft.ifftn(B) * prob.size
+
+
+def _dense_analyze(prob, u):
+    return prob.phase * np.fft.fftn(u)[prob.idx]
+
+
+def _transform_cases():
+    for spec, m, a in (("ball:1", 2, 8.0), ("cube:1", 1, 16.0),
+                       ("cube:1", 2, 32.0), ("ball:1", 3, 4.0)):
+        spectrum = parse_body(spec, m).lattice_points(a)
+        for oversample in (4, 8):
+            yield spectrum, _shape_for(spectrum, oversample)
+    # one frequency; and the fine grid that certifies the final sup of the
+    # disk at a = 4
+    yield parse_body("cube:1", 2).lattice_points(0.5), (8, 8)
+    yield parse_body("ball:1", 2).lattice_points(4.0), (563, 563)
+
+
+def test_pruned_transforms_equal_dense_transforms():
+    rng = np.random.default_rng(4)
+    for spectrum, shape in _transform_cases():
+        prob = _Problem(spectrum, shape)
+        c = rng.standard_normal(prob.n) + 1j * rng.standard_normal(prob.n)
+        u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert np.array_equal(prob.synth(c), _dense_synth(prob, c))
+        assert np.array_equal(prob.analyze(u), _dense_analyze(prob, u))
+
+
+def test_optimizer_segment_sup_sup_pinned():
+    seg = ConvexBody.cube(1.0, 1)
+    op = DifferentialOperator.monomial((1,))
+    cfg = OptimizerConfig(restarts=2, iterations=500, seed=12)
+    est = optimize_full(math.inf, math.inf, op, 8.0, seg, cfg).estimate
+    assert est.value == 0.9962274987901673  # bitwise
+
+
+def test_derived_function_envelope_covers_diagonal_ray():
+    # the product envelope is fitted on the axes; for the square's Laplacian
+    # extremal it fell short on the diagonal ray that verify_decay samples
+    lap = DifferentialOperator.laplacian(2)
+    g = derived_function(cs_extremal(ConvexBody.cube(1.0, 2), lap), lap)
+    assert g.decay.kind == "product"
+    g.verify_decay(tolerance=0.0)
 
 
 def test_optimizer_concurrent_restarts_deterministic(monkeypatch):
