@@ -24,6 +24,7 @@ import os
 import sys
 import tempfile
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -337,6 +338,8 @@ def run_optimize(cfg: ExperimentConfig) -> tuple[list[str], dict]:
         ms = (time.perf_counter() - t0) * 1000.0
         rows.append(estimate_row(out.estimate, cfg.seed, ms))
         extra[f"restart_values_a={a:g}"] = list(out.restart_values)
+        extra[f"ascent_stops_a={a:g}"] = dict(
+            Counter(s.reason for s in out.ascent_stops))
     return rows, extra
 
 

@@ -412,26 +412,37 @@ def _lse(prob: _Problem, v: np.ndarray, t: float):
     np.exp(e, out=e)
     total = e.sum()
     val = M + math.log(total / e.size) / t
-    e /= total                      # the soft-max weights
-    tiny = 1e-300 + 1e-14 * M
-    # (e * v) / max(|v|, tiny) in this order: a reciprocal multiply rounds
-    # differently
-    w = e * v
-    w /= np.maximum(av, tiny, out=av)
-    return val, prob.analyze(w)
+
+    def grad():
+        np.divide(e, total, out=e)      # the soft-max weights
+        tiny = 1e-300 + 1e-14 * M
+        # (e * v) / max(|v|, tiny) in this order: a reciprocal multiply
+        # rounds differently
+        w = e * v
+        w /= np.maximum(av, tiny, out=av)
+        return prob.analyze(w)
+    return val, grad
 
 
 @dataclass(frozen=True)
 class _Objective:
     """Ratio value and the gradient of its logarithm at coefficients c.
 
-    The log-ratio gradient is scale free, which keeps the line search
-    well conditioned across very different magnitudes of numerator and
-    denominator.
+    ``at(c)`` returns the value and a callable for the gradient, so a line
+    search pays for the gradient only at the points it accepts.  Call the
+    gradient at most once: it reuses the value's buffers.  The log-ratio
+    gradient is scale free, which keeps the line search well conditioned
+    across very different magnitudes of numerator and denominator.
     """
 
-    value: Callable[[np.ndarray], float]
-    value_grad: Callable[[np.ndarray], tuple[float, np.ndarray]]
+    at: Callable[[np.ndarray], tuple[float, Callable[[], np.ndarray]]]
+
+    def value(self, c: np.ndarray) -> float:
+        return self.at(c)[0]
+
+    def value_grad(self, c: np.ndarray) -> tuple[float, np.ndarray]:
+        F, grad = self.at(c)
+        return F, grad()
 
 
 def _make_objective(prob: _Problem, d: np.ndarray, p: float, q: float,
@@ -439,54 +450,58 @@ def _make_objective(prob: _Problem, d: np.ndarray, p: float, q: float,
     """The ratio ||D T||_q / ||T||_p in coefficient space.
 
     q = inf uses the translation reduction |D T(0)| (linear in c); p = inf
-    uses a soft maximum at the given temperature during ascent.
+    uses a soft maximum at the given temperature during ascent, and has no
+    gradient without one.
     """
-    def parts(c, need_grad):
+    def at(c):
         if math.isinf(q):
             z = complex(np.dot(d, c))
             num = abs(z)
-            gz = np.conj(d) * (z / num if num > 0 else 1.0)
+            gz = lambda: np.conj(d) * (z / num)
         else:
             vD = prob.synth(d * c)
             num = _norm_p(prob, vD, q)
-            gz = None
-            if need_grad and num > 0:
-                gz = _grad_norm_p(prob, vD, q, num, d)
+            gz = lambda: _grad_norm_p(prob, vD, q, num, d)
         v = prob.synth(c)
         if math.isinf(p):
             if temperature is None:
-                den = float(np.abs(v).max())
-                gd = None
+                den, gd = float(np.abs(v).max()), None
             else:
                 den, gd = _lse(prob, v, temperature)
         else:
             den = _norm_p(prob, v, p)
-            gd = _grad_norm_p(prob, v, p, den, None) if need_grad else None
-        return num, gz, den, gd
+            gd = lambda: _grad_norm_p(prob, v, p, den, None)
+        if den == 0 or num == 0 or gd is None:
+            return (num / den if den > 0 else 0.0), lambda: np.zeros_like(c)
+        return num / den, lambda: gz() / num - gd() / den
 
-    def value(c):
-        num, _, den, _ = parts(c, need_grad=False)
-        return num / den if den > 0 else 0.0
-
-    def value_grad(c):
-        num, gz, den, gd = parts(c, need_grad=True)
-        if den == 0 or num == 0 or gz is None or gd is None:
-            return 0.0, np.zeros_like(c)
-        return num / den, gz / num - gd / den
-
-    return _Objective(value, value_grad)
+    return _Objective(at)
 
 
 def _project_real(c: np.ndarray, neg: np.ndarray) -> np.ndarray:
     return 0.5 * (c + np.conj(c[neg]))
 
 
+@dataclass(frozen=True)
+class AscentStop:
+    """Why one ascent stopped: ``reason`` is "gtol" (tangent gradient below
+    tolerance), "no-ascent" (the line search found no better point) or
+    "cap" (iteration cap); ``evaluations`` counts objective values."""
+
+    restart: int
+    temperature: float | None      # soft-max rung; None for finite p
+    reason: str
+    steps: int
+    evaluations: int
+
+
 def _ascend(obj: _Objective, c0: np.ndarray, cfg: OptimizerConfig,
-            neg: np.ndarray | None) -> tuple[float, np.ndarray]:
+            neg: np.ndarray | None) -> tuple[np.ndarray, tuple]:
     """Projected ascent on the unit sphere with a backtracking line search.
 
-    Acceptance is by relative improvement of the ratio; the gradient at an
-    accepted point is reused for the next iteration.
+    Acceptance is by relative improvement of the ratio; the gradient is
+    computed only at accepted points and reused for the next iteration.
+    Returns the final point and (reason, steps, evaluations).
     """
     def retract(c):
         if neg is not None:
@@ -495,27 +510,33 @@ def _ascend(obj: _Objective, c0: np.ndarray, cfg: OptimizerConfig,
         return c / n if n > 0 else c
     c = retract(c0)
     step = cfg.step0
-    F, g = obj.value_grad(c)
+    F, grad = obj.at(c)
+    g = grad()
+    reason, steps, evals = "cap", 0, 1
     for _ in range(cfg.iterations):
         if neg is not None:
             g = _project_real(g, neg)
         gt = g - np.real(np.vdot(c, g)) * c
         gn = float(np.linalg.norm(gt))
         if gn < cfg.gtol * (1.0 + abs(F)):
+            reason = "gtol"
             break
         s = min(2.0 * step, 8.0)
         accepted = False
         while s > 1e-15:
             cn = retract(c + s * gt)
-            Fn, g_new = obj.value_grad(cn)
+            Fn, grad = obj.at(cn)
+            evals += 1
             if Fn > F * (1.0 + 1e-12):
                 accepted = True
                 break
             s *= 0.5
         if not accepted:
+            reason = "no-ascent"
             break
-        c, F, g, step = cn, Fn, g_new, s
-    return F, c
+        c, F, g, step = cn, Fn, grad(), s
+        steps += 1
+    return c, (reason, steps, evals)
 
 
 @dataclass(frozen=True)
@@ -525,6 +546,7 @@ class OptimizerOutcome:
     estimate: SharpConstantEstimate
     restart_values: tuple[float, ...]      # final normalized value per restart
     best_coefficients: dict                # frequency -> complex
+    ascent_stops: tuple[AscentStop, ...] = ()   # per restart and rung
 
 
 def _final_value(prob, spectrum, d, c_best, p, q, pref, config, m):
@@ -590,7 +612,7 @@ def optimize_full(p: float, q: float, op: DifferentialOperator,
         index = {tuple(k): i for i, k in enumerate(spectrum.as_array())}
         neg = np.array([index[tuple(-k)] for k in spectrum.as_array()])
 
-    def run_restart(idx: int) -> tuple[float, np.ndarray]:
+    def run_restart(idx: int) -> tuple[np.ndarray, list[AscentStop]]:
         if idx < len(config.warm_starts):
             c0 = np.array([complex(config.warm_starts[idx].get(tuple(k), 0.0))
                            for k in spectrum.as_array()])
@@ -600,14 +622,12 @@ def optimize_full(p: float, q: float, op: DifferentialOperator,
             rng = np.random.default_rng([config.seed, idx])
             z = rng.standard_normal((prob.n, 2))
             c0 = (z[:, 0] + 1j * z[:, 1]) / math.sqrt(2.0)
-        if math.isinf(p):
-            c, F = c0, 0.0
-            for t in config.lse_temperatures:
-                obj = _make_objective(prob, d, p, q, temperature=t)
-                F, c = _ascend(obj, c, config, neg)
-            return F, c
-        obj = _make_objective(prob, d, p, q, temperature=None)
-        return _ascend(obj, c0, config, neg)
+        c, stops = c0, []
+        for t in config.lse_temperatures if math.isinf(p) else (None,):
+            obj = _make_objective(prob, d, p, q, temperature=t)
+            c, stop = _ascend(obj, c, config, neg)
+            stops.append(AscentStop(idx, t, *stop))
+        return c, stops
 
     n_runs = max(config.restarts, len(config.warm_starts))
     if config.workers() > 1:
@@ -617,9 +637,9 @@ def optimize_full(p: float, q: float, op: DifferentialOperator,
         results = [run_restart(i) for i in range(n_runs)]
 
     finals = [_final_value(prob, spectrum, d, c, p, q, pref, config, m)
-              for _, c in results]
+              for c, _ in results]
     best_idx = max(range(n_runs), key=lambda i: (finals[i][0], -i))
-    c_best = results[best_idx][1]
+    c_best = results[best_idx][0]
     value, tol = finals[best_idx]
 
     notes = f"multistart ascent, {n_runs} restarts"
@@ -632,7 +652,8 @@ def optimize_full(p: float, q: float, op: DifferentialOperator,
                                 seed=config.seed)
     coeffs = {tuple(int(c) for c in k): complex(v)
               for k, v in zip(spectrum.as_array(), c_best)}
-    return OptimizerOutcome(est, tuple(f for f, _ in finals), coeffs)
+    return OptimizerOutcome(est, tuple(f for f, _ in finals), coeffs,
+                            tuple(s for _, stops in results for s in stops))
 
 
 # ---------------------------------------------------------------------------

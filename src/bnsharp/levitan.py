@@ -197,7 +197,7 @@ def levitan_coefficients(f: BandLimitedFunction, a: float,
     """
     c = f.spectral_body.ell1_over_dual()
     enlarged = f.spectral_body.scaled(a + c)
-    spectrum = set(enlarged.lattice_points(1.0))
+    spectrum = enlarged.lattice_points(1.0).as_array()
     degs = [int(math.floor((a + c) * s * (1 + 1e-12))) for s in
             f.spectral_body.sigma]
     shape = tuple(oversample * (2 * d + 1) for d in degs)
@@ -209,15 +209,21 @@ def levitan_coefficients(f: BandLimitedFunction, a: float,
     samples = levitan_evaluate(f, a, pts, eps=eps).reshape(shape)
 
     spec = np.fft.fftn(samples) / math.prod(shape)
-    coeffs = {}
-    out_max = 0.0
-    for idx in np.ndindex(shape):
-        k = tuple(i if i <= L // 2 else i - L for i, L in zip(idx, shape))
-        val = spec[idx] * (-1.0) ** (sum(k) % 2)
-        if k in spectrum:
-            coeffs[k] = complex(val)
-        else:
-            out_max = max(out_max, abs(val))
+    # signed frequency of every grid index: i <= L // 2 stays i, else i - L
+    signed = [np.arange(L) - L * (np.arange(L) > L // 2) for L in shape]
+    k = np.stack(np.meshgrid(*signed, indexing="ij"), axis=-1)
+    val = spec * (-1.0) ** (k.sum(axis=-1) % 2)
+    # the spectrum's points that have a grid index, marked at that index
+    on_grid = np.all((spectrum >= [s.min() for s in signed]) &
+                     (spectrum <= [s.max() for s in signed]), axis=1)
+    mask = np.zeros(shape, dtype=bool)
+    mask[tuple((spectrum[on_grid] % shape).T)] = True
+    # boolean indexing keeps grid (C) order, the order of np.ndindex(shape)
+    coeffs = dict(zip(map(tuple, k[mask].tolist()), val[mask].tolist()))
+    out = val[~mask]
+    # hypot rounds as the scalar abs(complex) does; np.abs on an array
+    # may not
+    out_max = float(np.hypot(out.real, out.imag).max(initial=0.0))
     if out_max > 1.05 * eps + 1e-12:
         raise TruncationFailure(
             f"out-of-spectrum coefficient {out_max:.3e} exceeds eps={eps:.3e}")

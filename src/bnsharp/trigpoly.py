@@ -125,7 +125,10 @@ class NormEstimate:
 
     ``error_bound`` is relative.  For p = inf the value is a grid maximum,
     hence a lower estimate: the true sup lies in
-    [value, value * (1 + error_bound)].
+    [value, value * (1 + error_bound)].  For even integer p on an
+    alias-free grid the quadrature is exact.  For other finite p,
+    ``error_bound`` is only an estimate from one grid refinement, so
+    ``upper()`` is not a certified upper bound there.
     """
 
     value: float
@@ -289,8 +292,10 @@ def norm_lp(T: TrigPolynomial, p: float, L=None, oversample: int = 4,
     p = inf returns the grid maximum together with a certified relative
     error bound c/(1-c), c = 0.5*(sum_j pi*deg_j/L_j)^2, valid because the
     gradient of T is Bernstein-bounded by its degree.  Even integer p on an
-    alias-free grid for |T|^p is exact.  Other exponents get an error
-    estimate from one grid refinement (disable with refine=False).
+    alias-free grid for |T|^p is exact.  Other finite exponents get an
+    error estimate, not a bound, from one grid refinement (disable with
+    refine=False): the difference between the two grids' values, so
+    ``upper()`` is not certified there.
     """
     if not (p > 0):
         raise ValueError("exponent p must be positive (use math.inf for sup)")

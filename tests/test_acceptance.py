@@ -341,6 +341,7 @@ def _dual_upper_sup_sup(op, body, a):
     return float(a ** (-op.order) * total)
 
 
+@pytest.mark.slow
 def test_12_sup_sup_laplacian_ball_probe():
     # crude_upper gives the upper bound m*M^2 = 2 for this problem; the
     # paper does not say whether lim P equals that value.  P(a) at a finite

@@ -95,6 +95,18 @@ def test_converge_rows_equal_optimize_rows(tmp_path):
     assert strip(conv) == strip(opt)
 
 
+def test_optimize_manifest_counts_ascent_stops(tmp_path):
+    out = tmp_path / "o.csv"
+    assert main(["optimize", "--body", "cube:1", "--m", "1", "--p", "1",
+                 "--q", "inf", "--a", "0.5,2", "--restarts", "2",
+                 "--iterations", "80", "--seed", "9", "--out", str(out)]) == 0
+    results = json.loads((tmp_path / "o.csv.manifest.json").read_text())[
+        "results"]
+    # one frequency at a = 0.5: both restarts stop on the gradient tolerance
+    assert results["ascent_stops_a=0.5"] == {"gtol": 2}
+    assert sum(results["ascent_stops_a=2"].values()) == 2
+
+
 def test_reproducible_output_modulo_runtime(tmp_path):
     args = ["optimize", "--body", "cube:1", "--m", "1", "--p", "1",
             "--q", "inf", "--a", "2", "--restarts", "2", "--iterations",

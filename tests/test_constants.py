@@ -5,8 +5,9 @@ import pytest
 
 from bnsharp.bandlimited import akhiezer_family, cs_extremal, tensor_product
 from bnsharp.body import ConvexBody, parse_body
-from bnsharp.constants import (OptimizerConfig, _Problem, _shape_for,
-                               bernstein_pq, candidate_lower_bound_E,
+from bnsharp.constants import (OptimizerConfig, _Problem, _ascend,
+                               _make_objective, _shape_for, bernstein_pq,
+                               candidate_lower_bound_E,
                                check_order_consistency, closed_e2_inf,
                                closed_e22, closed_p2_inf, closed_p22,
                                crude_upper, derived_function, limit_study,
@@ -239,8 +240,100 @@ def test_optimizer_segment_sup_sup_pinned():
     seg = ConvexBody.cube(1.0, 1)
     op = DifferentialOperator.monomial((1,))
     cfg = OptimizerConfig(restarts=2, iterations=500, seed=12)
-    est = optimize_full(math.inf, math.inf, op, 8.0, seg, cfg).estimate
-    assert est.value == 0.9962274987901673  # bitwise
+    out = optimize_full(math.inf, math.inf, op, 8.0, seg, cfg)
+    assert out.estimate.value == 0.9962274987901673  # bitwise
+    # one record per restart and temperature rung, each stopped by the cap
+    assert [(s.restart, s.temperature) for s in out.ascent_stops] == \
+        [(i, t) for i in range(2) for t in cfg.lse_temperatures]
+    assert all(s.reason == "cap" and s.steps == 500 and s.evaluations > 500
+               for s in out.ascent_stops)
+
+
+def test_optimizer_values_pinned():
+    # bitwise: computing gradients only at accepted points moves no value
+    sq = ConvexBody.cube(1.0, 2)
+    cfg = OptimizerConfig(restarts=2, seed=11)
+    est = optimize_full(1.0, math.inf, DifferentialOperator.identity(2),
+                        16.0, sq, cfg).estimate
+    assert est.value == 0.029191768513087954
+    seg = ConvexBody.cube(1.0, 1)
+    cfg = OptimizerConfig(restarts=2, iterations=300, seed=3)
+    out = optimize_full(1.0, 2.0, DifferentialOperator.monomial((1,)), 8.0,
+                        seg, cfg)
+    assert out.estimate.value == 0.18442032204998177
+    assert [(s.reason, s.steps) for s in out.ascent_stops] == \
+        [("no-ascent", 233), ("no-ascent", 76)]
+
+
+def test_ascent_stops_on_gtol_for_one_frequency():
+    # one frequency: the ratio is constant on the sphere, its gradient zero
+    seg = ConvexBody.cube(1.0, 1)
+    cfg = OptimizerConfig(restarts=1, iterations=50, seed=0)
+    for p in (1.0, math.inf):
+        out = optimize_full(p, math.inf, DifferentialOperator.identity(1),
+                            0.5, seg, cfg)
+        assert {(s.reason, s.steps, s.evaluations)
+                for s in out.ascent_stops} == {("gtol", 0, 1)}
+
+
+def _counted(prob, name, calls):
+    method = getattr(prob, name)
+
+    def wrapper(*args):
+        calls[name] += 1
+        return method(*args)
+    setattr(prob, name, wrapper)
+
+
+def test_ascent_computes_gradients_only_at_accepted_points():
+    spectrum = ConvexBody.cube(1.0, 1).lattice_points(8.0)
+    prob = _Problem(spectrum, _shape_for(spectrum, 4))
+    calls = {"synth": 0, "analyze": 0}
+    for name in calls:
+        _counted(prob, name, calls)
+    d = DifferentialOperator.identity(1).symbol_at_ik(
+        spectrum.as_array().astype(float))
+    obj = _make_objective(prob, d, 1.0, math.inf, temperature=None)
+    z = np.random.default_rng(0).standard_normal((prob.n, 2))
+    _, (reason, steps, evaluations) = _ascend(
+        obj, z[:, 0] + 1j * z[:, 1], OptimizerConfig(iterations=50), None)
+    assert (reason, steps) == ("cap", 50)
+    # one gradient at the start and one per accepted step
+    assert calls["analyze"] == 51
+    assert calls["synth"] == evaluations > 51
+
+
+def _log_gradient_mismatch(prob, d, p, q, temperature, rng):
+    """Relative gap between the gradient of log F along a random unit
+    direction and its central finite difference."""
+    obj = _make_objective(prob, d, p, q, temperature)
+    z = rng.standard_normal((prob.n, 4))
+    c = z[:, 0] + 1j * z[:, 1]
+    c /= np.linalg.norm(c)
+    v = z[:, 2] + 1j * z[:, 3]
+    v /= np.linalg.norm(v)
+    _, g = obj.value_grad(c)
+    h = 1e-6
+    fd = (math.log(obj.value(c + h * v)) -
+          math.log(obj.value(c - h * v))) / (2 * h)
+    an = float(np.real(np.vdot(g, v)))
+    return abs(fd - an) / max(abs(fd), 1e-12)
+
+
+@pytest.mark.parametrize("spec, m, op, a", [
+    ("cube:1", 1, DifferentialOperator.monomial((1,)), 3.0),
+    ("ball:1", 2, DifferentialOperator.laplacian(2), 3.0)])
+def test_soft_max_and_sup_gradients_match_finite_differences(spec, m, op, a):
+    spectrum = parse_body(spec, m).lattice_points(a)
+    d = op.symbol_at_ik(spectrum.as_array().astype(float))
+    rng = np.random.default_rng(13)
+    soft = _Problem(spectrum, _shape_for(spectrum, 8))
+    coarse = _Problem(spectrum, _shape_for(spectrum, 4))
+    worst = max([_log_gradient_mismatch(soft, d, math.inf, math.inf, t, rng)
+                 for t in (10.0, 1e3) for _ in range(3)] +
+                [_log_gradient_mismatch(coarse, d, 1.0, math.inf, None, rng)
+                 for _ in range(3)])
+    assert worst <= 1e-5
 
 
 def test_derived_function_envelope_covers_diagonal_ray():

@@ -67,6 +67,48 @@ def test_coefficients_spectrum_and_consistency():
     assert np.abs(direct - synth).max() < 5e-9
 
 
+def _loop_coefficients(f, a, eps, oversample):
+    """Reference: walk every FFT index in grid order, sign it, and keep it
+    when it lies in the enlarged spectrum (the loop levitan_coefficients
+    vectorizes)."""
+    c = f.spectral_body.ell1_over_dual()
+    spectrum = set(f.spectral_body.scaled(a + c).lattice_points(1.0))
+    degs = [int(math.floor((a + c) * s * (1 + 1e-12)))
+            for s in f.spectral_body.sigma]
+    shape = tuple(oversample * (2 * d + 1) for d in degs)
+    axes = [(-math.pi + 2.0 * math.pi * np.arange(L) / L) for L in shape]
+    grids = np.meshgrid(*axes, indexing="ij")
+    pts = a * np.stack([g.ravel() for g in grids], axis=-1)
+    samples = levitan_evaluate(f, a, pts, eps=eps).reshape(shape)
+    spec = np.fft.fftn(samples) / math.prod(shape)
+    coeffs = {}
+    out_max = 0.0
+    for idx in np.ndindex(shape):
+        k = tuple(i if i <= L // 2 else i - L for i, L in zip(idx, shape))
+        val = spec[idx] * (-1.0) ** (sum(k) % 2)
+        if k in spectrum:
+            coeffs[k] = complex(val)
+        else:
+            out_max = max(out_max, abs(val))
+    return coeffs, out_max
+
+
+@pytest.mark.parametrize("f, a, oversample", [
+    (sinc_sq_half_kernel(1), 2.5, 1),
+    (sinc_sq_half_kernel(1), 2.5, 2),
+    (sinc_sq_half_kernel(2), 4.0, 2),
+    (tensor_product([akhiezer_family(1.0, 0.5, 0.1)] * 2), 2.5, 3)])
+def test_coefficients_equal_grid_loop(f, a, oversample):
+    res = levitan_coefficients(f, a, eps=1e-3, oversample=oversample)
+    coeffs, out_max = _loop_coefficients(f, a, 1e-3, oversample)
+    got = res.polynomial.coefficients
+    assert list(got) == list(coeffs)            # same insertion order
+    assert np.array(list(got.values())).tobytes() == \
+        np.array(list(coeffs.values())).tobytes()  # bitwise
+    assert np.float64(res.out_of_spectrum).tobytes() == \
+        np.float64(out_max).tobytes()
+
+
 def test_real_input_gives_hermitian_coefficients():
     f = sinc_sq_half_kernel(1)
     res = levitan_coefficients(f, 2.0, eps=1e-9)
