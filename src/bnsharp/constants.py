@@ -5,7 +5,7 @@ Two families of constants are computed.  The periodic constant P compares
 spectrum in a*V (normalized by a^{-N-m/p+m/q}); the continuum constant E
 does the same over band-limited functions on R^m.  Closed forms exist for
 (p, q) = (2, inf) and (2, 2); everything else is bracketed by upper bounds
-and certified lower bounds from a multistart projected-ascent optimizer.
+and certified lower bounds from a multistart L-BFGS ascent on the sphere.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import os
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -329,7 +330,7 @@ class OptimizerConfig:
     lse_temperatures: tuple[float, ...] = _TEMP_LADDER
     sup_certificate: float = 1e-3     # target relative gap of the final sup
     gtol: float = 1e-13
-    step0: float = 0.3
+    step0: float = 0.3                # first step of a rung or after a reset
     real_coefficients: bool = False
     warm_starts: tuple = ()           # coefficient maps used as extra starts
 
@@ -486,57 +487,114 @@ def _project_real(c: np.ndarray, neg: np.ndarray) -> np.ndarray:
 class AscentStop:
     """Why one ascent stopped: ``reason`` is "gtol" (tangent gradient below
     tolerance), "no-ascent" (the line search found no better point) or
-    "cap" (iteration cap); ``evaluations`` counts objective values."""
+    "cap" (iteration cap); ``evaluations`` counts objective values.
+    ``value`` is the final smoothed objective and ``grad_norm`` the norm of
+    its tangent log-gradient there."""
 
     restart: int
     temperature: float | None      # soft-max rung; None for finite p
     reason: str
     steps: int
     evaluations: int
+    value: float
+    grad_norm: float
+
+
+_LBFGS_MEMORY = 6       # (s, y) pairs kept by the ascent direction
+
+
+def _rdot(u: np.ndarray, v: np.ndarray) -> float:
+    """Re<u, v> as a real dot product of the float64 views."""
+    return float(np.dot(u.view(np.float64), v.view(np.float64)))
+
+
+def _two_loop(g: np.ndarray, pairs) -> np.ndarray:
+    """The L-BFGS product H g over the stored pairs (s, y, <s, y>), oldest
+    first, with initial scaling <s, y> / <y, y> from the newest pair."""
+    q = g.copy()
+    alphas = []
+    for s, y, sy in reversed(pairs):
+        alphas.append(_rdot(s, q) / sy)
+        q -= alphas[-1] * y
+    _, y, sy = pairs[-1]
+    r = (sy / _rdot(y, y)) * q
+    for (s, y, sy), alpha in zip(pairs, reversed(alphas)):
+        r += (alpha - _rdot(y, r) / sy) * s
+    return r
 
 
 def _ascend(obj: _Objective, c0: np.ndarray, cfg: OptimizerConfig,
-            neg: np.ndarray | None) -> tuple[np.ndarray, tuple]:
-    """Projected ascent on the unit sphere with a backtracking line search.
+            neg: np.ndarray | None) -> tuple[tuple, tuple]:
+    """L-BFGS ascent on the unit sphere with a backtracking line search.
 
+    The direction is the two-loop recursion over the last ``_LBFGS_MEMORY``
+    pairs s = c_{k+1} - c_k, y = g_k - g_{k+1} of tangent gradients g (a pair
+    is kept only when <s, y> > 0), projected onto the tangent space at c.
+    Each step tries t = 1 and halves t on rejection.  With an empty memory,
+    at the start and after a reset, the step is ``cfg.step0 * g / |g|``.
+    The memory is cleared when the direction is not an ascent direction or
+    its line search fails; only a failed steepest step stops the ascent.
     Acceptance is by relative improvement of the ratio; the gradient is
-    computed only at accepted points and reused for the next iteration.
-    Returns the final point and (reason, steps, evaluations).
+    computed only at accepted points.  Returns (point, value, tangent
+    gradient norm) and (reason, steps, evaluations).
     """
     def retract(c):
         if neg is not None:
             c = _project_real(c, neg)
         n = np.linalg.norm(c)
         return c / n if n > 0 else c
-    c = retract(c0)
-    step = cfg.step0
-    F, grad = obj.at(c)
-    g = grad()
-    reason, steps, evals = "cap", 0, 1
-    for _ in range(cfg.iterations):
+
+    def tangent(v, c):
         if neg is not None:
-            g = _project_real(g, neg)
-        gt = g - np.real(np.vdot(c, g)) * c
-        gn = float(np.linalg.norm(gt))
-        if gn < cfg.gtol * (1.0 + abs(F)):
-            reason = "gtol"
-            break
-        s = min(2.0 * step, 8.0)
-        accepted = False
-        while s > 1e-15:
-            cn = retract(c + s * gt)
+            v = _project_real(v, neg)
+        return v - _rdot(c, v) * c
+
+    def search(c, F, d):
+        nonlocal evals
+        t = 1.0
+        while t > 1e-15:
+            cn = retract(c + t * d)
             Fn, grad = obj.at(cn)
             evals += 1
             if Fn > F * (1.0 + 1e-12):
-                accepted = True
-                break
-            s *= 0.5
-        if not accepted:
+                return cn, Fn, grad
+            t *= 0.5
+        return None
+
+    c = retract(c0)
+    F, grad = obj.at(c)
+    g = tangent(grad(), c)
+    pairs = deque(maxlen=_LBFGS_MEMORY)
+    steps, evals = 0, 1
+    while True:
+        gn = float(np.linalg.norm(g))
+        if gn < cfg.gtol * (1.0 + abs(F)):
+            reason = "gtol"
+            break
+        if steps == cfg.iterations:
+            reason = "cap"
+            break
+        found = None
+        if pairs:
+            d = tangent(_two_loop(g, pairs), c)
+            if _rdot(d, g) > 0:
+                found = search(c, F, d)
+            if found is None:
+                pairs.clear()
+        if found is None:
+            found = search(c, F, (cfg.step0 / gn) * g)
+        if found is None:
             reason = "no-ascent"
             break
-        c, F, g, step = cn, Fn, grad(), s
+        cn, F, grad = found
+        g_new = tangent(grad(), cn)
+        s, y = cn - c, g - g_new
+        sy = _rdot(s, y)
+        if sy > 0:
+            pairs.append((s, y, sy))
+        c, g = cn, g_new
         steps += 1
-    return c, (reason, steps, evals)
+    return (c, float(F), gn), (reason, steps, evals)
 
 
 @dataclass(frozen=True)
@@ -574,7 +632,7 @@ def optimize_full(p: float, q: float, op: DifferentialOperator,
                   a: float, body: ConvexBody,
                   config: OptimizerConfig = OptimizerConfig(),
                   ) -> OptimizerOutcome:
-    """Multistart projected-ascent maximization of the normalized ratio.
+    """Multistart L-BFGS ascent on the sphere for the normalized ratio.
 
     Maximizes over complex coefficients on the unit sphere (the ratio is
     scale invariant).  q = inf becomes |D T(0)| / ||T||_p by translation
@@ -625,8 +683,8 @@ def optimize_full(p: float, q: float, op: DifferentialOperator,
         c, stops = c0, []
         for t in config.lse_temperatures if math.isinf(p) else (None,):
             obj = _make_objective(prob, d, p, q, temperature=t)
-            c, stop = _ascend(obj, c, config, neg)
-            stops.append(AscentStop(idx, t, *stop))
+            (c, value, grad_norm), stop = _ascend(obj, c, config, neg)
+            stops.append(AscentStop(idx, t, *stop, value, grad_norm))
         return c, stops
 
     n_runs = max(config.restarts, len(config.warm_starts))
