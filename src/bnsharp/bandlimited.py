@@ -116,9 +116,10 @@ class BandLimitedFunction:
 
     ``evaluate`` accepts arrays of shape (..., m) and returns complex values
     of shape (...).  ``partials``, when present, maps a multi-index to an
-    analytic derivative evaluator of the same signature; callers fall back to
-    finite differences otherwise.  ``eval_axes`` evaluates on a tensor grid
-    given per-axis 1-D node arrays (exploited by cubature).
+    analytic derivative evaluator of the same signature; there is no
+    finite-difference fallback, so ``derivative`` raises KeyError for a
+    function without them.  ``eval_axes`` evaluates on a tensor grid given
+    per-axis 1-D node arrays (exploited by cubature).
     """
 
     m: int
@@ -205,46 +206,142 @@ def tensor_product(factors: Sequence[BandLimitedFunction],
     if label is None:
         label = " (x) ".join(f.label for f in factors)
 
-    def evaluate(x):
-        x = np.asarray(x, dtype=float)
-        out = np.ones(x.shape[:-1], dtype=complex)
-        for j, f in enumerate(factors):
-            out = out * f.evaluate(x[..., j:j + 1])
-        return out
-
     def partials(alpha):
-        evals = [factors[j].derivative((alpha[j],)) for j in range(m)]
+        evals = [f.derivative((a,)) for f, a in zip(factors, alpha)]
 
         def d_eval(x):
             x = np.asarray(x, dtype=float)
             out = np.ones(x.shape[:-1], dtype=complex)
-            for j in range(m):
-                out = out * evals[j](x[..., j:j + 1])
+            for j, e in enumerate(evals):
+                out = out * e(x[..., j:j + 1])
             return out
         return d_eval
 
     has_partials = all(f.partials is not None for f in factors)
     return BandLimitedFunction(
-        m=m, evaluate=evaluate, spectral_body=body,
+        m=m, evaluate=partials((0,) * m), spectral_body=body,
         sup_bound=math.prod(f.sup_bound for f in factors),
         decay=decay, label=label,
         partials=partials if has_partials else None,
         factors=factors)
 
 
+def _scaled(f: BandLimitedFunction, c: complex) -> BandLimitedFunction:
+    """c * f with the metadata transformed accordingly."""
+    acz = abs(c)
+    if f.decay.kind == "radial":
+        decay = DecayModel.make_radial(f.decay.radial[0] * acz, f.decay.radial[1])
+    else:
+        axes = list(f.decay.axes)
+        axes[0] = (axes[0][0] * acz, axes[0][1])
+        decay = DecayModel.make_product(axes)
+
+    def partials(alpha):
+        base = f.derivative(alpha)
+        return lambda x: c * base(x)
+
+    return BandLimitedFunction(
+        m=f.m, evaluate=lambda x: c * f.evaluate(x),
+        spectral_body=f.spectral_body, sup_bound=acz * f.sup_bound,
+        decay=decay, label=f.label,
+        partials=partials if f.partials is not None else None,
+        factors=f.factors if abs(acz - 1.0) < 1e-15 else None)
+
+
+def derived_function(f: BandLimitedFunction,
+                     op: DifferentialOperator) -> BandLimitedFunction:
+    """D_N f as a band-limited function with a measured decay envelope.
+
+    The identity returns f.  A one-term operator on a tensor product
+    differentiates each factor, so D_N f stays a tensor product.  Otherwise
+    the terms' analytic partials are summed (KeyError where f has none); the
+    decay order is inherited from f, the constant is measured on sampled
+    rays and re-audited by the standard spot check.
+    """
+    if op.order == 0:
+        return f
+    if len(op.terms) == 1 and f.factors is not None:
+        (alpha, b), = op.terms.items()
+        parts = [derived_function(g, DifferentialOperator.monomial((a,)))
+                 for g, a in zip(f.factors, alpha)]
+        return _scaled(tensor_product(parts, label=f"D^{alpha} {f.label}"), b)
+    evals = [(b, f.derivative(alpha)) for alpha, b in op.terms.items()]
+
+    def evaluate(x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape[:-1], dtype=complex)
+        for b, e in evals:
+            out += b * e(x)
+        return out
+
+    radii = np.geomspace(0.25, 64.0, 24)
+    if f.decay.kind == "radial":
+        d = f.decay.radial[1]
+        C = 0.0
+        dirs = [np.eye(f.m)[j] for j in range(f.m)]
+        dirs.append(np.ones(f.m) / math.sqrt(f.m))
+        for u in dirs:
+            pts = radii[:, None] * u[None, :]
+            C = max(C, float(np.max(np.abs(evaluate(pts)) *
+                                    (1.0 + radii) ** d)))
+        decay = DecayModel.make_radial(1.25 * C, d)
+    else:
+        axes = []
+        for j, (Cj, dj) in enumerate(f.decay.axes):
+            pts = np.zeros((len(radii), f.m))
+            pts[:, j] = radii
+            Cm = float(np.max(np.abs(evaluate(pts)) * (1.0 + radii) ** dj))
+            on_axis = math.prod(Ci for i, (Ci, _) in enumerate(f.decay.axes)
+                                if i != j)
+            axes.append((1.25 * max(Cm / max(on_axis, 1e-300), 1e-300), dj))
+        # redistribute so the product at the origin covers the measured peak
+        peak = float(np.max(np.abs(evaluate(np.zeros((1, f.m))))))
+        prod0 = math.prod(C for C, _ in axes)
+        if peak > prod0:
+            axes[0] = (axes[0][0] * (1.25 * peak / prod0), axes[0][1])
+        # and along the diagonal ray, which verify_decay also samples
+        pts = radii[:, None] * (np.ones(f.m) / math.sqrt(f.m))[None, :]
+        ratio = float(np.max(np.abs(evaluate(pts)) /
+                             DecayModel.make_product(axes).envelope(pts)))
+        if ratio > 1.0:
+            axes[0] = (axes[0][0] * (1.25 * ratio), axes[0][1])
+        decay = DecayModel.make_product(axes)
+
+    grid = np.linspace(-16.0, 16.0, 257)
+    pts = np.stack(np.meshgrid(*([grid] * f.m), indexing="ij"),
+                   axis=-1).reshape(-1, f.m)
+    sup = 1.05 * float(np.abs(evaluate(pts)).max())
+
+    g = BandLimitedFunction(
+        m=f.m, evaluate=evaluate, spectral_body=f.spectral_body,
+        sup_bound=sup, decay=decay, label=f"D[{op.label}] {f.label}")
+    g.verify_decay()
+    return g
+
+
 # ---------------------------------------------------------------------------
 # sinc kernels and the periodization identity
 # ---------------------------------------------------------------------------
+
+def _sinc_derivative(r: int, y: np.ndarray) -> np.ndarray:
+    """The r-th derivative of sin(y)/y = 1/2 int_{-1}^{1} e^{iyx} dx."""
+    return 0.5 * ((1j ** r) * _moment_1d(r, 1.0, y)).real
+
 
 def sinc_kernel(m: int) -> BandLimitedFunction:
     """h(y) = prod_j sin(y_j)/y_j, the separable Dirichlet kernel on R^m."""
     def eval1(x):
         return np.sinc(x[..., 0] / math.pi).astype(complex)
 
+    def partials(alpha):
+        (r,) = alpha
+        return lambda x: _sinc_derivative(
+            r, np.asarray(x, dtype=float)[..., 0]).astype(complex)
+
     one = BandLimitedFunction(
         m=1, evaluate=eval1, spectral_body=ConvexBody.cube(1.0, 1),
         sup_bound=1.0, decay=DecayModel.make_product([(2.0, 1.0)]),
-        label="sinc")
+        label="sinc", partials=partials)
     if m == 1:
         return one
     return tensor_product([one] * m, label=f"sinc^({m})")
@@ -259,10 +356,21 @@ def sinc_sq_half_kernel(m: int) -> BandLimitedFunction:
     def eval1(x):
         return (np.sinc(x[..., 0] / (2.0 * math.pi)) ** 2).astype(complex)
 
+    def partials(alpha):
+        (r,) = alpha
+
+        def d_eval(x):
+            # Leibniz rule on h(x/2) * h(x/2)
+            y = 0.5 * np.asarray(x, dtype=float)[..., 0]
+            h = [_sinc_derivative(l, y) for l in range(r + 1)]
+            out = sum(math.comb(r, l) * h[l] * h[r - l] for l in range(r + 1))
+            return (out / 2.0 ** r).astype(complex)
+        return d_eval
+
     one = BandLimitedFunction(
         m=1, evaluate=eval1, spectral_body=ConvexBody.cube(1.0, 1),
         sup_bound=1.0, decay=DecayModel.make_product([(16.0, 2.0)]),
-        label="sinc_sq_half")
+        label="sinc_sq_half", partials=partials)
     if m == 1:
         return one
     return tensor_product([one] * m, label=f"sinc_sq_half^({m})")
@@ -536,28 +644,6 @@ def cs_extremal(body: ConvexBody, op: DifferentialOperator,
         return _box_multiterm(body, op, pref)
 
     return _indicator_transform(body, op, freq_budget, nodes_per_axis)
-
-
-def _scaled(f: BandLimitedFunction, c: complex) -> BandLimitedFunction:
-    """c * f with the metadata transformed accordingly."""
-    acz = abs(c)
-    if f.decay.kind == "radial":
-        decay = DecayModel.make_radial(f.decay.radial[0] * acz, f.decay.radial[1])
-    else:
-        axes = list(f.decay.axes)
-        axes[0] = (axes[0][0] * acz, axes[0][1])
-        decay = DecayModel.make_product(axes)
-
-    def partials(alpha):
-        base = f.derivative(alpha)
-        return lambda x: c * base(x)
-
-    return BandLimitedFunction(
-        m=f.m, evaluate=lambda x: c * f.evaluate(x),
-        spectral_body=f.spectral_body, sup_bound=acz * f.sup_bound,
-        decay=decay, label=f.label,
-        partials=partials if f.partials is not None else None,
-        factors=f.factors if abs(acz - 1.0) < 1e-15 else None)
 
 
 def _box_multiterm(body: ConvexBody, op: DifferentialOperator,

@@ -21,8 +21,8 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.optimize import minimize_scalar, minimize
 
-from .bandlimited import BandLimitedFunction, DecayModel, \
-    norm_lp_truncated, tensor_product, _scaled
+from .bandlimited import BandLimitedFunction, derived_function, \
+    norm_lp_truncated
 from .body import ConvexBody, LatticeSet, exact_floor
 from .trigpoly import DifferentialOperator
 
@@ -718,70 +718,6 @@ def optimize_full(p: float, q: float, op: DifferentialOperator,
 # continuum candidates
 # ---------------------------------------------------------------------------
 
-def derived_function(f: BandLimitedFunction,
-                     op: DifferentialOperator) -> BandLimitedFunction:
-    """D_N f as a band-limited function with a measured decay envelope.
-
-    Uses analytic partials (all candidate families carry them).  The decay
-    order is inherited from f; the constant is measured on sampled rays and
-    re-audited by the standard spot check.
-    """
-    evals = [(b, f.derivative(alpha)) for alpha, b in op.terms.items()]
-
-    def evaluate(x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        out = np.zeros(x.shape[0], dtype=complex)
-        for b, e in evals:
-            out += b * np.asarray(e(x)).reshape(-1)
-        return out
-
-    radii = np.geomspace(0.25, 64.0, 24)
-    if f.decay.kind == "radial":
-        d = f.decay.radial[1]
-        C = 0.0
-        dirs = [np.eye(f.m)[j] for j in range(f.m)]
-        dirs.append(np.ones(f.m) / math.sqrt(f.m))
-        for u in dirs:
-            pts = radii[:, None] * u[None, :]
-            C = max(C, float(np.max(np.abs(evaluate(pts)) *
-                                    (1.0 + radii) ** d)))
-        decay = DecayModel.make_radial(1.25 * C, d)
-    else:
-        axes = []
-        for j, (Cj, dj) in enumerate(f.decay.axes):
-            pts = np.zeros((len(radii), f.m))
-            pts[:, j] = radii
-            Cm = float(np.max(np.abs(evaluate(pts)) * (1.0 + radii) ** dj))
-            on_axis = math.prod(Ci for i, (Ci, _) in enumerate(f.decay.axes)
-                                if i != j)
-            axes.append((1.25 * max(Cm / max(on_axis, 1e-300), 1e-300), dj))
-        # redistribute so the product at the origin covers the measured peak
-        peak = float(np.max(np.abs(evaluate(np.zeros((1, f.m))))))
-        prod0 = math.prod(C for C, _ in axes)
-        if peak > prod0:
-            axes[0] = (axes[0][0] * (1.25 * peak / prod0), axes[0][1])
-        # and along the diagonal ray, which verify_decay also samples
-        pts = radii[:, None] * (np.ones(f.m) / math.sqrt(f.m))[None, :]
-        ratio = float(np.max(np.abs(evaluate(pts)) /
-                             DecayModel.make_product(axes).envelope(pts)))
-        if ratio > 1.0:
-            axes[0] = (axes[0][0] * (1.25 * ratio), axes[0][1])
-        decay = DecayModel.make_product(axes)
-
-    grid = np.linspace(-16.0, 16.0, 257)
-    pts = np.stack(np.meshgrid(*([grid] * f.m), indexing="ij"),
-                   axis=-1).reshape(-1, f.m)
-    sup = 1.05 * float(np.abs(evaluate(pts)).max())
-
-    g = BandLimitedFunction(
-        m=f.m, evaluate=evaluate, spectral_body=f.spectral_body,
-        sup_bound=sup, decay=decay, label=f"D[{op.label}] {f.label}",
-        partials=None,
-        factors=None)
-    g.verify_decay()
-    return g
-
-
 def candidate_lower_bound_E(f: BandLimitedFunction, p: float, q: float,
                             op: DifferentialOperator,
                             R: float | None = None,
@@ -797,18 +733,7 @@ def candidate_lower_bound_E(f: BandLimitedFunction, p: float, q: float,
         R = 64.0 * f.spectral_body.diameter()
     if R_num is None:
         R_num = R if not math.isinf(q) else min(R, 64.0)
-    if op.order == 0 and len(op.terms) == 1:
-        df = f
-    else:
-        if len(op.terms) == 1 and f.factors is not None:
-            (alpha, b), = op.terms.items()
-            parts = [_axis_derived(f.factors[j], alpha[j])
-                     for j in range(f.m)]
-            df = _scaled(tensor_product(parts, label=f"D^{alpha} {f.label}"),
-                         complex(b))
-        else:
-            df = derived_function(f, op)
-    num = norm_lp_truncated(df, q, R_num)
+    num = norm_lp_truncated(derived_function(f, op), q, R_num)
     den = norm_lp_truncated(f, p, R)
     if den.value == 0:
         raise ValueError("zero candidate")
@@ -822,23 +747,6 @@ def candidate_lower_bound_E(f: BandLimitedFunction, p: float, q: float,
     return SharpConstantEstimate(value, "lower-bound-candidate", p, q,
                                  op.label, f.spectral_body.label, None,
                                  tol, f"candidate {f.label}")
-
-
-def _axis_derived(g: BandLimitedFunction, order: int) -> BandLimitedFunction:
-    if order == 0:
-        return g
-    ev = g.derivative((order,))
-    C, dd = g.decay.axes[0] if g.decay.kind == "product" else g.decay.radial
-    radii = np.geomspace(0.25, 64.0, 32)
-    Cm = float(np.max(np.abs(ev(radii[:, None])) * (1.0 + radii) ** dd))
-    grid = np.linspace(-16.0, 16.0, 513)[:, None]
-    sup = 1.05 * float(np.abs(ev(grid)).max())
-    out = BandLimitedFunction(
-        m=1, evaluate=ev, spectral_body=g.spectral_body, sup_bound=sup,
-        decay=DecayModel.make_product([(1.25 * max(Cm, 1e-300), dd)]),
-        label=f"d^{order} {g.label}", partials=None)
-    out.verify_decay()
-    return out
 
 
 # ---------------------------------------------------------------------------

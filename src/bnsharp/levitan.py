@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .bandlimited import BandLimitedFunction, RealDomainNormEstimate, \
-    NonIntegrableTailError, norm_lp_truncated
+    NonIntegrableTailError, derived_function, norm_lp_truncated
 from .body import ConvexBody
 from .trigpoly import DifferentialOperator, TrigPolynomial, \
     apply_operator, norm_lp
@@ -298,79 +298,21 @@ class OperatorErrorReport:
     xs: np.ndarray
 
 
-def _fd_derivative(f: BandLimitedFunction, alpha, step: float):
-    """4th-order central differences, one axis at a time."""
-    w1 = {-2: 1.0 / 12, -1: -8.0 / 12, 1: 8.0 / 12, 2: -1.0 / 12}
-    w2 = {-2: -1.0 / 12, -1: 16.0 / 12, 0: -30.0 / 12, 1: 16.0 / 12,
-          2: -1.0 / 12}
-
-    def deriv(x, axis_orders):
-        stencil = [((), 1.0)]
-        for j, n in enumerate(axis_orders):
-            if n == 0:
-                continue
-            table = w1 if n == 1 else w2
-            scale = step ** (-n)
-            if n > 2:
-                raise ValueError("finite differences support order <= 2 per axis")
-            stencil = [(offs + ((j, o),), c * w * scale)
-                       for offs, c in stencil for o, w in table.items()]
-        out = np.zeros(x.shape[0], dtype=complex)
-        for offs, c in stencil:
-            pts = x.copy()
-            for j, o in offs:
-                pts[:, j] = pts[:, j] + o * step
-            out += c * f.evaluate(pts)
-        return out
-
-    return lambda x: deriv(np.atleast_2d(np.asarray(x, dtype=float)).copy(),
-                           alpha)
-
-
-def apply_operator_to_function(f: BandLimitedFunction,
-                               op: DifferentialOperator,
-                               fd_step: float = 1e-4):
-    """D_N f as an evaluator: analytic partials when available, else FD."""
-    evals = []
-    for alpha, b in op.terms.items():
-        try:
-            evals.append((b, f.derivative(alpha)))
-        except KeyError:
-            evals.append((b, _fd_derivative(f, alpha, fd_step)))
-
-    def apply(x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        out = np.zeros(x.shape[0], dtype=complex)
-        for b, e in evals:
-            out += b * np.asarray(e(x)).reshape(-1)
-        return out
-    return apply
-
-
-def _poly_eval_points(P: TrigPolynomial, y: np.ndarray) -> np.ndarray:
-    keys = np.array(sorted(P.coefficients), dtype=float)
-    if keys.size == 0:
-        return np.zeros(y.shape[0], dtype=complex)
-    vals = np.array([P.coefficients[tuple(int(c) for c in k)] for k in keys])
-    return np.exp(1j * y @ keys.T) @ vals
-
-
 def check_operator_error(f: BandLimitedFunction, a: float,
                          op: DifferentialOperator, xs,
-                         eps: float = 1e-9,
-                         fd_step: float = 1e-4) -> OperatorErrorReport:
+                         eps: float = 1e-9) -> OperatorErrorReport:
     """Measure |D_N f - D_N S_a| on sample points and fit its a-dependence.
 
-    Derivatives of S_a are spectral (the extracted polynomial is
-    differentiated exactly); derivatives of f are analytic when declared,
-    otherwise 4th-order central differences with the given step.
+    Both sides are exact up to rounding: the extracted polynomial is
+    differentiated spectrally, and f through its analytic partials
+    (``derived_function``; KeyError when f has none).
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     res = levitan_coefficients(f, a, eps=eps)
     DP = apply_operator(op, res.polynomial)
     # S_a(x) = P(x/a) so D_N S_a(x) = a^-N (D_N P)(x/a)
-    ds = a ** (-op.order) * _poly_eval_points(DP, xs / a)
-    df = apply_operator_to_function(f, op, fd_step=fd_step)(xs)
+    ds = a ** (-op.order) * DP.evaluate_points(xs / a)
+    df = derived_function(f, op).evaluate(xs)
     errs = np.abs(df - ds)
     design = np.stack([(xs ** 2).sum(axis=1) / a ** 2,
                        np.full(xs.shape[0], 1.0 / a)], axis=1)

@@ -196,6 +196,15 @@ class TrigPolynomial:
                for k, v in self.coefficients.items()}
         return TrigPolynomial(self.m, out, self.budget)
 
+    def evaluate_points(self, y) -> np.ndarray:
+        """T at each row of the (n, m) array y."""
+        y = np.asarray(y, dtype=float)
+        if not self.coefficients:
+            return np.zeros(y.shape[0], dtype=complex)
+        ks = sorted(self.coefficients)
+        vals = np.array([self.coefficients[k] for k in ks])
+        return np.exp(1j * y @ np.array(ks, dtype=float).T) @ vals
+
     # ----- serialization ----------------------------------------------------
 
     def to_text(self) -> str:

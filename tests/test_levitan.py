@@ -9,8 +9,7 @@ from bnsharp.bandlimited import (BandLimitedFunction, DecayModel,
 from bnsharp.body import ConvexBody
 from bnsharp.levitan import (TruncationFailure, check_norm_contraction,
                              check_operator_error, levitan_coefficients,
-                             levitan_evaluate, m_a_schedule, plan_truncation,
-                             _poly_eval_points)
+                             levitan_evaluate, m_a_schedule, plan_truncation)
 from bnsharp.trigpoly import DifferentialOperator
 
 
@@ -63,7 +62,7 @@ def test_coefficients_spectrum_and_consistency():
     # two independent code paths agree on fresh points
     ys = np.array([[0.3], [1.1], [-2.2], [0.77]])
     direct = res.evaluate(2.0 * ys)
-    synth = _poly_eval_points(res.polynomial, ys)
+    synth = res.polynomial.evaluate_points(ys)
     assert np.abs(direct - synth).max() < 5e-9
 
 
@@ -194,16 +193,40 @@ def test_operator_error_identity_reduces_to_pointwise():
     assert rep.max_error <= (1.5 / 8.0) ** 2 / 6.0 + 1e-9
 
 
-def test_operator_error_first_derivative_stable_fit():
-    f = sinc_sq_half_kernel(1)
-    op = DifferentialOperator.partial(1, 0)
-    xs = np.linspace(-1.5, 1.5, 21)[:, None]
+_XS_SQUARE = np.random.default_rng(5).uniform(-1.5, 1.5, size=(15, 2))
+
+
+@pytest.mark.parametrize("f, op, xs", [
+    pytest.param(sinc_sq_half_kernel(1), DifferentialOperator.partial(1, 0),
+                 np.linspace(-1.5, 1.5, 21)[:, None], id="window1-d1"),
+    # a one-term operator keeps the tensor structure of the derivative
+    pytest.param(sinc_sq_half_kernel(2), DifferentialOperator.monomial((1, 1)),
+                 _XS_SQUARE, id="window2-d11"),
+    # several terms go through the general derivative builder
+    pytest.param(sinc_sq_half_kernel(2), DifferentialOperator.laplacian(2),
+                 _XS_SQUARE, id="window2-laplacian"),
+])
+def test_operator_error_first_derivative_stable_fit(f, op, xs):
     reports = [check_operator_error(f, a, op, xs) for a in (4.0, 8.0, 16.0)]
     errs = [r.max_error for r in reports]
     assert errs[0] > errs[1] > errs[2]
     # fitted coefficients stay bounded as the scale grows
     assert max(abs(r.A) for r in reports) < 1.0
     assert max(abs(r.B) for r in reports) < 1.0
+
+
+@pytest.mark.parametrize("a", [4.0, 8.0, 16.0])
+def test_operator_error_second_derivative_exact(a):
+    # At integer a every shifted term k != 0 of S_a vanishes at x = 0 with
+    # its first two derivatives: its window factor has a double zero there
+    # and f(2*pi*a*k) = 0.  The k = 0 term is f(x) * h^2(x/(2a)), so
+    # f'' - (S_a f)'' at 0 is -f(0) * (h^2)''(0) / (4a^2) = 1/(6a^2),
+    # the largest error on these points.
+    f = sinc_sq_half_kernel(1)
+    op = DifferentialOperator.monomial((2,))
+    xs = np.linspace(-1.5, 1.5, 21)[:, None]
+    rep = check_operator_error(f, a, op, xs)
+    assert rep.max_error == pytest.approx(1.0 / (6.0 * a * a), rel=1e-9)
 
 
 def test_pointwise_error_quadratic_decay_rate():
