@@ -9,10 +9,18 @@ trigonometric polynomial whose spectrum sits in the slightly enlarged body
 (a + c)V, c the l1-over-dual constant of V.  The lattice sum is truncated
 with a certified bound combining the window's quadratic tail with the decay
 envelope of f, so every downstream check carries an explicit certificate.
+
+Two code paths form the sum.  ``levitan_coefficients`` samples it on a
+tensor grid axis by axis: the shifted coordinates x_j + 2*l*pi*a of each
+axis are tiled once and f is evaluated on their tensor grid through
+``eval_axes``.  ``levitan_evaluate`` sums pointwise at arbitrary points; it
+backs ``LevitanResult.evaluate``, the independent check on the extracted
+polynomial.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -162,6 +170,47 @@ def levitan_evaluate(f: BandLimitedFunction, a: float, x,
     return out
 
 
+def _grid_sum(f: BandLimitedFunction, a: float, axes: list[np.ndarray],
+              K: int) -> np.ndarray:
+    """S_a(f, x) on the tensor grid of the per-axis coordinates ``axes``.
+
+    A tensor product sums each factor on its own axis's coordinates and
+    multiplies the factors in axis order, as ``levitan_evaluate`` does point
+    by point.  Any other f is evaluated once per block of shifts on the
+    tiled axes x_j + 2*l*pi*a; the separable window weights the values and
+    the shifts are summed out.  Blocks of shifts keep each tiled grid within
+    2**22 points unless the grid alone is larger.
+    """
+    m = len(axes)
+    if f.factors is not None:
+        out = np.ones((1,) * m, dtype=complex)
+        for j, g in enumerate(f.factors):
+            shape = [1] * m
+            shape[j] = -1
+            out = out * _axis_sum(g, a, axes[j], K).reshape(shape)
+        return out
+    if m == 1:
+        return _axis_sum(f, a, axes[0], K)
+
+    ls = np.arange(-K, K + 1)
+    width = max(1, int((2 ** 22 / math.prod(map(len, axes))) ** (1.0 / m)))
+    blocks = [ls[i:i + width] for i in range(0, ls.size, width)]
+    out = np.zeros([len(x) for x in axes], dtype=complex)
+    for block in itertools.product(blocks, repeat=m):
+        tiles = [x[:, None] + 2.0 * math.pi * a * lb[None, :]
+                 for x, lb in zip(axes, block)]
+        vals = f.eval_axes([t.ravel() for t in tiles])
+        # (x_1, l_1, ..., x_m, l_m): each tile's shifts follow its axis
+        vals = vals.reshape([n for t in tiles for n in t.shape])
+        for j, (x, lb) in enumerate(zip(axes, block)):
+            shape = [1] * (2 * m)
+            shape[2 * j:2 * j + 2] = (len(x), len(lb))
+            vals *= (np.sinc(x[:, None] / (2.0 * a * math.pi) +
+                             lb[None, :]) ** 2).reshape(shape)
+        out += vals.sum(axis=tuple(range(1, 2 * m, 2)))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # coefficient extraction
 # ---------------------------------------------------------------------------
@@ -191,7 +240,10 @@ def levitan_coefficients(f: BandLimitedFunction, a: float,
     """Extract the rescaled periodization as a trigonometric polynomial.
 
     Samples S_a(f, a*x) on an alias-free grid over Q_pi and reads the
-    coefficients off a discrete Fourier analysis.  Energy found outside the
+    coefficients off a discrete Fourier analysis.  The samples are formed
+    axis by axis from the grid's per-axis coordinates (``_grid_sum``), not
+    point by point; ``LevitanResult.evaluate`` remains the independent
+    pointwise lattice sum (``levitan_evaluate``).  Energy found outside the
     admissible spectrum (a + c)V must stay below eps, else the truncation
     failed and TruncationFailure is raised.
     """
@@ -203,10 +255,9 @@ def levitan_coefficients(f: BandLimitedFunction, a: float,
     shape = tuple(oversample * (2 * d + 1) for d in degs)
 
     axes = [(-math.pi + 2.0 * math.pi * np.arange(L) / L) for L in shape]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = a * np.stack([g.ravel() for g in grids], axis=-1)
+    # the grid's largest |a*x| is a*pi, the plan's default
     K, bound = plan_truncation(f, a, eps)
-    samples = levitan_evaluate(f, a, pts, eps=eps).reshape(shape)
+    samples = _grid_sum(f, a, [a * x for x in axes], K)
 
     spec = np.fft.fftn(samples) / math.prod(shape)
     # signed frequency of every grid index: i <= L // 2 stays i, else i - L

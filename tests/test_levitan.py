@@ -108,6 +108,47 @@ def test_coefficients_equal_grid_loop(f, a, oversample):
         np.float64(out_max).tobytes()
 
 
+def _assert_close_to_grid_loop(res, f, a, eps, oversample, tol):
+    coeffs, out_max = _loop_coefficients(f, a, eps, oversample)
+    got = res.polynomial.coefficients
+    assert list(got) == list(coeffs)            # same insertion order
+    diff = np.array(list(got.values())) - np.array(list(coeffs.values()))
+    assert np.abs(diff).max() <= tol
+    assert abs(res.out_of_spectrum - out_max) <= tol
+
+
+@pytest.mark.parametrize("a", [1.0, 2.0])
+def test_coefficients_match_grid_loop_on_the_disk(a):
+    # the disk's extremal has no tensor factors: its samples come from one
+    # tensor-grid evaluation of the tiled axes, summed in another order
+    # than the pointwise lattice sum, so they agree to rounding only
+    f = cs_extremal(ConvexBody.ball(1.0, 2), DifferentialOperator.identity(2),
+                    nodes_per_axis=64)
+    eps = 1e-2
+    res = levitan_coefficients(f, a, eps=eps)
+    _assert_close_to_grid_loop(res, f, a, eps, 2, 1e-14)
+    ys = np.random.default_rng(7).uniform(-math.pi, math.pi, size=(6, 2))
+    direct = res.evaluate(a * ys)
+    synth = res.polynomial.evaluate_points(ys)
+    assert np.abs(direct - synth).max() < eps
+
+
+def test_blocked_generic_sum_matches_grid_loop():
+    # the generic window at eps = 2e-5 plans K = 128, so its tiled grid of
+    # (14 * 257)^2 points spans several 2**22-point blocks
+    tens = sinc_sq_half_kernel(2)
+    C = (1.0 + 2.0 * math.sqrt(2)) ** 2
+    generic = BandLimitedFunction(
+        m=2, evaluate=tens.evaluate, spectral_body=tens.spectral_body,
+        sup_bound=1.0, decay=DecayModel.make_radial(C, 2.0),
+        label="window-generic")
+    a, eps = 2.0, 2e-5
+    K, _ = plan_truncation(generic, a, eps)
+    assert (14 * (2 * K + 1)) ** 2 > 2 * 2 ** 22
+    res = levitan_coefficients(generic, a, eps=eps)
+    _assert_close_to_grid_loop(res, generic, a, eps, 2, 1e-13)
+
+
 def test_real_input_gives_hermitian_coefficients():
     f = sinc_sq_half_kernel(1)
     res = levitan_coefficients(f, 2.0, eps=1e-9)
