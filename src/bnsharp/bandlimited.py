@@ -245,7 +245,8 @@ def _scaled(f: BandLimitedFunction, c: complex) -> BandLimitedFunction:
         spectral_body=f.spectral_body, sup_bound=acz * f.sup_bound,
         decay=decay, label=f.label,
         partials=partials if f.partials is not None else None,
-        factors=f.factors if abs(acz - 1.0) < 1e-15 else None)
+        factors=None if f.factors is None else
+        (_scaled(f.factors[0], c),) + f.factors[1:])
 
 
 def derived_function(f: BandLimitedFunction,
@@ -557,12 +558,15 @@ def _moment_1d(n: int, sigma: float, u: np.ndarray) -> np.ndarray:
 
     Small |u*sigma| uses the Taylor series of the exponential (all moment
     integrals of x^{n+t} are explicit); large |u*sigma| uses the
-    integration-by-parts recurrence, which is stable there.
+    integration-by-parts recurrence, which is stable there.  The switch sits
+    at |u*sigma| = 4: further out the series' terms (u*sigma)^t/t! grow to
+    9e5 at 16 before they cancel, while the recurrence holds to rounding
+    from 4 on.
     """
     u = np.asarray(u, dtype=float)
     out = np.zeros(u.shape, dtype=complex)
     z = u * sigma
-    small = np.abs(z) <= 16.0
+    small = np.abs(z) <= 4.0
 
     if np.any(small):
         us = u[small]

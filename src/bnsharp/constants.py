@@ -5,7 +5,8 @@ Two families of constants are computed.  The periodic constant P compares
 spectrum in a*V (normalized by a^{-N-m/p+m/q}); the continuum constant E
 does the same over band-limited functions on R^m.  Closed forms exist for
 (p, q) = (2, inf) and (2, 2); everything else is bracketed by upper bounds
-and certified lower bounds from a multistart L-BFGS ascent on the sphere.
+and certified lower bounds from a multistart L-BFGS ascent on the sphere,
+which samples on ``trigpoly.SamplingGrid`` as ``norm_lp`` does.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from scipy.optimize import minimize_scalar, minimize
 
 from .bandlimited import BandLimitedFunction, derived_function, \
     norm_lp_truncated
-from .body import ConvexBody, LatticeSet, exact_floor
-from .trigpoly import DifferentialOperator
+from .body import ConvexBody, exact_floor
+from .trigpoly import DifferentialOperator, SamplingGrid, default_grid
 
 TWO_PI = 2.0 * math.pi
 
@@ -319,6 +320,8 @@ def crude_upper(p: float, q: float, op: DifferentialOperator,
 # ---------------------------------------------------------------------------
 
 _TEMP_LADDER = tuple(10.0 * 10.0 ** (0.5 * i) for i in range(11))  # 10 .. 1e6
+_SUP_GAP = 1e-3         # target relative gap of the final sup certificate
+_STEP0 = 0.3            # first step of a rung or after a reset
 
 
 @dataclass(frozen=True)
@@ -327,10 +330,7 @@ class OptimizerConfig:
     seed: int = 0
     iterations: int = 400
     oversample: int = 4
-    lse_temperatures: tuple[float, ...] = _TEMP_LADDER
-    sup_certificate: float = 1e-3     # target relative gap of the final sup
     gtol: float = 1e-13
-    step0: float = 0.3                # first step of a rung or after a reset
     real_coefficients: bool = False
     warm_starts: tuple = ()           # coefficient maps used as extra starts
 
@@ -338,65 +338,7 @@ class OptimizerConfig:
         return max(1, int(os.environ.get("BNSHARP_WORKERS", "1")))
 
 
-class _Problem:
-    """Synthesis/analysis machinery for one (spectrum, grid) pair.
-
-    The transforms are separable and pruned: on axis j the spectrum
-    occupies only the residues ``rows[j]``, so ``synth`` skips the grid
-    lines that are all zero and ``analyze`` skips those it never reads.
-    """
-
-    def __init__(self, spectrum: LatticeSet, shape: tuple[int, ...]):
-        self.m = spectrum.m
-        self.keys = spectrum.as_array()
-        self.n = len(spectrum)
-        self.shape = shape
-        self.size = int(np.prod(shape))
-        self.idx = tuple(self.keys[:, j] % shape[j] for j in range(self.m))
-        self.phase = (-1.0) ** (self.keys.sum(axis=1) % 2)
-        self.weight = float(np.prod([TWO_PI / L for L in shape]))
-        # rows[j]: sorted distinct residues on axis j; cidx: positions in rows
-        found = [np.unique(r, return_inverse=True) for r in self.idx]
-        self.rows = tuple(rows for rows, _ in found)
-        self.cidx = tuple(pos for _, pos in found)
-
-    # numpy's ifftn/fftn run 1-D transforms from the last axis to the first
-    # and normalise per axis.  Both methods keep that order, so every line
-    # they transform sees the same input and gives the same bits; they only
-    # leave out lines that are exactly zero or never read.
-
-    def synth(self, c: np.ndarray) -> np.ndarray:
-        m = self.m
-        B = np.zeros(tuple(len(r) for r in self.rows[:-1]) + self.shape[-1:],
-                     dtype=complex)
-        B[self.cidx[:-1] + self.idx[-1:]] = c * self.phase
-        u = np.fft.ifft(B, axis=m - 1)
-        for j in range(m - 2, -1, -1):
-            full = np.zeros(u.shape[:j] + (self.shape[j],) + u.shape[j + 1:],
-                            dtype=complex)
-            full[(slice(None),) * j + (self.rows[j],)] = u
-            u = np.fft.ifft(full, axis=j)
-        u *= self.size
-        return u
-
-    def analyze(self, u: np.ndarray) -> np.ndarray:
-        for j in range(self.m - 1, 0, -1):
-            u = np.fft.fft(u, axis=j)[(slice(None),) * j + (self.rows[j],)]
-        return self.phase * np.fft.fft(u, axis=0)[self.idx[:1] +
-                                                  self.cidx[1:]]
-
-
-def _shape_for(spectrum: LatticeSet, oversample: int) -> tuple[int, ...]:
-    keys = spectrum.as_array()
-    degs = np.abs(keys).max(axis=0) if len(keys) else np.zeros(spectrum.m, int)
-    return tuple(int(oversample * (2 * d + 1)) for d in degs)
-
-
-def _norm_p(prob: _Problem, v: np.ndarray, p: float) -> float:
-    return float((prob.weight * (np.abs(v) ** p).sum()) ** (1.0 / p))
-
-
-def _grad_norm_p(prob: _Problem, v: np.ndarray, p: float, norm: float,
+def _grad_norm_p(prob: SamplingGrid, v: np.ndarray, p: float, norm: float,
                  mult: np.ndarray | None) -> np.ndarray:
     av = np.abs(v)
     tiny = 1e-300 + 1e-14 * av.max()
@@ -405,7 +347,7 @@ def _grad_norm_p(prob: _Problem, v: np.ndarray, p: float, norm: float,
     return g if mult is None else np.conj(mult) * g
 
 
-def _lse(prob: _Problem, v: np.ndarray, t: float):
+def _lse(prob: SamplingGrid, v: np.ndarray, t: float):
     av = np.abs(v)
     M = av.max()
     e = np.subtract(av, M)
@@ -446,7 +388,7 @@ class _Objective:
         return F, grad()
 
 
-def _make_objective(prob: _Problem, d: np.ndarray, p: float, q: float,
+def _make_objective(prob: SamplingGrid, d: np.ndarray, p: float, q: float,
                     temperature: float | None) -> _Objective:
     """The ratio ||D T||_q / ||T||_p in coefficient space.
 
@@ -461,16 +403,16 @@ def _make_objective(prob: _Problem, d: np.ndarray, p: float, q: float,
             gz = lambda: np.conj(d) * (z / num)
         else:
             vD = prob.synth(d * c)
-            num = _norm_p(prob, vD, q)
+            num = prob.norm(vD, q)
             gz = lambda: _grad_norm_p(prob, vD, q, num, d)
         v = prob.synth(c)
         if math.isinf(p):
             if temperature is None:
-                den, gd = float(np.abs(v).max()), None
+                den, gd = prob.norm(v, p), None
             else:
                 den, gd = _lse(prob, v, temperature)
         else:
-            den = _norm_p(prob, v, p)
+            den = prob.norm(v, p)
             gd = lambda: _grad_norm_p(prob, v, p, den, None)
         if den == 0 or num == 0 or gd is None:
             return (num / den if den > 0 else 0.0), lambda: np.zeros_like(c)
@@ -531,7 +473,7 @@ def _ascend(obj: _Objective, c0: np.ndarray, cfg: OptimizerConfig,
     pairs s = c_{k+1} - c_k, y = g_k - g_{k+1} of tangent gradients g (a pair
     is kept only when <s, y> > 0), projected onto the tangent space at c.
     Each step tries t = 1 and halves t on rejection.  With an empty memory,
-    at the start and after a reset, the step is ``cfg.step0 * g / |g|``.
+    at the start and after a reset, the step is ``_STEP0 * g / |g|``.
     The memory is cleared when the direction is not an ascent direction or
     its line search fails; only a failed steepest step stops the ascent.
     Acceptance is by relative improvement of the ratio; the gradient is
@@ -582,7 +524,7 @@ def _ascend(obj: _Objective, c0: np.ndarray, cfg: OptimizerConfig,
             if found is None:
                 pairs.clear()
         if found is None:
-            found = search(c, F, (cfg.step0 / gn) * g)
+            found = search(c, F, (_STEP0 / gn) * g)
         if found is None:
             reason = "no-ascent"
             break
@@ -607,25 +549,23 @@ class OptimizerOutcome:
     ascent_stops: tuple[AscentStop, ...] = ()   # per restart and rung
 
 
-def _final_value(prob, spectrum, d, c_best, p, q, pref, config, m):
+def _final_value(prob, d, c_best, p, q, pref):
     """Unsmoothed evaluation of the final iterate (reported value)."""
     if math.isinf(q):
         num = abs(complex(np.dot(d, c_best)))
         if math.isinf(p):
-            degsum = int(np.abs(spectrum.as_array()).max(axis=0).sum())
-            L = max(int(math.ceil(math.pi * max(degsum, 1) /
-                                  math.sqrt(2.0 * config.sup_certificate))) + 1,
+            L = max(int(math.ceil(math.pi * max(sum(prob.degrees), 1) /
+                                  math.sqrt(2.0 * _SUP_GAP))) + 1,
                     max(prob.shape))
-            fine = _Problem(spectrum, (L,) * m)
-            den = float(np.abs(fine.synth(c_best)).max())
-            cert = 0.5 * (math.pi * degsum / L) ** 2
-            rel = cert / (1.0 - cert)
+            fine = SamplingGrid(prob.keys, (L,) * prob.m)
+            den = fine.norm(fine.synth(c_best), p)
+            rel = fine.sup_gap()
             return pref * num / (den * (1.0 + rel)), rel
-        den = _norm_p(prob, prob.synth(c_best), p)
+        den = prob.norm(prob.synth(c_best), p)
         return pref * num / den, 1e-9
     vD = prob.synth(d * c_best)
     v = prob.synth(c_best)
-    return pref * _norm_p(prob, vD, q) / _norm_p(prob, v, p), 1e-9
+    return pref * prob.norm(vD, q) / prob.norm(v, p), 1e-9
 
 
 def optimize_full(p: float, q: float, op: DifferentialOperator,
@@ -663,7 +603,9 @@ def optimize_full(p: float, q: float, op: DifferentialOperator,
     # soft-max landscapes need a denser grid than integral norms
     oversample = max(config.oversample, 8) if math.isinf(p) \
         else config.oversample
-    prob = _Problem(spectrum, _shape_for(spectrum, oversample))
+    keys = spectrum.as_array()
+    prob = SamplingGrid(keys, default_grid(np.abs(keys).max(axis=0),
+                                           oversample))
     d = op.symbol_at_ik(spectrum.as_array().astype(float))
     neg = None
     if config.real_coefficients:
@@ -681,7 +623,7 @@ def optimize_full(p: float, q: float, op: DifferentialOperator,
             z = rng.standard_normal((prob.n, 2))
             c0 = (z[:, 0] + 1j * z[:, 1]) / math.sqrt(2.0)
         c, stops = c0, []
-        for t in config.lse_temperatures if math.isinf(p) else (None,):
+        for t in _TEMP_LADDER if math.isinf(p) else (None,):
             obj = _make_objective(prob, d, p, q, temperature=t)
             (c, value, grad_norm), stop = _ascend(obj, c, config, neg)
             stops.append(AscentStop(idx, t, *stop, value, grad_norm))
@@ -694,7 +636,7 @@ def optimize_full(p: float, q: float, op: DifferentialOperator,
     else:
         results = [run_restart(i) for i in range(n_runs)]
 
-    finals = [_final_value(prob, spectrum, d, c, p, q, pref, config, m)
+    finals = [_final_value(prob, d, c, p, q, pref)
               for c, _ in results]
     best_idx = max(range(n_runs), key=lambda i: (finals[i][0], -i))
     c_best = results[best_idx][0]

@@ -31,7 +31,7 @@ from .bandlimited import BandLimitedFunction, RealDomainNormEstimate, \
     NonIntegrableTailError, derived_function, norm_lp_truncated
 from .body import ConvexBody
 from .trigpoly import DifferentialOperator, TrigPolynomial, \
-    apply_operator, norm_lp
+    apply_operator, default_grid, norm_lp
 
 K_CAP_1D = 10**7
 K_CAP_BOX = 4000
@@ -252,7 +252,7 @@ def levitan_coefficients(f: BandLimitedFunction, a: float,
     spectrum = enlarged.lattice_points(1.0).as_array()
     degs = [int(math.floor((a + c) * s * (1 + 1e-12))) for s in
             f.spectral_body.sigma]
-    shape = tuple(oversample * (2 * d + 1) for d in degs)
+    shape = default_grid(degs, oversample)
 
     axes = [(-math.pi + 2.0 * math.pi * np.arange(L) / L) for L in shape]
     # the grid's largest |a*x| is a*pi, the plan's default
@@ -316,12 +316,11 @@ def check_norm_contraction(f: BandLimitedFunction, a: float, p: float,
     and is reported as infinite slack.
     """
     res = levitan_coefficients(f, a, eps=eps)
+    est = norm_lp(res.polynomial, p, oversample=oversample)
     if math.isinf(p):
-        est = norm_lp(res.polynomial, p, oversample=oversample)
         lhs = est.value
         lhs_unc = est.value * est.error_bound + eps
     else:
-        est = norm_lp(res.polynomial, p, oversample=oversample)
         lhs = a ** (f.m / p) * est.value
         err = est.error_bound if math.isfinite(est.error_bound) else 0.0
         lhs_unc = lhs * err + eps * (2.0 * math.pi * a) ** (f.m / p)

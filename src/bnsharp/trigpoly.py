@@ -1,12 +1,11 @@
 """Trigonometric polynomials with constrained spectra and their L_p norms.
 
 Polynomials are stored sparsely as a map from integer frequency vectors to
-complex coefficients.  Evaluation embeds the coefficients into a zero-padded
-array and runs an inverse FFT, so values at the uniform nodes of Q_pi are
-exact up to rounding.  Norms are rectangle-rule quadratures on that grid; the
-rule is exact for even integer exponents on alias-free grids, and the sup
-norm carries a certified relative error bound derived from the Bernstein
-derivative bound.
+complex coefficients.  ``evaluate_grid``, ``norm_lp`` and the optimizer all
+sample through ``SamplingGrid``: its zero-padded inverse FFT gives values at
+the uniform nodes of Q_pi exact up to rounding, its rectangle rule is exact
+for even integer exponents on alias-free grids, and its sup gap certifies
+the grid maximum by the Bernstein derivative bound.
 """
 
 from __future__ import annotations
@@ -261,19 +260,84 @@ def apply_operator(op: DifferentialOperator, T: TrigPolynomial) -> TrigPolynomia
     return TrigPolynomial(T.m, out, T.budget)
 
 
-def _grid_shape(T: TrigPolynomial, L) -> tuple[int, ...]:
-    if np.isscalar(L):
-        shape = (int(L),) * T.m
-    else:
-        shape = tuple(int(v) for v in L)
-        if len(shape) != T.m:
-            raise ValueError("per-axis grid must have length m")
-    degs = T.degrees()
-    for Lj, Kj in zip(shape, degs):
+class SamplingGrid:
+    """One spectrum sampled on one uniform grid over Q_pi.
+
+    ``keys`` is an (n, m) integer array of distinct frequencies and
+    ``shape`` an alias-free grid for them.  ``synth`` maps coefficients, in
+    key order, to the values at x_l = -pi + 2*pi*l/L (per axis); ``analyze``
+    is its adjoint.  The transforms are separable and pruned: on axis j the
+    spectrum occupies only the residues ``rows[j]``, so ``synth`` skips the
+    grid lines that are all zero and ``analyze`` skips those it never reads.
+    """
+
+    def __init__(self, keys: np.ndarray, shape: tuple[int, ...]):
+        self.m = len(shape)
+        self.keys = np.asarray(keys, dtype=np.int64).reshape(-1, self.m)
+        self.n = len(self.keys)
+        self.shape = tuple(shape)
+        self.size = int(np.prod(shape))
+        self.degrees = tuple(np.abs(self.keys).max(axis=0, initial=0).tolist())
+        self.idx = tuple(self.keys[:, j] % shape[j] for j in range(self.m))
+        self.phase = (-1.0) ** (self.keys.sum(axis=1) % 2)
+        self.weight = float(np.prod([2.0 * math.pi / L for L in shape]))
+        # rows[j]: sorted distinct residues on axis j; cidx: positions in rows
+        found = [np.unique(r, return_inverse=True) for r in self.idx]
+        self.rows = tuple(rows for rows, _ in found)
+        self.cidx = tuple(pos for _, pos in found)
+
+    # numpy's ifftn/fftn run 1-D transforms from the last axis to the first
+    # and normalise per axis.  Both methods keep that order, so every line
+    # they transform sees the same input and gives the same bits; they only
+    # leave out lines that are exactly zero or never read.
+
+    def synth(self, c: np.ndarray) -> np.ndarray:
+        m = self.m
+        B = np.zeros(tuple(len(r) for r in self.rows[:-1]) + self.shape[-1:],
+                     dtype=complex)
+        B[self.cidx[:-1] + self.idx[-1:]] = c * self.phase
+        u = np.fft.ifft(B, axis=m - 1)
+        for j in range(m - 2, -1, -1):
+            full = np.zeros(u.shape[:j] + (self.shape[j],) + u.shape[j + 1:],
+                            dtype=complex)
+            full[(slice(None),) * j + (self.rows[j],)] = u
+            u = np.fft.ifft(full, axis=j)
+        u *= self.size
+        return u
+
+    def analyze(self, u: np.ndarray) -> np.ndarray:
+        for j in range(self.m - 1, 0, -1):
+            u = np.fft.fft(u, axis=j)[(slice(None),) * j + (self.rows[j],)]
+        return self.phase * np.fft.fft(u, axis=0)[self.idx[:1] +
+                                                  self.cidx[1:]]
+
+    def norm(self, v: np.ndarray, p: float) -> float:
+        """Rectangle-rule L_p(Q_pi) quasi-norm of values v; max for p = inf."""
+        if math.isinf(p):
+            return float(np.abs(v).max())
+        return float((self.weight * (np.abs(v) ** p).sum()) ** (1.0 / p))
+
+    def sup_gap(self) -> float:
+        """Certified relative gap c/(1-c), c = 0.5*(sum_j pi*deg_j/L_j)^2,
+        between the grid maximum and the sup over Q_pi: the gradient of a
+        polynomial on this spectrum is Bernstein-bounded by its degrees."""
+        c = 0.5 * sum(math.pi * K / L
+                      for K, L in zip(self.degrees, self.shape)) ** 2
+        return c / (1.0 - c) if c < 1.0 else math.inf
+
+
+def _sampled(T: TrigPolynomial, L) -> tuple[SamplingGrid, np.ndarray]:
+    """T's sampling grid of shape L and T's values on it."""
+    shape = (int(L),) * T.m if np.isscalar(L) else tuple(int(v) for v in L)
+    if len(shape) != T.m:
+        raise ValueError("per-axis grid must have length m")
+    grid = SamplingGrid(np.array(list(T.coefficients), dtype=np.int64), shape)
+    for Lj, Kj in zip(shape, grid.degrees):
         if Lj < 2 * Kj + 1:
             raise AliasingError(
                 f"grid {Lj} below alias-free bound {2 * Kj + 1}")
-    return shape
+    return grid, grid.synth(np.array(list(T.coefficients.values()),
+                                     dtype=complex))
 
 
 def evaluate_grid(T: TrigPolynomial, L) -> np.ndarray:
@@ -281,54 +345,40 @@ def evaluate_grid(T: TrigPolynomial, L) -> np.ndarray:
 
     Zero-padded discrete Fourier synthesis; requires L_j >= 2*deg_j + 1.
     """
-    shape = _grid_shape(T, L)
-    B = np.zeros(shape, dtype=complex)
-    for k, v in T.coefficients.items():
-        idx = tuple(kj % Lj for kj, Lj in zip(k, shape))
-        B[idx] += v * (-1.0) ** (sum(k) % 2)
-    return np.fft.ifftn(B) * np.prod(shape)
+    return _sampled(T, L)[1]
 
 
-def default_grid(T: TrigPolynomial, oversample: int = 4) -> tuple[int, ...]:
-    """Alias-free grid scaled by the oversampling factor."""
-    return tuple(oversample * (2 * K + 1) for K in T.degrees())
+def default_grid(degrees, oversample: int = 4) -> tuple[int, ...]:
+    """Alias-free grid for per-axis degrees, scaled by the oversampling."""
+    return tuple(int(oversample * (2 * K + 1)) for K in degrees)
 
 
 def norm_lp(T: TrigPolynomial, p: float, L=None, oversample: int = 4,
             refine: bool = True) -> NormEstimate:
     """L_p(Q_pi) quasi-norm of T by rectangle-rule quadrature.
 
-    p = inf returns the grid maximum together with a certified relative
-    error bound c/(1-c), c = 0.5*(sum_j pi*deg_j/L_j)^2, valid because the
-    gradient of T is Bernstein-bounded by its degree.  Even integer p on an
-    alias-free grid for |T|^p is exact.  Other finite exponents get an
-    error estimate, not a bound, from one grid refinement (disable with
-    refine=False): the difference between the two grids' values, so
-    ``upper()`` is not certified there.
+    p = inf returns the grid maximum together with the certified relative
+    error bound ``SamplingGrid.sup_gap``.  Even integer p on an alias-free
+    grid for |T|^p is exact.  Other finite exponents get an error estimate,
+    not a bound, from one grid refinement (disable with refine=False): the
+    difference between the two grids' values, so ``upper()`` is not
+    certified there.
     """
     if not (p > 0):
         raise ValueError("exponent p must be positive (use math.inf for sup)")
-    shape = _grid_shape(T, L if L is not None else default_grid(T, oversample))
-    values = np.abs(evaluate_grid(T, shape))
-    degs = T.degrees()
-
+    grid, values = _sampled(
+        T, L if L is not None else default_grid(T.degrees(), oversample))
+    val, shape = grid.norm(values, p), grid.shape
     if math.isinf(p):
-        c = 0.5 * sum(math.pi * K / Lj for K, Lj in zip(degs, shape)) ** 2
-        bound = c / (1.0 - c) if c < 1.0 else math.inf
-        return NormEstimate(float(values.max()), p, "Q_pi", shape, bound)
-
-    w = np.prod([2.0 * math.pi / Lj for Lj in shape])
-    val = float((w * (values ** p).sum()) ** (1.0 / p))
+        return NormEstimate(val, p, "Q_pi", shape, grid.sup_gap())
     if p == int(p) and int(p) % 2 == 0 and all(
-            Lj > p * K for K, Lj in zip(degs, shape)):
+            Lj > p * K for K, Lj in zip(grid.degrees, shape)):
         return NormEstimate(val, p, "Q_pi", shape, 1e-14)
     if refine:
-        fine = tuple(2 * Lj for Lj in shape)
-        vals2 = np.abs(evaluate_grid(T, fine))
-        w2 = np.prod([2.0 * math.pi / Lj for Lj in fine])
-        val2 = float((w2 * (vals2 ** p).sum()) ** (1.0 / p))
+        fine, vals2 = _sampled(T, tuple(2 * Lj for Lj in shape))
+        val2 = fine.norm(vals2, p)
         err = abs(val2 - val) / val2 if val2 > 0 else 0.0
-        return NormEstimate(val2, p, "Q_pi", fine, err)
+        return NormEstimate(val2, p, "Q_pi", fine.shape, err)
     return NormEstimate(val, p, "Q_pi", shape, math.nan)
 
 

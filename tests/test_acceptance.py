@@ -22,10 +22,10 @@ from bnsharp.constants import (OptimizerConfig, TWO_PI, bernstein_pq,
                                check_order_consistency, closed_e2_inf,
                                closed_e22, closed_p2_inf, closed_p22,
                                crude_upper, limit_study, nikolskii_upper,
-                               optimize_full, _Problem, _make_objective,
-                               _shape_for)
+                               optimize_full, _make_objective)
 from bnsharp.levitan import (check_norm_contraction, levitan_evaluate)
-from bnsharp.trigpoly import (DifferentialOperator, apply_operator, norm_lp)
+from bnsharp.trigpoly import (DifferentialOperator, SamplingGrid,
+                              apply_operator, default_grid, norm_lp)
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -254,8 +254,9 @@ def test_10_gradient_check_finite_differences():
         a = float(rng.uniform(1.0, 3.0))
         spectrum = body.lattice_points(a)
         op = DifferentialOperator.monomial((1,))
-        prob = _Problem(spectrum, _shape_for(spectrum, 4))
-        d = op.symbol_at_ik(spectrum.as_array().astype(float))
+        keys = spectrum.as_array()
+        prob = SamplingGrid(keys, default_grid(np.abs(keys).max(axis=0), 4))
+        d = op.symbol_at_ik(keys.astype(float))
         obj = _make_objective(prob, d, p, q, temperature=None)
         z = rng.standard_normal((len(spectrum), 2))
         c = z[:, 0] + 1j * z[:, 1]

@@ -28,20 +28,20 @@ def _sinc_prime(y):
 
 
 def test_sinc_partials_match_closed_forms():
-    # the kernels differentiate through 1/2 int_{-1}^{1} (ix)^r e^{iyx} dx;
-    # the power series that evaluates it for |y| <= 16 loses digits toward
-    # |y| = 16, about 1e-11 absolute
+    # the kernels differentiate through 1/2 int_{-1}^{1} (ix)^r e^{iyx} dx,
+    # a power series for |y| <= 4 and a recurrence beyond; both hold to
+    # rounding
     y = np.linspace(-40.0, 40.0, 800)      # even count: 0 is not a node
     h = sinc_kernel(1)
     got = h.derivative((1,))(y[:, None])
     assert np.all(got.imag == 0)
-    assert np.abs(got.real - _sinc_prime(y)).max() < 2e-11
+    assert np.abs(got.real - _sinc_prime(y)).max() < 1e-14
     assert h.derivative((2,))(np.zeros((1, 1)))[0].real == \
         pytest.approx(-1.0 / 3.0, rel=1e-14)
     # the window w(x) = h(x/2)^2: w' = h(x/2) h'(x/2) and w''(0) = -1/6
     w = sinc_sq_half_kernel(1)
     ref = np.sin(y / 2) / (y / 2) * _sinc_prime(y / 2)
-    assert np.abs(w.derivative((1,))(y[:, None]) - ref).max() < 2e-11
+    assert np.abs(w.derivative((1,))(y[:, None]) - ref).max() < 1e-14
     assert w.derivative((2,))(np.zeros((1, 1)))[0].real == \
         pytest.approx(-1.0 / 6.0, rel=1e-14)
     assert sinc_sq_half_kernel(2).partials is not None

@@ -5,8 +5,8 @@ import pytest
 
 from bnsharp.bandlimited import akhiezer_family, cs_extremal, tensor_product
 from bnsharp.body import ConvexBody, parse_body
-from bnsharp.constants import (OptimizerConfig, _Objective, _Problem,
-                               _ascend, _make_objective, _shape_for,
+from bnsharp.constants import (OptimizerConfig, _Objective, _TEMP_LADDER,
+                               _ascend, _make_objective,
                                bernstein_pq,
                                candidate_lower_bound_E,
                                check_order_consistency, closed_e2_inf,
@@ -14,7 +14,7 @@ from bnsharp.constants import (OptimizerConfig, _Objective, _Problem,
                                crude_upper, derived_function, limit_study,
                                monomial_integral, nikolskii_upper,
                                optimize_full, symbol_sq_integral)
-from bnsharp.trigpoly import DifferentialOperator
+from bnsharp.trigpoly import DifferentialOperator, SamplingGrid, default_grid
 
 
 def test_monomial_integral_oracle():
@@ -215,22 +215,29 @@ def _dense_analyze(prob, u):
     return prob.phase * np.fft.fftn(u)[prob.idx]
 
 
+def _grid(spectrum, oversample):
+    """The optimizer's sampling grid for a lattice set."""
+    keys = spectrum.as_array()
+    return SamplingGrid(keys, default_grid(np.abs(keys).max(axis=0),
+                                           oversample))
+
+
 def _transform_cases():
     for spec, m, a in (("ball:1", 2, 8.0), ("cube:1", 1, 16.0),
                        ("cube:1", 2, 32.0), ("ball:1", 3, 4.0)):
-        spectrum = parse_body(spec, m).lattice_points(a)
+        keys = parse_body(spec, m).lattice_points(a).as_array()
         for oversample in (4, 8):
-            yield spectrum, _shape_for(spectrum, oversample)
+            yield keys, default_grid(np.abs(keys).max(axis=0), oversample)
     # one frequency; and the fine grid that certifies the final sup of the
     # disk at a = 4
-    yield parse_body("cube:1", 2).lattice_points(0.5), (8, 8)
-    yield parse_body("ball:1", 2).lattice_points(4.0), (563, 563)
+    yield parse_body("cube:1", 2).lattice_points(0.5).as_array(), (8, 8)
+    yield parse_body("ball:1", 2).lattice_points(4.0).as_array(), (563, 563)
 
 
 def test_pruned_transforms_equal_dense_transforms():
     rng = np.random.default_rng(4)
     for spectrum, shape in _transform_cases():
-        prob = _Problem(spectrum, shape)
+        prob = SamplingGrid(spectrum, shape)
         c = rng.standard_normal(prob.n) + 1j * rng.standard_normal(prob.n)
         u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         assert np.array_equal(prob.synth(c), _dense_synth(prob, c))
@@ -245,7 +252,7 @@ def test_optimizer_segment_sup_sup_pinned():
     assert out.estimate.value == 0.9949938783702859  # bitwise
     # one record per restart and temperature rung, in that order
     assert [(s.restart, s.temperature) for s in out.ascent_stops] == \
-        [(i, t) for i in range(2) for t in cfg.lse_temperatures]
+        [(i, t) for i in range(2) for t in _TEMP_LADDER]
     assert [(s.reason, s.steps) for s in out.ascent_stops] == [
         ("no-ascent", 137), ("no-ascent", 94), ("no-ascent", 208),
         ("no-ascent", 374), ("no-ascent", 452), ("cap", 500), ("cap", 500),
@@ -325,7 +332,7 @@ def _counted(prob, name, calls):
 
 def test_ascent_computes_gradients_only_at_accepted_points():
     spectrum = ConvexBody.cube(1.0, 1).lattice_points(8.0)
-    prob = _Problem(spectrum, _shape_for(spectrum, 4))
+    prob = _grid(spectrum, 4)
     calls = {"synth": 0, "analyze": 0}
     for name in calls:
         _counted(prob, name, calls)
@@ -415,8 +422,8 @@ def test_soft_max_and_sup_gradients_match_finite_differences(spec, m, op, a):
     spectrum = parse_body(spec, m).lattice_points(a)
     d = op.symbol_at_ik(spectrum.as_array().astype(float))
     rng = np.random.default_rng(13)
-    soft = _Problem(spectrum, _shape_for(spectrum, 8))
-    coarse = _Problem(spectrum, _shape_for(spectrum, 4))
+    soft = _grid(spectrum, 8)
+    coarse = _grid(spectrum, 4)
     worst = max([_log_gradient_mismatch(soft, d, math.inf, math.inf, t, rng)
                  for t in (10.0, 1e3) for _ in range(3)] +
                 [_log_gradient_mismatch(coarse, d, 1.0, math.inf, None, rng)

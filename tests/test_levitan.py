@@ -5,7 +5,8 @@ import pytest
 
 from bnsharp.bandlimited import (BandLimitedFunction, DecayModel,
                                  akhiezer_family, cs_extremal,
-                                 sinc_sq_half_kernel, tensor_product)
+                                 sinc_sq_half_kernel, tensor_product,
+                                 _scaled)
 from bnsharp.body import ConvexBody
 from bnsharp.levitan import (TruncationFailure, check_norm_contraction,
                              check_operator_error, levitan_coefficients,
@@ -157,6 +158,23 @@ def test_real_input_gives_hermitian_coefficients():
         mk = tuple(-c for c in k)
         assert abs(v - np.conj(co[mk])) < 1e-9
         assert abs(v.imag) < 1e-9
+
+
+def test_scaled_tensor_product_keeps_its_scale():
+    # every scale c, of unit modulus too, must reach the tensor factors
+    # that eval_axes and both periodization sums multiply
+    x = np.array([0.3, -0.7])
+    f = cs_extremal(ConvexBody.cube(1.0, 2),
+                    DifferentialOperator.monomial((1, 0)))
+    assert f.eval_axes([x[:1], x[1:]])[0, 0] == f.evaluate(x[None])[0]
+    g = sinc_sq_half_kernel(2)
+    for c in (-1.0, -1j, 2.0):
+        h = _scaled(g, c)
+        assert h.eval_axes([x[:1], x[1:]])[0, 0] == h.evaluate(x[None])[0]
+        assert levitan_evaluate(h, 2.0, np.zeros(2))[0] == c
+    r = levitan_coefficients(g, 2.0).polynomial.coefficients
+    neg = levitan_coefficients(_scaled(g, -1.0), 2.0).polynomial.coefficients
+    assert neg == {k: -v for k, v in r.items()}
 
 
 def test_generic_box_sum_matches_tensor_path():

@@ -148,7 +148,7 @@ def test_resolution_stress_fractional_exponent():
     # resolution moves the value by under 1e-6
     spec = ConvexBody.cube(1.0, 1).lattice_points(5.0)
     T = random_polynomial(spec, 13)
-    base = default_grid(T, oversample=128)
+    base = default_grid(T.degrees(), oversample=128)
     v1 = norm_lp(T, 0.5, L=base, refine=False).value
     v2 = norm_lp(T, 0.5, L=tuple(2 * L for L in base), refine=False).value
     assert v2 == pytest.approx(v1, rel=1e-6)
