@@ -24,8 +24,9 @@ from .trigpoly import (DifferentialOperator, NormEstimate, TrigPolynomial,
 from .bandlimited import (BandLimitedFunction, DecayModel,
                           RealDomainNormEstimate, akhiezer_family,
                           cos_product, cs_extremal, norm_lp_truncated,
-                          poisson_window_sum, sinc_kernel,
-                          sinc_sq_half_kernel, tensor_product)
+                          poisson_window_sum, separable_sum, sinc_kernel,
+                          sinc_sq_half_kernel, tensor_product,
+                          weight_transform)
 from .levitan import (LevitanResult, check_norm_contraction,
                       check_operator_error, levitan_coefficients,
                       levitan_evaluate, m_a_schedule)

@@ -5,15 +5,26 @@ with its declared spectral body, a sup-norm bound, and a polynomial decay
 envelope.  The envelope is what makes truncated L_p norms certifiable: every
 norm computed over a cube Q_R carries an analytic bound on the mass outside.
 
-Tensor-product structure is tracked explicitly (``factors``).  Cubature over
-R^m factorizes exactly for such functions, which is the difference between
-milliseconds and hours for the multivariate test cases.
+A multivariate function is one of two kinds, and carries the data of its
+kind rather than closures:
+
+- a separable sum sum_r c_r prod_j g_{r,j}(x_j) of univariate atoms
+  (``terms``, built by ``separable_sum``; ``tensor_product`` is its
+  one-term case);
+- a weight transform sum_n W_n exp(i x . xi_n) over a tensor grid of
+  Gauss-Legendre nodes xi_n (``weights`` and ``nodes``, built by
+  ``weight_transform``).
+
+Both evaluate on tensor grids axis by axis, which is the difference between
+milliseconds and hours for cubature over R^m, and both differentiate
+algebraically (``derived_function``).  Functions built from a bare
+evaluator take the generic pointwise paths.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import product as iter_product
 from typing import Callable, Sequence
@@ -24,6 +35,7 @@ from .body import ConvexBody, exact_floor
 from .trigpoly import DifferentialOperator, TrigPolynomial
 
 MultiIndex = tuple[int, ...]
+Terms = tuple[tuple[complex, tuple["BandLimitedFunction", ...]], ...]
 
 
 class NonIntegrableTailError(ValueError):
@@ -54,6 +66,10 @@ class DecayModel:
     def make_product(axes: Sequence[tuple[float, float]]) -> "DecayModel":
         return DecayModel("product",
                           axes=tuple((float(C), float(d)) for C, d in axes))
+
+    def univariate(self) -> tuple[float, float]:
+        """(C, d) of a univariate envelope C / (1 + |x|)^d, of either kind."""
+        return self.radial if self.kind == "radial" else self.axes[0]
 
     def envelope(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -110,7 +126,7 @@ class DecayModel:
 # the function objects
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BandLimitedFunction:
     """An entire function of exponential type, restricted to R^m.
 
@@ -120,6 +136,11 @@ class BandLimitedFunction:
     finite-difference fallback, so ``derivative`` raises KeyError for a
     function without them.  ``eval_axes`` evaluates on a tensor grid given
     per-axis 1-D node arrays (exploited by cubature).
+
+    A separable sum sets ``terms``, a tuple of (c_r, (g_{r,1}, ..., g_{r,m}))
+    with univariate atoms g; a weight transform sets ``weights`` (W on the
+    node grid) and ``nodes`` (one 1-D node array per axis).  A function
+    built from a bare evaluator sets neither.
     """
 
     m: int
@@ -129,8 +150,9 @@ class BandLimitedFunction:
     decay: DecayModel
     label: str
     partials: Callable[[MultiIndex], Callable] | None = None
-    factors: tuple["BandLimitedFunction", ...] | None = None
-    tensor_eval: Callable[[Sequence[np.ndarray]], np.ndarray] | None = None
+    terms: Terms | None = None
+    weights: np.ndarray | None = None
+    nodes: tuple[np.ndarray, ...] | None = None
 
     def __call__(self, x) -> np.ndarray:
         return self.evaluate(np.asarray(x, dtype=float))
@@ -148,16 +170,18 @@ class BandLimitedFunction:
         """Values on the tensor grid spanned by per-axis nodes."""
         if len(axes) != self.m:
             raise ValueError("need one node array per axis")
-        if self.tensor_eval is not None:
-            return self.tensor_eval(axes)
-        if self.factors is not None:
-            out = np.ones((1,) * self.m, dtype=complex)
-            for j, f in enumerate(self.factors):
-                vals = f.evaluate(axes[j][:, None])
-                shape = [1] * self.m
-                shape[j] = len(axes[j])
-                out = out * vals.reshape(shape)
-            return out
+        if self.terms is not None:
+            return fold_terms(self.terms, lambda g, j: g.evaluate(
+                axes[j][:, None]).reshape((-1,) + (1,) * (self.m - 1 - j)))
+        if self.weights is not None:
+            # contract the leading node axis each round and append the
+            # target axis at the back; after m rounds the layout is
+            # (u_1, ..., u_m)
+            acc = self.weights.astype(complex)
+            for x, n in zip(axes, self.nodes):
+                E = np.exp(1j * np.multiply.outer(np.asarray(x), n))
+                acc = np.tensordot(acc, E, axes=([0], [1]))
+            return acc
         grids = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([g.ravel() for g in grids], axis=-1)
         out = np.empty(pts.shape[0], dtype=complex)
@@ -183,89 +207,155 @@ class BandLimitedFunction:
                     f"(ratio {worst:.3f})")
 
 
+def fold_terms(terms: Terms, values: Callable) -> np.ndarray:
+    """sum_r c_r prod_j values(g_{r,j}, j) over the terms of a separable sum.
+
+    ``values(g, j)`` gives atom g's values on axis j, shaped to broadcast.
+    c_r multiplies the first axis' values and the other axes follow in
+    order, so a one-term sum rounds as its factor-by-factor product does.
+    """
+    out = 0.0
+    for c, atoms in terms:
+        term = c
+        for j, g in enumerate(atoms):
+            term = term * values(g, j)
+        out = out + term
+    return out
+
+
+def _sum_partial(terms: Terms, alpha: MultiIndex) -> Callable:
+    """The evaluator of D^alpha of a separable sum, atom by atom."""
+    def d_eval(x):
+        x = np.asarray(x, dtype=float)
+        return fold_terms(terms, lambda g, j: g.derivative((alpha[j],))(
+            x[..., j:j + 1]))
+    return d_eval
+
+
+def separable_sum(terms, body: ConvexBody | None = None,
+                  label: str | None = None) -> BandLimitedFunction:
+    """sum_r c_r prod_j g_{r,j}(x_j) for univariate atoms g_{r,j}.
+
+    ``terms`` lists the pairs (c_r, (g_{r,1}, ..., g_{r,m})).  The spectral
+    body defaults to the box of the atoms' largest semi-axes; the sup bound
+    is sum_r |c_r| prod_j sup|g_{r,j}|.  One term keeps its atoms' decay
+    envelopes with |c| on axis 0.  Several terms fold theirs into
+    sum_r |c_r| prod_j C_{r,j} on axis 0, each axis j decaying with order
+    min_r d_{r,j}.
+    """
+    terms = tuple((c, tuple(atoms)) for c, atoms in terms)
+    m = len(terms[0][1])
+    if any(len(atoms) != m or any(g.m != 1 for g in atoms)
+           for _, atoms in terms):
+        raise ValueError("each term needs one univariate atom per axis")
+    if body is None:
+        body = ConvexBody.parallelepiped(
+            [max(atoms[j].spectral_body.sigma[0] for _, atoms in terms)
+             for j in range(m)])
+    if label is None:
+        label = " + ".join(" (x) ".join(g.label for g in atoms)
+                           for _, atoms in terms)
+    decays = [[g.decay.univariate() for g in atoms] for _, atoms in terms]
+    if len(terms) == 1:
+        axes = decays[0]
+        axes[0] = (axes[0][0] * abs(terms[0][0]), axes[0][1])
+    else:
+        C = sum(abs(c) * math.prod(Cj for Cj, _ in ds)
+                for (c, _), ds in zip(terms, decays))
+        axes = [(C if j == 0 else 1.0, min(ds[j][1] for ds in decays))
+                for j in range(m)]
+    has_partials = all(g.partials is not None
+                       for _, atoms in terms for g in atoms)
+    return BandLimitedFunction(
+        m=m, evaluate=_sum_partial(terms, (0,) * m),
+        spectral_body=body,
+        sup_bound=sum(abs(c) * math.prod(g.sup_bound for g in atoms)
+                      for c, atoms in terms),
+        decay=DecayModel.make_product(axes), label=label,
+        partials=partial(_sum_partial, terms) if has_partials else None,
+        terms=terms)
+
+
 def tensor_product(factors: Sequence[BandLimitedFunction],
                    label: str | None = None) -> BandLimitedFunction:
     """Tensor product of univariate band-limited functions.
 
-    The spectral body is the box with the factors' semi-axes; sup bounds and
-    per-axis decay envelopes multiply.
+    The one-term separable sum: the spectral body is the box with the
+    factors' semi-axes; sup bounds and per-axis decay envelopes multiply.
     """
-    factors = tuple(factors)
-    if any(f.m != 1 for f in factors):
-        raise ValueError("tensor factors must be univariate")
-    m = len(factors)
-    sigma = [f.spectral_body.sigma[0] for f in factors]
-    body = ConvexBody.parallelepiped(sigma)
-    axes_decay = []
-    for f in factors:
-        if f.decay.kind == "radial":
-            axes_decay.append(f.decay.radial)
-        else:
-            axes_decay.append(f.decay.axes[0])
-    decay = DecayModel.make_product(axes_decay)
-    if label is None:
-        label = " (x) ".join(f.label for f in factors)
-
-    def partials(alpha):
-        evals = [f.derivative((a,)) for f, a in zip(factors, alpha)]
-
-        def d_eval(x):
-            x = np.asarray(x, dtype=float)
-            out = np.ones(x.shape[:-1], dtype=complex)
-            for j, e in enumerate(evals):
-                out = out * e(x[..., j:j + 1])
-            return out
-        return d_eval
-
-    has_partials = all(f.partials is not None for f in factors)
-    return BandLimitedFunction(
-        m=m, evaluate=partials((0,) * m), spectral_body=body,
-        sup_bound=math.prod(f.sup_bound for f in factors),
-        decay=decay, label=label,
-        partials=partials if has_partials else None,
-        factors=factors)
+    return separable_sum([(1.0, factors)], label=label)
 
 
-def _scaled(f: BandLimitedFunction, c: complex) -> BandLimitedFunction:
-    """c * f with the metadata transformed accordingly."""
-    acz = abs(c)
-    if f.decay.kind == "radial":
-        decay = DecayModel.make_radial(f.decay.radial[0] * acz, f.decay.radial[1])
-    else:
-        axes = list(f.decay.axes)
-        axes[0] = (axes[0][0] * acz, axes[0][1])
-        decay = DecayModel.make_product(axes)
+def _symbol_weights(weights: np.ndarray, nodes: Sequence[np.ndarray],
+                    op: DifferentialOperator) -> np.ndarray:
+    """W_n * symbol(i xi_n): the weights of D f for f = sum_n W_n e^{i x.xi_n}."""
+    grids = np.meshgrid(*nodes, indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=-1)
+    return weights * op.symbol_at_ik(pts).reshape(weights.shape)
 
-    def partials(alpha):
-        base = f.derivative(alpha)
-        return lambda x: c * base(x)
 
-    return BandLimitedFunction(
-        m=f.m, evaluate=lambda x: c * f.evaluate(x),
-        spectral_body=f.spectral_body, sup_bound=acz * f.sup_bound,
-        decay=decay, label=f.label,
-        partials=partials if f.partials is not None else None,
-        factors=None if f.factors is None else
-        (_scaled(f.factors[0], c),) + f.factors[1:])
+def weight_transform(weights: np.ndarray, nodes: Sequence[np.ndarray],
+                     body: ConvexBody, label: str) -> BandLimitedFunction:
+    """f(x) = sum_n W_n exp(i x . xi_n) over the tensor grid of ``nodes``.
+
+    ``weights`` has one axis per node array.  The sup bound is sum |W|.  The
+    envelope is radial with the decay order of an indicator's transform on
+    the body: 1 below mu = 2, (m + 1)/2 from there on.  Its constant is
+    measured on rays and audited by ``verify_decay``.
+    """
+    m = body.m
+    nodes = tuple(nodes)
+    evaluate = partial(_grid_transform, weights, nodes)
+    sup = float(np.abs(weights).sum())
+    d = 1.0 if body.mu < 2.0 else (m + 1) / 2.0
+    # measure the constant on rays, then let the standard spot check audit it
+    radii = np.geomspace(1.0, 64.0, 24)
+    dirs = [np.eye(m)[j] for j in range(m)] + [np.ones(m) / math.sqrt(m)]
+    C = sup
+    for u in dirs:
+        p = radii[:, None] * u[None, :]
+        C = max(C, float(np.max(np.abs(evaluate(p)) * (1.0 + radii) ** d)))
+    f = BandLimitedFunction(
+        m=m, evaluate=evaluate, spectral_body=body, sup_bound=sup,
+        decay=DecayModel.make_radial(1.25 * C, d), label=label,
+        partials=lambda beta: partial(_grid_transform, _symbol_weights(
+            weights, nodes, DifferentialOperator.monomial(beta)), nodes),
+        weights=weights, nodes=nodes)
+    f.verify_decay()
+    return f
 
 
 def derived_function(f: BandLimitedFunction,
                      op: DifferentialOperator) -> BandLimitedFunction:
-    """D_N f as a band-limited function with a measured decay envelope.
+    """D_N f as a band-limited function of f's kind.
 
-    The identity returns f.  A one-term operator on a tensor product
-    differentiates each factor, so D_N f stays a tensor product.  Otherwise
-    the terms' analytic partials are summed (KeyError where f has none); the
-    decay order is inherited from f, the constant is measured on sampled
-    rays and re-audited by the standard spot check.
+    The identity returns f.  A separable sum expands every pair of a term
+    c_r prod_j g_{r,j} and an operator term b_alpha D^alpha into the term
+    c_r b_alpha prod_j g_{r,j}^{(alpha_j)}, so D_N f is again a separable
+    sum.  A weight transform multiplies its weights by the symbol.  A
+    univariate function sums the terms' analytic partials (KeyError where
+    f has none) under an envelope of f's decay order, whose constant is
+    measured on a ray and re-audited by the standard spot check; its sup
+    bound is that envelope's value at the origin.  Any other function
+    raises ValueError.
     """
+    if op.m != f.m:
+        raise ValueError("function and operator dimensions differ")
     if op.order == 0:
         return f
-    if len(op.terms) == 1 and f.factors is not None:
-        (alpha, b), = op.terms.items()
-        parts = [derived_function(g, DifferentialOperator.monomial((a,)))
-                 for g, a in zip(f.factors, alpha)]
-        return _scaled(tensor_product(parts, label=f"D^{alpha} {f.label}"), b)
+    label = f"D[{op.label}] {f.label}"
+    if f.terms is not None:
+        terms = [(c * b, tuple(
+                  derived_function(g, DifferentialOperator.monomial((a,)))
+                  for g, a in zip(atoms, alpha)))
+                 for c, atoms in f.terms for alpha, b in op.terms.items()]
+        return separable_sum(terms, f.spectral_body, label)
+    if f.weights is not None:
+        return weight_transform(_symbol_weights(f.weights, f.nodes, op),
+                                f.nodes, f.spectral_body, label)
+    if f.m != 1:
+        raise ValueError(f"{f.label}: derivatives need a separable sum, a "
+                         "weight transform or a univariate function")
     evals = [(b, f.derivative(alpha)) for alpha, b in op.terms.items()]
 
     def evaluate(x):
@@ -275,47 +365,14 @@ def derived_function(f: BandLimitedFunction,
             out += b * e(x)
         return out
 
-    radii = np.geomspace(0.25, 64.0, 24)
-    if f.decay.kind == "radial":
-        d = f.decay.radial[1]
-        C = 0.0
-        dirs = [np.eye(f.m)[j] for j in range(f.m)]
-        dirs.append(np.ones(f.m) / math.sqrt(f.m))
-        for u in dirs:
-            pts = radii[:, None] * u[None, :]
-            C = max(C, float(np.max(np.abs(evaluate(pts)) *
-                                    (1.0 + radii) ** d)))
-        decay = DecayModel.make_radial(1.25 * C, d)
-    else:
-        axes = []
-        for j, (Cj, dj) in enumerate(f.decay.axes):
-            pts = np.zeros((len(radii), f.m))
-            pts[:, j] = radii
-            Cm = float(np.max(np.abs(evaluate(pts)) * (1.0 + radii) ** dj))
-            on_axis = math.prod(Ci for i, (Ci, _) in enumerate(f.decay.axes)
-                                if i != j)
-            axes.append((1.25 * max(Cm / max(on_axis, 1e-300), 1e-300), dj))
-        # redistribute so the product at the origin covers the measured peak
-        peak = float(np.max(np.abs(evaluate(np.zeros((1, f.m))))))
-        prod0 = math.prod(C for C, _ in axes)
-        if peak > prod0:
-            axes[0] = (axes[0][0] * (1.25 * peak / prod0), axes[0][1])
-        # and along the diagonal ray, which verify_decay also samples
-        pts = radii[:, None] * (np.ones(f.m) / math.sqrt(f.m))[None, :]
-        ratio = float(np.max(np.abs(evaluate(pts)) /
-                             DecayModel.make_product(axes).envelope(pts)))
-        if ratio > 1.0:
-            axes[0] = (axes[0][0] * (1.25 * ratio), axes[0][1])
-        decay = DecayModel.make_product(axes)
-
-    grid = np.linspace(-16.0, 16.0, 257)
-    pts = np.stack(np.meshgrid(*([grid] * f.m), indexing="ij"),
-                   axis=-1).reshape(-1, f.m)
-    sup = 1.05 * float(np.abs(evaluate(pts)).max())
-
+    # the origin leads the sampled ray, so the envelope covers the peak
+    radii = np.r_[0.0, np.geomspace(0.25, 64.0, 24)]
+    d = f.decay.univariate()[1]
+    C = 1.25 * max(float(np.max(np.abs(evaluate(radii[:, None])) *
+                                (1.0 + radii) ** d)), 1e-300)
     g = BandLimitedFunction(
-        m=f.m, evaluate=evaluate, spectral_body=f.spectral_body,
-        sup_bound=sup, decay=decay, label=f"D[{op.label}] {f.label}")
+        m=1, evaluate=evaluate, spectral_body=f.spectral_body,
+        sup_bound=C, decay=DecayModel.make_product([(C, d)]), label=label)
     g.verify_decay()
     return g
 
@@ -623,11 +680,11 @@ def cs_extremal(body: ConvexBody, op: DifferentialOperator,
     This attains equality in the Cauchy-Schwarz step of the L2 -> sup sharp
     constant: |D f(0)| / ||f||_2 equals the closed form for (p, q) = (2, inf).
 
-    Box bodies (and every 1-D body, which is an interval) evaluate through
-    exact semi-analytic moment integrals; a single-term operator then yields
-    a genuine tensor product.  Other bodies in m >= 2 fall back to tensor
-    Gauss-Legendre cubature with a membership indicator, accurate for
-    frequencies up to ``freq_budget``.
+    Box bodies (and every 1-D body, which is an interval) give a separable
+    sum with one term per operator term, whose atoms are exact
+    semi-analytic moment integrals.  Other bodies in m >= 2 give a weight
+    transform on a tensor Gauss-Legendre grid with a membership indicator,
+    accurate for frequencies up to ``freq_budget``.
     """
     if body.m != op.m:
         raise ValueError("body and operator dimensions differ")
@@ -636,65 +693,12 @@ def cs_extremal(body: ConvexBody, op: DifferentialOperator,
     m = body.m
 
     if math.isinf(body.mu) or m == 1:
-        pref = {a: ((-1j) ** op.order) * np.conj(b) for a, b in op.terms.items()}
-        if len(op.terms) == 1:
-            (alpha, _), = op.terms.items()
-            factors = [_moment_axis_factor(alpha[j], body.sigma[j])
-                       for j in range(m)]
-            f = tensor_product(factors, label=f"cs({body.label},{op.label})")
-            c = complex(next(iter(pref.values())))
-            out = _scaled(f, c)
-            return replace(out, spectral_body=body)
-        return _box_multiterm(body, op, pref)
+        terms = [(complex(((-1j) ** op.order) * np.conj(b)),
+                  [_moment_axis_factor(a[j], body.sigma[j]) for j in range(m)])
+                 for a, b in op.terms.items()]
+        return separable_sum(terms, body, f"cs({body.label},{op.label})")
 
     return _indicator_transform(body, op, freq_budget, nodes_per_axis)
-
-
-def _box_multiterm(body: ConvexBody, op: DifferentialOperator,
-                   pref: dict) -> BandLimitedFunction:
-    """Sum-of-tensor-products evaluation for boxes with several terms."""
-    m = body.m
-    sigma = body.sigma
-
-    def evaluate(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1], dtype=complex)
-        for a, c in pref.items():
-            term = np.ones(x.shape[:-1], dtype=complex) * c
-            for j in range(m):
-                term = term * _moment_1d(a[j], sigma[j], x[..., j])
-            out += term
-        return out
-
-    def partials(beta):
-        def d_eval(x):
-            x = np.asarray(x, dtype=float)
-            out = np.zeros(x.shape[:-1], dtype=complex)
-            for a, c in pref.items():
-                term = np.ones(x.shape[:-1], dtype=complex) * c
-                for j in range(m):
-                    term = term * _moment_1d(a[j] + beta[j], sigma[j], x[..., j])
-                out += term
-            return (1j ** sum(beta)) * out
-        return d_eval
-
-    # every term decays like 1/|u_j| on each axis; fold constants into axis 0
-    c1 = 0.0
-    for a, c in pref.items():
-        prod = abs(c)
-        for j in range(m):
-            A = 2.0 * sigma[j] ** (a[j] + 1) / (a[j] + 1)
-            K = 4.0 * sigma[j] ** a[j]
-            prod *= A * (1.0 + K / A)
-        c1 += prod
-    axes = [(c1, 1.0)] + [(1.0, 1.0)] * (m - 1)
-    sup = sum(abs(c) * math.prod(2.0 * sigma[j] ** (a[j] + 1) / (a[j] + 1)
-                                 for j in range(m))
-              for a, c in pref.items())
-    return BandLimitedFunction(
-        m=m, evaluate=evaluate, spectral_body=body, sup_bound=sup,
-        decay=DecayModel.make_product(axes),
-        label=f"cs({body.label},{op.label})", partials=partials)
 
 
 def _grid_transform(weights: np.ndarray, nodes: Sequence[np.ndarray],
@@ -721,6 +725,8 @@ def _grid_transform(weights: np.ndarray, nodes: Sequence[np.ndarray],
 def _indicator_transform(body: ConvexBody, op: DifferentialOperator,
                          freq_budget: float,
                          nodes_per_axis: int | None) -> BandLimitedFunction:
+    """cs_extremal's weight transform: the body's cubature weights times
+    conj(symbol(ix)) on a tensor Gauss-Legendre grid."""
     m = body.m
     sigma = np.asarray(body.sigma)
     if nodes_per_axis is None:
@@ -737,40 +743,8 @@ def _indicator_transform(body: ConvexBody, op: DifferentialOperator,
     wts = np.prod(np.meshgrid(*axes_w, indexing="ij"), axis=0).ravel()
     # conj(symbol(ix)): symbol_at_ik evaluates symbol(i*(real vector))
     W = wts * inside * np.conj(op.symbol_at_ik(pts))
-    W_grid = W.reshape(G)
-    evaluate = partial(_grid_transform, W_grid, axes_nodes)
-
-    def tensor_eval(axes):
-        # contract the leading node axis each round and append the target
-        # axis at the back; after m rounds the layout is (u_1, ..., u_m)
-        acc = W_grid.astype(complex)
-        for j in range(m):
-            E = np.exp(1j * np.multiply.outer(np.asarray(axes[j]),
-                                              np.asarray(axes_nodes[j])))
-            acc = np.tensordot(acc, E, axes=([0], [1]))
-        return acc
-
-    def partials(beta):
-        mono = np.prod([pts[:, j] ** beta[j] for j in range(m)], axis=0)
-        Wb = (W * mono * (1j ** sum(beta))).reshape(G)
-        return partial(_grid_transform, Wb, axes_nodes)
-
-    sup = float(np.abs(W).sum())
-    d = 1.0 if body.mu < 2.0 else (m + 1) / 2.0
-    # measure the constant on rays, then let the standard spot check audit it
-    radii = np.geomspace(1.0, 64.0, 24)
-    dirs = [np.eye(m)[j] for j in range(m)] + [np.ones(m) / math.sqrt(m)]
-    C = sup
-    for u in dirs:
-        p = radii[:, None] * u[None, :]
-        C = max(C, float(np.max(np.abs(evaluate(p)) * (1.0 + radii) ** d)))
-    f = BandLimitedFunction(
-        m=m, evaluate=evaluate, spectral_body=body, sup_bound=sup,
-        decay=DecayModel.make_radial(1.25 * C, d),
-        label=f"cs({body.label},{op.label})", partials=partials,
-        tensor_eval=tensor_eval)
-    f.verify_decay()
-    return f
+    return weight_transform(W.reshape(G), axes_nodes, body,
+                            f"cs({body.label},{op.label})")
 
 
 # ---------------------------------------------------------------------------
@@ -818,10 +792,11 @@ def _axis_panels(R: float, sigma: float, nodes: int = 8):
     return x, w
 
 
-def _norm_1d(f: BandLimitedFunction, p: float, R: float, nodes: int):
-    sigma = f.spectral_body.sigma[0]
-    x, w = _axis_panels(R, sigma, nodes)
-    vals = np.abs(f.evaluate(x[:, None]))
+def _norm_1d(g: BandLimitedFunction, c: complex, p: float, R: float,
+             nodes: int) -> float:
+    """int_{-R}^{R} |c g|^p on composite Gauss-Legendre panels."""
+    x, w = _axis_panels(R, g.spectral_body.sigma[0], nodes)
+    vals = np.abs(c * g.evaluate(x[:, None]))
     return float((w * vals ** p).sum())
 
 
@@ -830,10 +805,10 @@ def norm_lp_truncated(f: BandLimitedFunction, p: float, R: float,
                       ) -> RealDomainNormEstimate:
     """L_p(R^m) norm of f, computed over Q_R with an analytic tail bound.
 
-    Tensor-product functions factorize exactly (per-axis 1-D quadratures);
-    everything else uses tensor cubature on Q_R.  Raises
-    NonIntegrableTailError when the decay envelope cannot certify the tail
-    at this exponent.
+    A one-term separable sum factorizes exactly (per-axis 1-D
+    quadratures); everything else uses tensor cubature on Q_R, evaluated
+    through ``eval_axes``.  Raises NonIntegrableTailError when the decay
+    envelope cannot certify the tail at this exponent.
     """
     if not (p > 0):
         raise ValueError("exponent p must be positive")
@@ -845,11 +820,13 @@ def norm_lp_truncated(f: BandLimitedFunction, p: float, R: float,
 
     tail = f.decay.integral_outside(p, R, f.m)
 
-    if f.factors is not None:
+    if f.terms is not None and len(f.terms) == 1:
+        (c, atoms), = f.terms
         coarse, fine = 1.0, 1.0
-        for g in f.factors:
-            coarse *= _norm_1d(g, p, R, 8)
-            fine *= _norm_1d(g, p, R, 12)
+        for j, g in enumerate(atoms):
+            s = c if j == 0 else 1.0
+            coarse *= _norm_1d(g, s, p, R, 8)
+            fine *= _norm_1d(g, s, p, R, 12)
         value = fine ** (1.0 / p)
         err = abs(fine - coarse) / fine if fine > 0 else 0.0
         return RealDomainNormEstimate(value, p, R, tail, err / p)
@@ -883,17 +860,21 @@ def _sup_truncated(f: BandLimitedFunction, R: float,
     # odd node counts keep the origin on the grid, where the candidate
     # families peak
     sigma = np.asarray(f.spectral_body.sigma)
-    if f.factors is not None:
-        total = 1.0
-        rel = 0.0
-        for j, g in enumerate(f.factors):
+    if f.terms is not None and len(f.terms) == 1:
+        # sup |f| <= prod_j mx_j (1 + r_j) for per-axis grid maxima mx_j
+        # with relative gaps r_j; the gap prod_j (1 + r_j) - 1 accumulates
+        # as rel + r_j (1 + rel), free of cancellation
+        (c, atoms), = f.terms
+        total, rel = 1.0, 0.0
+        for j, g in enumerate(atoms):
             n = _odd(nodes_per_axis or max(513, int(32 * sigma[j] * R)))
             x = np.linspace(-R, R, n)
-            mx = float(np.abs(g.evaluate(x[:, None])).max())
+            s = c if j == 0 else 1.0
+            mx = float(np.abs(s * g.evaluate(x[:, None])).max())
             delta = 2.0 * R / (n - 1)
-            c = 0.5 * (sigma[j] * delta / 2.0) ** 2
+            cj = 0.5 * (sigma[j] * delta / 2.0) ** 2
             total *= mx
-            rel += c / (1.0 - c)
+            rel += cj / (1.0 - cj) * (1.0 + rel)
         return RealDomainNormEstimate(total, math.inf, R,
                                       f.decay.sup_outside(R), rel)
     n = nodes_per_axis or max(129, int(16 * float(sigma.max()) * R))

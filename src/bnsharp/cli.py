@@ -25,13 +25,13 @@ import sys
 import tempfile
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import __version__
-from .bandlimited import akhiezer_family, cs_extremal, sinc_sq_half_kernel, \
-    tensor_product
+from .bandlimited import akhiezer_family, cs_extremal, separable_sum, \
+    sinc_sq_half_kernel
 from .body import BodySpecError, ConvexBody, parse_body
 from .constants import OptimizerConfig, SharpConstantEstimate, \
     candidate_lower_bound_E, closed_form, crude_upper, limit_study, \
@@ -414,7 +414,7 @@ def run_candidates(cfg: ExperimentConfig) -> tuple[list[str], dict]:
             factors = [akhiezer_family(body.sigma[j], p, 0.05 * body.sigma[j],
                                        s=max(1, alpha[j]))
                        for j in range(cfg.m)]
-            fa = replace(tensor_product(factors), spectral_body=body)
+            fa = separable_sum([(1.0, factors)], body)
             cand2 = candidate_lower_bound_E(fa, p, q, op)
             rows.append(estimate_row(cand2, cfg.seed,
                                      (time.perf_counter() - t0) * 1000.0))

@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .bandlimited import BandLimitedFunction, RealDomainNormEstimate, \
-    NonIntegrableTailError, derived_function, norm_lp_truncated
+    NonIntegrableTailError, derived_function, fold_terms, norm_lp_truncated
 from .body import ConvexBody
 from .trigpoly import DifferentialOperator, TrigPolynomial, \
     apply_operator, default_grid, norm_lp
@@ -89,7 +89,7 @@ def plan_truncation(f: BandLimitedFunction, a: float, eps: float,
     if x_inf is None:
         x_inf = a * math.pi
     t = x_inf / (2.0 * math.pi * a)
-    cap = K_CAP_1D if (f.m == 1 or f.factors is not None) else K_CAP_BOX
+    cap = K_CAP_1D if (f.m == 1 or f.terms is not None) else K_CAP_BOX
     K = int(math.ceil(2 * t + 3))
     while K <= cap:
         bound = _tail_for(f, a, K, t)
@@ -101,19 +101,19 @@ def plan_truncation(f: BandLimitedFunction, a: float, eps: float,
 
 
 def _tail_for(f: BandLimitedFunction, a: float, K: int, t: float) -> float:
-    if f.factors is not None:
-        sups = [g.sup_bound for g in f.factors]
+    if f.terms is not None:
+        # the periodization is linear: each term's per-axis union bound,
+        # weighted by |c_r|
         total = 0.0
-        for j, g in enumerate(f.factors):
-            C, d = g.decay.axes[0] if g.decay.kind == "product" else g.decay.radial
-            others = math.prod(s for i, s in enumerate(sups) if i != j)
-            total += others * _axis_tail(C, d, sups[j], a, K, t)
+        for c, atoms in f.terms:
+            sups = [g.sup_bound for g in atoms]
+            for j, g in enumerate(atoms):
+                C, d = g.decay.univariate()
+                others = math.prod(s for i, s in enumerate(sups) if i != j)
+                total += abs(c) * others * _axis_tail(C, d, sups[j], a, K, t)
         return total
     if f.m == 1:
-        if f.decay.kind == "product":
-            C, d = f.decay.axes[0]
-        else:
-            C, d = f.decay.radial
+        C, d = f.decay.univariate()
         return _axis_tail(C, d, f.sup_bound, a, K, t)
     return _box_tail(f, a, K, t)
 
@@ -146,11 +146,8 @@ def levitan_evaluate(f: BandLimitedFunction, a: float, x,
     x_inf = float(np.abs(x).max()) if x.size else 0.0
     K, _ = plan_truncation(f, a, eps, x_inf=max(x_inf, a * math.pi))
 
-    if f.factors is not None:
-        out = np.ones(x.shape[0], dtype=complex)
-        for j, g in enumerate(f.factors):
-            out = out * _axis_sum(g, a, x[:, j], K)
-        return out
+    if f.terms is not None:
+        return fold_terms(f.terms, lambda g, j: _axis_sum(g, a, x[:, j], K))
     if f.m == 1:
         return _axis_sum(f, a, x[:, 0], K)
 
@@ -174,21 +171,17 @@ def _grid_sum(f: BandLimitedFunction, a: float, axes: list[np.ndarray],
               K: int) -> np.ndarray:
     """S_a(f, x) on the tensor grid of the per-axis coordinates ``axes``.
 
-    A tensor product sums each factor on its own axis's coordinates and
-    multiplies the factors in axis order, as ``levitan_evaluate`` does point
-    by point.  Any other f is evaluated once per block of shifts on the
+    A separable sum sums each atom on its own axis's coordinates and
+    combines the atoms term by term, as ``levitan_evaluate`` does point by
+    point.  Any other f is evaluated once per block of shifts on the
     tiled axes x_j + 2*l*pi*a; the separable window weights the values and
     the shifts are summed out.  Blocks of shifts keep each tiled grid within
     2**22 points unless the grid alone is larger.
     """
     m = len(axes)
-    if f.factors is not None:
-        out = np.ones((1,) * m, dtype=complex)
-        for j, g in enumerate(f.factors):
-            shape = [1] * m
-            shape[j] = -1
-            out = out * _axis_sum(g, a, axes[j], K).reshape(shape)
-        return out
+    if f.terms is not None:
+        return fold_terms(f.terms, lambda g, j: _axis_sum(
+            g, a, axes[j], K).reshape((-1,) + (1,) * (m - 1 - j)))
     if m == 1:
         return _axis_sum(f, a, axes[0], K)
 

@@ -6,11 +6,12 @@ from scipy.special import beta as beta_fn
 
 from bnsharp.bandlimited import (BandLimitedFunction, DecayModel,
                                  NonIntegrableTailError, akhiezer_family,
-                                 cos_product, cs_extremal, norm_lp_truncated,
-                                 poisson_window_sum, sinc_kernel,
-                                 sinc_sq_half_kernel, tensor_product,
-                                 window_axis_sum, _moment_1d)
-from bnsharp.body import ConvexBody
+                                 cos_product, cs_extremal, derived_function,
+                                 norm_lp_truncated, poisson_window_sum,
+                                 sinc_kernel, sinc_sq_half_kernel,
+                                 tensor_product, window_axis_sum, _moment_1d)
+from bnsharp.body import ConvexBody, parse_body
+from bnsharp.cli import operator_parse
 from bnsharp.trigpoly import DifferentialOperator, apply_operator, norm_lp
 
 
@@ -119,11 +120,8 @@ def test_akhiezer_tensor_realizes_mixed_derivative_ratio():
     alpha = (1, 1)
     fs = [akhiezer_family(s, 2.0, 0.05 * s) for s in sigma]
     F = tensor_product(fs)
-    dF = F.derivative(alpha)
-    blf = BandLimitedFunction(
-        m=2, evaluate=dF, spectral_body=F.spectral_body,
-        sup_bound=F.sup_bound, decay=F.decay, label="dF",
-        factors=tuple(_as_blf(f, f.derivative((1,))) for f in fs))
+    blf = tensor_product([_as_blf(f, f.derivative((1,))) for f in fs],
+                         label="dF")
     num = norm_lp_truncated(blf, 2.0, 400.0)
     den = norm_lp_truncated(F, 2.0, 400.0)
     ratio = num.value / den.value
@@ -221,6 +219,35 @@ def test_indicator_transform_matches_dense_phase_sum(body, op, budget, G,
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
     assert f.evaluate(x[0]).shape == ()
     assert f.evaluate(x[:1]).shape == ()
+    # D f multiplies the weights by the symbol: sum_alpha b_alpha times the
+    # alpha-weighted phase sum, pointwise and on a small tensor grid
+    g = derived_function(f, op)
+    axes = [x[:3, j] for j in range(body.m)]
+    grid = np.stack([t.ravel() for t in np.meshgrid(*axes, indexing="ij")],
+                    axis=-1)
+    for got, pts in ((g.evaluate(x)[rows], x[rows]),
+                     (g.eval_axes(axes).ravel(), grid)):
+        ref = sum(b * dense_indicator_transform(body, op, G, alpha, pts)
+                  for alpha, b in op.terms.items())
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("body, m, spec", [
+    ("cube:1", 2, "laplacian:2"),
+    ("pi:1,2", 2, "2,0:1,0 + 0,2:1,0"),
+    ("cube:1", 3, "laplacian:3"),
+])
+def test_derived_separable_sum_matches_its_partials(body, m, spec):
+    # D f of a separable sum is again one, term by term: it equals
+    # sum_alpha b_alpha D^alpha f and its folded envelope covers every ray
+    op = operator_parse(spec, m)
+    f = cs_extremal(parse_body(body, m), op)
+    g = derived_function(f, op)
+    assert g.terms is not None
+    x = np.random.default_rng(17).uniform(-10.0, 10.0, size=(200, m))
+    ref = sum(b * f.derivative(alpha)(x) for alpha, b in op.terms.items())
+    assert np.abs(g.evaluate(x) - ref).max() <= 1e-13 * np.abs(ref).max()
+    g.verify_decay(tolerance=0.0)
 
 
 def test_cos_product_spectrum_and_coefficients():
@@ -247,6 +274,18 @@ def test_norm_truncated_sinc_l2():
     assert est.value == pytest.approx(math.sqrt(math.pi), abs=1e-4)
     assert est.tail_bound < 2e-3
     assert est.upper() >= math.sqrt(math.pi)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_tensor_sup_gap_is_the_product_of_axis_gaps(m):
+    # sup|f| <= prod_j mx_j (1 + r_j) for per-axis grid maxima mx_j, so the
+    # certified relative gap is prod_j (1 + r_j) - 1, above sum_j r_j
+    R = 181.0
+    est = norm_lp_truncated(sinc_sq_half_kernel(m), math.inf, R)
+    n = 5793                         # the odd count above 32 * sigma * R
+    c = 0.5 * (R / (n - 1)) ** 2     # (sigma * delta / 2)^2 / 2, delta = 2R/(n-1)
+    r = c / (1.0 - c)
+    assert est.quad_error == pytest.approx((1.0 + r) ** m - 1.0, rel=1e-12)
 
 
 def test_norm_truncated_zero_function():

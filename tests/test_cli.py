@@ -179,6 +179,24 @@ def test_candidates_rows_share_the_requested_body(tmp_path):
     assert {r[3] for r in rows[1:]} == {"cube:1"}
 
 
+def test_candidates_disk_laplacian(tmp_path):
+    # D f of the disk's weight transform is again a weight transform, so
+    # its sup norm runs on tensor grids
+    out = tmp_path / "disk.csv"
+    code = main(["candidates", "--body", "ball:1", "--m", "2", "--p", "2",
+                 "--q", "inf", "--operator", "laplacian:2", "--out", str(out)])
+    assert code == 0
+    rows = read_rows(out)
+    assert [r[5] for r in rows[1:]] == ["lower-bound-candidate",
+                                        "exact-closed-form", "upper-bound"]
+    assert {r[3] for r in rows[1:]} == {"ball:1"}
+    cand = rows[1]
+    value, tol = float(cand[6]), float(cand[7])
+    assert value == pytest.approx(0.164219418979047, rel=1e-14)
+    assert tol == pytest.approx(0.045931840582666084, rel=1e-12)
+    assert value <= float(rows[2][6]) * (1.0 + tol)
+
+
 def test_config_file_defaults(tmp_path):
     cfg_file = tmp_path / "exp.json"
     cfg_file.write_text(json.dumps({"body": "cube:1", "m": 1, "p": "2",

@@ -432,8 +432,9 @@ def test_soft_max_and_sup_gradients_match_finite_differences(spec, m, op, a):
 
 
 def test_derived_function_envelope_covers_diagonal_ray():
-    # the product envelope is fitted on the axes; for the square's Laplacian
-    # extremal it fell short on the diagonal ray that verify_decay samples
+    # D f of the square's Laplacian extremal is a four-term separable sum;
+    # its folded product envelope must hold on the diagonal ray too, which
+    # verify_decay samples
     lap = DifferentialOperator.laplacian(2)
     g = derived_function(cs_extremal(ConvexBody.cube(1.0, 2), lap), lap)
     assert g.decay.kind == "product"

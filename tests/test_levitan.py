@@ -5,8 +5,8 @@ import pytest
 
 from bnsharp.bandlimited import (BandLimitedFunction, DecayModel,
                                  akhiezer_family, cs_extremal,
-                                 sinc_sq_half_kernel, tensor_product,
-                                 _scaled)
+                                 separable_sum, sinc_sq_half_kernel,
+                                 tensor_product)
 from bnsharp.body import ConvexBody
 from bnsharp.levitan import (TruncationFailure, check_norm_contraction,
                              check_operator_error, levitan_coefficients,
@@ -97,7 +97,10 @@ def _loop_coefficients(f, a, eps, oversample):
     (sinc_sq_half_kernel(1), 2.5, 1),
     (sinc_sq_half_kernel(1), 2.5, 2),
     (sinc_sq_half_kernel(2), 4.0, 2),
-    (tensor_product([akhiezer_family(1.0, 0.5, 0.1)] * 2), 2.5, 3)])
+    (tensor_product([akhiezer_family(1.0, 0.5, 0.1)] * 2), 2.5, 3),
+    # two terms: the per-axis lattice sums combine term by term
+    (cs_extremal(ConvexBody.cube(1.0, 2), DifferentialOperator.laplacian(2)),
+     2.5, 2)])
 def test_coefficients_equal_grid_loop(f, a, oversample):
     res = levitan_coefficients(f, a, eps=1e-3, oversample=oversample)
     coeffs, out_max = _loop_coefficients(f, a, 1e-3, oversample)
@@ -168,12 +171,14 @@ def test_scaled_tensor_product_keeps_its_scale():
                     DifferentialOperator.monomial((1, 0)))
     assert f.eval_axes([x[:1], x[1:]])[0, 0] == f.evaluate(x[None])[0]
     g = sinc_sq_half_kernel(2)
+    w = sinc_sq_half_kernel(1)
     for c in (-1.0, -1j, 2.0):
-        h = _scaled(g, c)
+        h = separable_sum([(c, (w, w))])
         assert h.eval_axes([x[:1], x[1:]])[0, 0] == h.evaluate(x[None])[0]
         assert levitan_evaluate(h, 2.0, np.zeros(2))[0] == c
     r = levitan_coefficients(g, 2.0).polynomial.coefficients
-    neg = levitan_coefficients(_scaled(g, -1.0), 2.0).polynomial.coefficients
+    neg = levitan_coefficients(separable_sum([(-1.0, (w, w))]),
+                               2.0).polynomial.coefficients
     assert neg == {k: -v for k, v in r.items()}
 
 
@@ -258,10 +263,10 @@ _XS_SQUARE = np.random.default_rng(5).uniform(-1.5, 1.5, size=(15, 2))
 @pytest.mark.parametrize("f, op, xs", [
     pytest.param(sinc_sq_half_kernel(1), DifferentialOperator.partial(1, 0),
                  np.linspace(-1.5, 1.5, 21)[:, None], id="window1-d1"),
-    # a one-term operator keeps the tensor structure of the derivative
+    # the derivative of a tensor product is a separable sum: one term for
+    # a one-term operator, one per operator term otherwise
     pytest.param(sinc_sq_half_kernel(2), DifferentialOperator.monomial((1, 1)),
                  _XS_SQUARE, id="window2-d11"),
-    # several terms go through the general derivative builder
     pytest.param(sinc_sq_half_kernel(2), DifferentialOperator.laplacian(2),
                  _XS_SQUARE, id="window2-laplacian"),
 ])
