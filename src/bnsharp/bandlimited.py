@@ -378,12 +378,61 @@ def derived_function(f: BandLimitedFunction,
 
 
 # ---------------------------------------------------------------------------
+# the moment engine: exact transforms of polynomials on an interval
+# ---------------------------------------------------------------------------
+
+def _moments(n: int, sigma: float, u: np.ndarray) -> np.ndarray:
+    """Rows I_k(u) = int_{-sigma}^{sigma} x^k e^{iux} dx for k = 0..n.
+
+    The result has shape (n + 1,) + u.shape.  Small |u*sigma| uses the
+    Taylor series of the exponential (all moment integrals of x^{k+t} are
+    explicit), its terms (iu)^t/t! shared by every row; large |u*sigma|
+    uses the integration-by-parts recurrence, whose steps are the rows.  The
+    switch sits at |u*sigma| = 4: further out the series' terms
+    (u*sigma)^t/t! grow to 9e5 at 16 before they cancel, while the
+    recurrence holds to rounding from 4 on.  Each row rounds as a one-order
+    evaluation would: the same series order over t, the same steps.
+    """
+    u = np.asarray(u, dtype=float)
+    out = np.zeros((n + 1,) + u.shape, dtype=complex)
+    small = np.abs(u * sigma) <= 4.0
+
+    if np.any(small):
+        us = u[small]
+        acc = np.zeros((n + 1,) + us.shape, dtype=complex)
+        term = np.ones(us.shape, dtype=complex)  # (iu)^t / t!
+        step = 1j * us
+        # c[k] = int_{-sigma}^{sigma} x^k dx for even k
+        c = np.array([2.0 * sigma ** (k + 1) / (k + 1) for k in range(n + 72)])
+        for t in range(0, 72):
+            rows = slice(t % 2, n + 1, 2)         # the rows with k + t even
+            acc[rows] += term * c[t:t + n + 1][rows, None]
+            term *= step
+            term /= t + 1
+        out[:, small] = acc
+
+    big = ~small
+    if np.any(big):
+        ub = u[big]
+        cur = 2.0 * np.sin(sigma * ub) / ub  # I_0
+        out[0, big] = cur
+        eplus = np.exp(1j * sigma * ub)
+        for r in range(1, n + 1):
+            boundary = sigma ** r * (eplus - (-1.0) ** r / eplus)
+            cur = (boundary - r * cur) / (1j * ub)
+            out[r, big] = cur
+    return out
+
+
+# ---------------------------------------------------------------------------
 # sinc kernels and the periodization identity
 # ---------------------------------------------------------------------------
 
-def _sinc_derivative(r: int, y: np.ndarray) -> np.ndarray:
-    """The r-th derivative of sin(y)/y = 1/2 int_{-1}^{1} e^{iyx} dx."""
-    return 0.5 * ((1j ** r) * _moment_1d(r, 1.0, y)).real
+def _sinc_derivatives(r: int, y: np.ndarray) -> list[np.ndarray]:
+    """The derivatives of orders 0..r of sin(y)/y = 1/2 int_{-1}^{1} e^{iyx} dx,
+    from the rows of one moment-engine call."""
+    I = _moments(r, 1.0, y)
+    return [0.5 * ((1j ** l) * I[l]).real for l in range(r + 1)]
 
 
 def sinc_kernel(m: int) -> BandLimitedFunction:
@@ -393,8 +442,8 @@ def sinc_kernel(m: int) -> BandLimitedFunction:
 
     def partials(alpha):
         (r,) = alpha
-        return lambda x: _sinc_derivative(
-            r, np.asarray(x, dtype=float)[..., 0]).astype(complex)
+        return lambda x: _sinc_derivatives(
+            r, np.asarray(x, dtype=float)[..., 0])[r].astype(complex)
 
     one = BandLimitedFunction(
         m=1, evaluate=eval1, spectral_body=ConvexBody.cube(1.0, 1),
@@ -420,7 +469,7 @@ def sinc_sq_half_kernel(m: int) -> BandLimitedFunction:
         def d_eval(x):
             # Leibniz rule on h(x/2) * h(x/2)
             y = 0.5 * np.asarray(x, dtype=float)[..., 0]
-            h = [_sinc_derivative(l, y) for l in range(r + 1)]
+            h = _sinc_derivatives(r, y)
             out = sum(math.comb(r, l) * h[l] * h[r - l] for l in range(r + 1))
             return (out / 2.0 ** r).astype(complex)
         return d_eval
@@ -492,18 +541,6 @@ def poisson_window_sum(x, K: int) -> tuple[np.ndarray, np.ndarray]:
 # Akhiezer family: near-extremal functions for same-exponent derivative ratios
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=64)
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n-node Gauss-Legendre rule on [-1, 1], computed once per n.
-
-    The arrays are shared between callers, so they are read-only.
-    """
-    x, w = np.polynomial.legendre.leggauss(n)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
-
-
 def _flat_bump_poly(d: int) -> np.polynomial.Polynomial:
     """(t(1-t))^{d+1}: d+1-fold flat at both endpoints of [0, 1]."""
     base = np.polynomial.Polynomial([0.0, 1.0, -1.0])
@@ -522,8 +559,8 @@ def _abs_integral_01(poly: np.polynomial.Polynomial) -> float:
     return float(total)
 
 
-def akhiezer_family(M: float, q: float, h_param: float, s: int = 1,
-                    quad_nodes: int = 192) -> BandLimitedFunction:
+def akhiezer_family(M: float, q: float, h_param: float,
+                    s: int = 1) -> BandLimitedFunction:
     """One member of the spectral-edge family concentrating at frequency M.
 
     f_h(t) = e^{iMt} * int_0^1 e^{-i h t tau} phi(tau) dtau with a
@@ -531,6 +568,13 @@ def akhiezer_family(M: float, q: float, h_param: float, s: int = 1,
     h -> 0+ the ratio ||f^(s)||_q / ||f||_q climbs to M^s.  Analytic
     derivatives up to any order are attached (``s`` records the order the
     member is meant to witness).
+
+    The transforms are exact: with tau = (1+x)/2, tau^l phi(tau) is the
+    polynomial ((1+x)/2)^l ((1-x^2)/4)^{d+1} = sum_k p_{l,k} x^k, so
+    psi_l(s) = int_0^1 e^{-is tau} tau^l phi(tau) dtau
+             = 1/2 e^{-is/2} sum_k p_{l,k} I_k(-s/2)
+    with I_k the moments on [-1, 1].  One moment-engine call serves
+    psi_0..psi_r.
 
     Univariate; tensorize with :func:`tensor_product` for boxes.
     """
@@ -540,27 +584,34 @@ def akhiezer_family(M: float, q: float, h_param: float, s: int = 1,
         raise ValueError("derivative order s must be positive")
     d = (0 if math.isinf(q) else math.floor(1.0 / q)) + 1
     phi = _flat_bump_poly(d)
-    nodes, weights = _leggauss(quad_nodes)
-    tau = 0.5 * (nodes + 1.0)
-    w = 0.5 * weights * phi(tau)
+    bump = np.polynomial.Polynomial([0.25, 0.0, -0.25]) ** (d + 1)
+    half = np.polynomial.Polynomial([0.5, 0.5])
 
-    def psi(r: int, t: np.ndarray) -> np.ndarray:
-        # int_0^1 e^{-i t tau} tau^r phi(tau) dtau on the fixed rule
-        return np.exp(-1j * np.multiply.outer(t, tau)) @ (w * tau ** r)
+    def psi(r: int, t: np.ndarray) -> list[np.ndarray]:
+        # [psi_0(t), ..., psi_r(t)] from the moment rows 0..r + 2d + 2
+        moments = _moments(r + 2 * d + 2, 1.0, -0.5 * t)
+        phase = 0.5 * np.exp(-0.5j * t)
+        out = []
+        for l in range(r + 1):
+            p_l = (bump * half ** l).coef
+            out.append(phase * sum(c * moments[k] for k, c in enumerate(p_l)
+                                   if c != 0.0))
+        return out
 
     def evaluate(x):
         t = np.asarray(x, dtype=float)[..., 0]
-        return np.exp(1j * M * t) * psi(0, h_param * t)
+        return np.exp(1j * M * t) * psi(0, h_param * t)[0]
 
     def partials(alpha):
         (r,) = alpha
 
         def d_eval(x):
             t = np.asarray(x, dtype=float)[..., 0]
+            psis = psi(r, h_param * t)
             acc = np.zeros(t.shape, dtype=complex)
             for l in range(r + 1):
                 acc += (math.comb(r, l) * (-1.0) ** (r - l) * M ** l *
-                        h_param ** (r - l) * psi(r - l, h_param * t))
+                        h_param ** (r - l) * psis[r - l])
             return (1j ** r) * np.exp(1j * M * t) * acc
         return d_eval
 
@@ -605,60 +656,34 @@ def cos_product(a: float, sigma: Sequence[float]) -> TrigPolynomial:
 # conjugate-symbol Fourier integrals (equality case of the L2 -> sup bound)
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=64)
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-node Gauss-Legendre rule on [-1, 1], computed once per n.
+
+    The arrays are shared between callers, so they are read-only.
+    """
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def _leggauss_scaled(n: int, lo: float, hi: float):
     x, w = _leggauss(n)
     return 0.5 * (hi - lo) * x + 0.5 * (hi + lo), 0.5 * (hi - lo) * w
 
 
-def _moment_1d(n: int, sigma: float, u: np.ndarray) -> np.ndarray:
-    """int_{-sigma}^{sigma} x^n e^{iux} dx, semi-analytically.
-
-    Small |u*sigma| uses the Taylor series of the exponential (all moment
-    integrals of x^{n+t} are explicit); large |u*sigma| uses the
-    integration-by-parts recurrence, which is stable there.  The switch sits
-    at |u*sigma| = 4: further out the series' terms (u*sigma)^t/t! grow to
-    9e5 at 16 before they cancel, while the recurrence holds to rounding
-    from 4 on.
-    """
-    u = np.asarray(u, dtype=float)
-    out = np.zeros(u.shape, dtype=complex)
-    z = u * sigma
-    small = np.abs(z) <= 4.0
-
-    if np.any(small):
-        us = u[small]
-        acc = np.zeros(us.shape, dtype=complex)
-        term = np.ones(us.shape, dtype=complex)  # (iu)^t / t!
-        for t in range(0, 72):
-            k = n + t
-            if k % 2 == 0:
-                acc = acc + term * (2.0 * sigma ** (k + 1) / (k + 1))
-            term = term * (1j * us) / (t + 1)
-        out[small] = acc
-
-    big = ~small
-    if np.any(big):
-        ub = u[big]
-        cur = 2.0 * np.sin(sigma * ub) / ub  # I_0
-        eplus = np.exp(1j * sigma * ub)
-        for r in range(1, n + 1):
-            boundary = sigma ** r * (eplus - (-1.0) ** r / eplus)
-            cur = (boundary - r * cur) / (1j * ub)
-        out[big] = cur
-    return out
-
-
 def _moment_axis_factor(order: int, sigma: float) -> BandLimitedFunction:
     """The 1-D factor u -> int_{-s}^{s} x^order e^{iux} dx with derivatives."""
     def evaluate(x):
-        return _moment_1d(order, sigma, np.asarray(x, dtype=float)[..., 0])
+        return _moments(order, sigma, np.asarray(x, dtype=float)[..., 0])[order]
 
     def partials(alpha):
         (r,) = alpha
 
         def d_eval(x):
             u = np.asarray(x, dtype=float)[..., 0]
-            return (1j ** r) * _moment_1d(order + r, sigma, u)
+            return (1j ** r) * _moments(order + r, sigma, u)[order + r]
         return d_eval
 
     A = 2.0 * sigma ** (order + 1) / (order + 1)
@@ -792,12 +817,53 @@ def _axis_panels(R: float, sigma: float, nodes: int = 8):
     return x, w
 
 
-def _norm_1d(g: BandLimitedFunction, c: complex, p: float, R: float,
-             nodes: int) -> float:
-    """int_{-R}^{R} |c g|^p on composite Gauss-Legendre panels."""
-    x, w = _axis_panels(R, g.spectral_body.sigma[0], nodes)
-    vals = np.abs(c * g.evaluate(x[:, None]))
-    return float((w * vals ** p).sum())
+def _terms_integral(terms: Terms, p: float, R: float,
+                    sigma: Sequence[float], nodes: int) -> float:
+    """int_{Q_R} |f|^p of a separable sum on per-axis composite panels.
+
+    One term factorizes for every p.  Several terms need p = 2, where
+    int |sum_r c_r prod_j g_{r,j}|^2 = sum_{r,s} c_r conj(c_s) prod_j
+    int_{-R}^{R} g_{r,j} conj(g_{s,j}).
+    """
+    if len(terms) == 1:
+        (c, atoms), = terms
+        total = 1.0
+        for j, g in enumerate(atoms):
+            x, w = _axis_panels(R, g.spectral_body.sigma[0], nodes)
+            vals = np.abs((c if j == 0 else 1.0) * g.evaluate(x[:, None]))
+            total *= float((w * vals ** p).sum())
+        return total
+    coef = np.array([c for c, _ in terms], dtype=complex)
+    gram = np.outer(coef, coef.conj())
+    for j in range(len(sigma)):
+        x, w = _axis_panels(R, sigma[j], nodes)
+        vals = np.stack([atoms[j].evaluate(x[:, None]) for _, atoms in terms])
+        gram *= (vals * w) @ vals.conj().T
+    return float(gram.sum().real)
+
+
+def _transform_l2(f: BandLimitedFunction, R: float) -> tuple[float, float]:
+    """int_{Q_R} |f|^2 of a weight transform, exactly, and an estimate of
+    its relative rounding error.
+
+    For f = sum_n W_n e^{i x.xi_n} the integral is the Gram form
+    <W, (K_1 (x) ... (x) K_m) W> with K_j[a, b] = int_{-R}^{R}
+    e^{ix(xi_a - xi_b)} dx = 2 sin(R(xi_a - xi_b))/(xi_a - xi_b), 2R on
+    the diagonal.  The rounding estimate is machine epsilon times the
+    condition number of the sum, the Gram form of |W| and |K_j| over the
+    Gram form itself.
+    """
+    KW = f.weights.astype(complex)
+    absKW = np.abs(f.weights)
+    for n in f.nodes:
+        # contract the leading axis each round and append the result axis
+        # at the back; K_j is symmetric
+        K = 2.0 * R * np.sinc((R / math.pi) * np.subtract.outer(n, n))
+        KW = np.tensordot(KW, K, axes=([0], [0]))
+        absKW = np.tensordot(absKW, np.abs(K), axes=([0], [0]))
+    gram = float(np.vdot(f.weights, KW).real)
+    bound = float(np.vdot(np.abs(f.weights), absKW))
+    return gram, np.finfo(float).eps * bound / gram if gram > 0 else 0.0
 
 
 def norm_lp_truncated(f: BandLimitedFunction, p: float, R: float,
@@ -806,9 +872,11 @@ def norm_lp_truncated(f: BandLimitedFunction, p: float, R: float,
     """L_p(R^m) norm of f, computed over Q_R with an analytic tail bound.
 
     A one-term separable sum factorizes exactly (per-axis 1-D
-    quadratures); everything else uses tensor cubature on Q_R, evaluated
-    through ``eval_axes``.  Raises NonIntegrableTailError when the decay
-    envelope cannot certify the tail at this exponent.
+    quadratures), and so does a sum of several terms at p = 2 (per-axis
+    Gram matrices of the atoms).  A weight transform at p = 2 is the exact
+    Gram form of its weights.  Everything else uses tensor cubature on
+    Q_R, evaluated through ``eval_axes``.  Raises NonIntegrableTailError
+    when the decay envelope cannot certify the tail at this exponent.
     """
     if not (p > 0):
         raise ValueError("exponent p must be positive")
@@ -820,32 +888,30 @@ def norm_lp_truncated(f: BandLimitedFunction, p: float, R: float,
 
     tail = f.decay.integral_outside(p, R, f.m)
 
-    if f.terms is not None and len(f.terms) == 1:
-        (c, atoms), = f.terms
-        coarse, fine = 1.0, 1.0
-        for j, g in enumerate(atoms):
-            s = c if j == 0 else 1.0
-            coarse *= _norm_1d(g, s, p, R, 8)
-            fine *= _norm_1d(g, s, p, R, 12)
-        value = fine ** (1.0 / p)
-        err = abs(fine - coarse) / fine if fine > 0 else 0.0
-        return RealDomainNormEstimate(value, p, R, tail, err / p)
+    if p == 2.0 and f.weights is not None:
+        gram, err = _transform_l2(f, R)
+        return RealDomainNormEstimate(math.sqrt(max(gram, 0.0)), p, R, tail,
+                                      err / p)
 
-    def cubature(nodes: int) -> float:
-        axes, weights = [], []
-        for j in range(f.m):
-            x, w = _axis_panels(R, f.spectral_body.sigma[j], nodes)
-            axes.append(x)
-            weights.append(w)
-        vals = np.abs(f.eval_axes(axes)) ** p
-        for j, w in enumerate(weights):
-            shape = [1] * f.m
-            shape[j] = len(w)
-            vals = vals * w.reshape(shape)
-        return float(vals.sum())
+    if f.terms is not None and (len(f.terms) == 1 or p == 2.0):
+        integral = partial(_terms_integral, f.terms, p, R,
+                           f.spectral_body.sigma)
+    else:
+        def integral(nodes: int) -> float:
+            axes, weights = [], []
+            for j in range(f.m):
+                x, w = _axis_panels(R, f.spectral_body.sigma[j], nodes)
+                axes.append(x)
+                weights.append(w)
+            vals = np.abs(f.eval_axes(axes)) ** p
+            for j, w in enumerate(weights):
+                shape = [1] * f.m
+                shape[j] = len(w)
+                vals = vals * w.reshape(shape)
+            return float(vals.sum())
 
-    coarse = cubature(nodes_per_axis or 8)
-    fine = cubature((nodes_per_axis or 8) + 4)
+    coarse = integral(nodes_per_axis or 8)
+    fine = integral((nodes_per_axis or 8) + 4)
     value = fine ** (1.0 / p) if fine > 0 else 0.0
     err = abs(fine - coarse) / fine if fine > 0 else 0.0
     return RealDomainNormEstimate(value, p, R, tail, err / p)

@@ -9,7 +9,7 @@ from bnsharp.bandlimited import (BandLimitedFunction, DecayModel,
                                  cos_product, cs_extremal, derived_function,
                                  norm_lp_truncated, poisson_window_sum,
                                  sinc_kernel, sinc_sq_half_kernel,
-                                 tensor_product, window_axis_sum, _moment_1d)
+                                 tensor_product, window_axis_sum, _moments)
 from bnsharp.body import ConvexBody, parse_body
 from bnsharp.cli import operator_parse
 from bnsharp.trigpoly import DifferentialOperator, apply_operator, norm_lp
@@ -140,8 +140,129 @@ def test_moment_integral_against_quadrature():
             w = sigma * ws
             for u in (0.0, 0.3, 5.0, 17.0, 300.5):
                 brute = np.sum(w * x ** n * np.exp(1j * u * x))
-                mine = _moment_1d(n, sigma, np.array([u]))[0]
+                mine = _moments(n, sigma, np.array([u]))[n, 0]
                 assert mine == pytest.approx(brute, abs=5e-11 * sigma ** n)
+
+
+def _moment_1d(n, sigma, u):
+    """The one-order moment evaluator the engine replaced, kept verbatim as
+    the bitwise reference for its rows."""
+    u = np.asarray(u, dtype=float)
+    out = np.zeros(u.shape, dtype=complex)
+    z = u * sigma
+    small = np.abs(z) <= 4.0
+
+    if np.any(small):
+        us = u[small]
+        acc = np.zeros(us.shape, dtype=complex)
+        term = np.ones(us.shape, dtype=complex)  # (iu)^t / t!
+        for t in range(0, 72):
+            k = n + t
+            if k % 2 == 0:
+                acc = acc + term * (2.0 * sigma ** (k + 1) / (k + 1))
+            term = term * (1j * us) / (t + 1)
+        out[small] = acc
+
+    big = ~small
+    if np.any(big):
+        ub = u[big]
+        cur = 2.0 * np.sin(sigma * ub) / ub  # I_0
+        eplus = np.exp(1j * sigma * ub)
+        for r in range(1, n + 1):
+            boundary = sigma ** r * (eplus - (-1.0) ** r / eplus)
+            cur = (boundary - r * cur) / (1j * ub)
+        out[big] = cur
+    return out
+
+
+@pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+def test_moment_rows_equal_one_order_evaluations_bitwise(sigma):
+    # every row of one engine call rounds as the one-order evaluator did,
+    # on both branches and on both sides of the switch |u sigma| = 4
+    edge = 4.0 / sigma
+    u = np.r_[0.0, -0.0, edge, -edge, np.nextafter(edge, 0.0),
+              np.nextafter(edge, np.inf), -np.nextafter(edge, np.inf),
+              np.random.default_rng(3).uniform(-3.0 * edge, 3.0 * edge, 400),
+              1e-300, 5e3]
+    rows = _moments(12, sigma, u)
+    assert rows.shape == (13, u.size)
+    for k in range(13):
+        assert rows[k].tobytes() == _moment_1d(k, sigma, u).tobytes()
+
+
+def _akhiezer_by_quadrature(M, q, h, r, t, nodes=400):
+    """D^r of the Akhiezer member on an independent Gauss-Legendre rule."""
+    d = (0 if math.isinf(q) else math.floor(1.0 / q)) + 1
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    tau = 0.5 * (x + 1.0)
+    w = 0.5 * w * (tau * (1.0 - tau)) ** (d + 1)
+    acc = 0.0
+    for l in range(r + 1):
+        psi = np.exp(-1j * np.multiply.outer(h * t, tau)) @ (w * tau ** (r - l))
+        acc = acc + (math.comb(r, l) * (-1.0) ** (r - l) * M ** l *
+                     h ** (r - l) * psi)
+    return (1j ** r) * np.exp(1j * M * t) * acc
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0, 2.0, math.inf])
+@pytest.mark.parametrize("h", [0.1, 0.02])
+def test_akhiezer_closed_form_matches_quadrature(q, h):
+    # the exact moment transforms agree with a 400-node rule to rounding,
+    # on both branches of the engine (|h t / 2| = 4 falls inside the range)
+    t = np.r_[np.linspace(-3000.0, 3000.0, 3001), 8.0 / h, -8.0 / h]
+    f = akhiezer_family(1.0, q, h)
+    for r in range(3):
+        ref = _akhiezer_by_quadrature(1.0, q, h, r, t)
+        got = f.derivative((r,))(t[:, None])
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def _l2_by_cubature(f, R, nodes=160):
+    """int_{Q_R} |f|^2 on one tensor Gauss-Legendre rule of the cube."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    vals = np.abs(f.eval_axes([R * x] * f.m)) ** 2
+    for j in range(f.m):
+        shape = [1] * f.m
+        shape[j] = nodes
+        vals = vals * (R * w).reshape(shape)
+    return float(vals.sum())
+
+
+@pytest.mark.parametrize("body, m, spec", [
+    ("ball:1", 2, "identity"),
+    ("ball:1", 2, "laplacian:2"),
+    ("cube:1", 2, "laplacian:2"),
+    ("pi:1,2", 2, "1,0:0,1 + 0,1:1,0"),     # coefficients -1 and -i
+])
+def test_l2_gram_norms_match_cubature(body, m, spec):
+    # p = 2: the disk's weight transforms take the exact Gram form, the
+    # two-term box extremals the per-axis Gram matrices of their atoms;
+    # both equal an independent tensor cubature of |f|^2
+    op = operator_parse(spec, m)
+    f = cs_extremal(parse_body(body, m), op)
+    assert (f.weights is not None) == (body == "ball:1")
+    assert f.terms is None or len(f.terms) == 2
+    R = 16.0
+    est = norm_lp_truncated(f, 2.0, R)
+    ref = _l2_by_cubature(f, R)
+    assert est.value ** 2 == pytest.approx(ref, rel=1e-12)
+    assert est.quad_error < 1e-9
+
+
+def test_l2_norm_of_a_three_dimensional_separable_sum():
+    # the m = 3 cube Laplacian extremal is a sum of three terms: at the
+    # candidates' radius its L2 norm takes per-axis panels, not a tensor
+    # cubature of 2264^3 nodes, and brackets the Parseval value
+    # (2 pi)^3 int_{[-1,1]^3} |x|^4 dx
+    body = ConvexBody.cube(1.0, 3)
+    f = cs_extremal(body, DifferentialOperator.laplacian(3))
+    est = norm_lp_truncated(f, 2.0, 64.0 * body.diameter())
+    parseval = (2.0 * math.pi) ** 3 * (3 * 4 * 0.4 + 6 * 2 * (2.0 / 3.0) ** 2)
+    assert est.value ** 2 < parseval < est.upper() ** 2
+    assert est.quad_error < 1e-12
+    ref = _l2_by_cubature(f, 16.0, nodes=96)
+    assert norm_lp_truncated(f, 2.0, 16.0).value ** 2 == pytest.approx(
+        ref, rel=1e-12)
 
 
 def test_cs_extremal_ratio_matches_closed_form_tightly():
