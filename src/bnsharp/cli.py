@@ -340,6 +340,7 @@ def run_optimize(cfg: ExperimentConfig) -> tuple[list[str], dict]:
         extra[f"restart_values_a={a:g}"] = list(out.restart_values)
         extra[f"ascent_stops_a={a:g}"] = dict(
             Counter(s.reason for s in out.ascent_stops))
+        extra[f"best_rung_a={a:g}"] = list(out.best_rungs)
     return rows, extra
 
 

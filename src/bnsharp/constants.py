@@ -6,7 +6,10 @@ spectrum in a*V (normalized by a^{-N-m/p+m/q}); the continuum constant E
 does the same over band-limited functions on R^m.  Closed forms exist for
 (p, q) = (2, inf) and (2, 2); everything else is bracketed by upper bounds
 and certified lower bounds from a multistart L-BFGS ascent on the sphere,
-which samples on ``trigpoly.SamplingGrid`` as ``norm_lp`` does.
+which samples on ``trigpoly.SamplingGrid`` as ``norm_lp`` does.  For
+p = inf the ascent climbs a ladder of soft-max temperatures; each rung's
+iterate is certified, and a restart's ladder stops at the first rung whose
+certified value falls below an earlier rung's.
 """
 
 from __future__ import annotations
@@ -431,7 +434,10 @@ class AscentStop:
     tolerance), "no-ascent" (the line search found no better point) or
     "cap" (iteration cap); ``evaluations`` counts objective values.
     ``value`` is the final smoothed objective and ``grad_norm`` the norm of
-    its tangent log-gradient there."""
+    its tangent log-gradient there.  ``certified`` is the rung's iterate
+    scored by ``_final_value`` (normalized, unsmoothed); a restart's ladder
+    stops at the first rung whose ``certified`` falls below an earlier
+    rung's."""
 
     restart: int
     temperature: float | None      # soft-max rung; None for finite p
@@ -440,6 +446,7 @@ class AscentStop:
     evaluations: int
     value: float
     grad_norm: float
+    certified: float
 
 
 _LBFGS_MEMORY = 6       # (s, y) pairs kept by the ascent direction
@@ -544,28 +551,35 @@ class OptimizerOutcome:
     """Full optimizer result: the estimate plus per-restart diagnostics."""
 
     estimate: SharpConstantEstimate
-    restart_values: tuple[float, ...]      # final normalized value per restart
+    restart_values: tuple[float, ...]      # best certified value per restart
     best_coefficients: dict                # frequency -> complex
     ascent_stops: tuple[AscentStop, ...] = ()   # per restart and rung
+    # per restart, the soft-max temperature of the iterate it reports
+    # (None for finite p, which has no ladder)
+    best_rungs: tuple[float | None, ...] = ()
 
 
-def _final_value(prob, d, c_best, p, q, pref):
-    """Unsmoothed evaluation of the final iterate (reported value)."""
+def _certificate_grid(prob: SamplingGrid) -> SamplingGrid:
+    """The square grid on prob's spectrum whose Bernstein sup gap is at
+    most about ``_SUP_GAP``; p = q = inf values are certified on it."""
+    L = max(int(math.ceil(math.pi * max(sum(prob.degrees), 1) /
+                          math.sqrt(2.0 * _SUP_GAP))) + 1,
+            max(prob.shape))
+    return SamplingGrid(prob.keys, (L,) * prob.m)
+
+
+def _final_value(grid: SamplingGrid, d, c, p, q, pref):
+    """Unsmoothed normalized ratio of coefficients c on ``grid`` and its
+    tolerance.  For p = q = inf, ``grid`` is the fine grid and its Bernstein
+    sup gap keeps the value a certified lower bound."""
+    v = grid.synth(c)
     if math.isinf(q):
-        num = abs(complex(np.dot(d, c_best)))
+        num = abs(complex(np.dot(d, c)))
         if math.isinf(p):
-            L = max(int(math.ceil(math.pi * max(sum(prob.degrees), 1) /
-                                  math.sqrt(2.0 * _SUP_GAP))) + 1,
-                    max(prob.shape))
-            fine = SamplingGrid(prob.keys, (L,) * prob.m)
-            den = fine.norm(fine.synth(c_best), p)
-            rel = fine.sup_gap()
-            return pref * num / (den * (1.0 + rel)), rel
-        den = prob.norm(prob.synth(c_best), p)
-        return pref * num / den, 1e-9
-    vD = prob.synth(d * c_best)
-    v = prob.synth(c_best)
-    return pref * prob.norm(vD, q) / prob.norm(v, p), 1e-9
+            rel = grid.sup_gap()
+            return pref * num / (grid.norm(v, p) * (1.0 + rel)), rel
+        return pref * num / grid.norm(v, p), 1e-9
+    return pref * grid.norm(grid.synth(d * c), q) / grid.norm(v, p), 1e-9
 
 
 def optimize_full(p: float, q: float, op: DifferentialOperator,
@@ -576,10 +590,14 @@ def optimize_full(p: float, q: float, op: DifferentialOperator,
 
     Maximizes over complex coefficients on the unit sphere (the ratio is
     scale invariant).  q = inf becomes |D T(0)| / ||T||_p by translation
-    invariance; p = inf runs a log-sum-exp temperature schedule and
-    re-evaluates the final iterate unsmoothed on a fine grid whose
-    sup-certificate keeps the reported value a genuine lower bound.
-    p = q = 2 is the exact lattice maximum (no iteration).
+    invariance; p = inf runs a log-sum-exp temperature ladder.  Each rung's
+    iterate is re-evaluated unsmoothed (for q = inf on a fine grid, built
+    once per call, whose sup-certificate keeps the value a genuine lower
+    bound).  A restart's ladder stops at the first rung whose certified value
+    is strictly below its best so far: hotter rungs only sharpen peaks
+    between the coarse grid's nodes.  Each restart reports its
+    best-certified iterate, the first of equal ones.  p = q = 2 is the exact
+    lattice maximum (no iteration).
     """
     if not (0 < p <= q):
         raise ValueError("need 0 < p <= q")
@@ -598,7 +616,8 @@ def optimize_full(p: float, q: float, op: DifferentialOperator,
         est = replace(est, seed=config.seed,
                       notes="ratio maximized exactly over the lattice "
                             "(Parseval); no iteration needed")
-        return OptimizerOutcome(est, (est.value,), {kbest: 1.0 + 0j})
+        return OptimizerOutcome(est, (est.value,), {kbest: 1.0 + 0j},
+                                best_rungs=(None,))
 
     # soft-max landscapes need a denser grid than integral norms
     oversample = max(config.oversample, 8) if math.isinf(p) \
@@ -611,8 +630,12 @@ def optimize_full(p: float, q: float, op: DifferentialOperator,
     if config.real_coefficients:
         index = {tuple(k): i for i, k in enumerate(spectrum.as_array())}
         neg = np.array([index[tuple(-k)] for k in spectrum.as_array()])
+    # every rung's iterate is scored on this grid; at p = q = inf it is the
+    # run's largest, so it is built once
+    cert = _certificate_grid(prob) if math.isinf(p) and math.isinf(q) \
+        else prob
 
-    def run_restart(idx: int) -> tuple[np.ndarray, list[AscentStop]]:
+    def run_restart(idx: int) -> tuple[tuple, list[AscentStop]]:
         if idx < len(config.warm_starts):
             c0 = np.array([complex(config.warm_starts[idx].get(tuple(k), 0.0))
                            for k in spectrum.as_array()])
@@ -623,11 +646,18 @@ def optimize_full(p: float, q: float, op: DifferentialOperator,
             z = rng.standard_normal((prob.n, 2))
             c0 = (z[:, 0] + 1j * z[:, 1]) / math.sqrt(2.0)
         c, stops = c0, []
+        best = (-math.inf, 0.0), c0, None      # (value, tol), iterate, rung
         for t in _TEMP_LADDER if math.isinf(p) else (None,):
             obj = _make_objective(prob, d, p, q, temperature=t)
             (c, value, grad_norm), stop = _ascend(obj, c, config, neg)
-            stops.append(AscentStop(idx, t, *stop, value, grad_norm))
-        return c, stops
+            final = _final_value(cert, d, c, p, q, pref)
+            stops.append(AscentStop(idx, t, *stop, value, grad_norm,
+                                    final[0]))
+            if final[0] < best[0][0]:
+                break   # hotter rungs grow peaks between the coarse nodes
+            if final[0] > best[0][0]:
+                best = final, c, t
+        return best, stops
 
     n_runs = max(config.restarts, len(config.warm_starts))
     if config.workers() > 1:
@@ -636,10 +666,9 @@ def optimize_full(p: float, q: float, op: DifferentialOperator,
     else:
         results = [run_restart(i) for i in range(n_runs)]
 
-    finals = [_final_value(prob, d, c, p, q, pref)
-              for c, _ in results]
+    finals = [final for (final, _, _), _ in results]
     best_idx = max(range(n_runs), key=lambda i: (finals[i][0], -i))
-    c_best = results[best_idx][0]
+    c_best = results[best_idx][0][1]
     value, tol = finals[best_idx]
 
     notes = f"multistart ascent, {n_runs} restarts"
@@ -653,7 +682,8 @@ def optimize_full(p: float, q: float, op: DifferentialOperator,
     coeffs = {tuple(int(c) for c in k): complex(v)
               for k, v in zip(spectrum.as_array(), c_best)}
     return OptimizerOutcome(est, tuple(f for f, _ in finals), coeffs,
-                            tuple(s for _, stops in results for s in stops))
+                            tuple(s for _, stops in results for s in stops),
+                            tuple(t for (_, _, t), _ in results))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from bnsharp.cli import (ExperimentConfig, OperatorSpecError,
                          config_from_args, main, operator_parse,
                          parse_exponent, parse_sweep, run)
+from bnsharp.constants import _TEMP_LADDER
 
 
 def read_rows(path):
@@ -105,6 +106,17 @@ def test_optimize_manifest_counts_ascent_stops(tmp_path):
     # one frequency at a = 0.5: both restarts stop on the gradient tolerance
     assert results["ascent_stops_a=0.5"] == {"gtol": 2}
     assert sum(results["ascent_stops_a=2"].values()) == 2
+    # finite p has no temperature ladder
+    assert results["best_rung_a=2"] == [None, None]
+    assert main(["optimize", "--body", "cube:1", "--m", "1", "--p", "inf",
+                 "--q", "inf", "--operator", "1:1,0", "--a", "8",
+                 "--restarts", "2", "--iterations", "500", "--seed", "12",
+                 "--out", str(out)]) == 0
+    results = json.loads((tmp_path / "o.csv.manifest.json").read_text())[
+        "results"]
+    # both ladders peak at t = 316 and stop one rung later
+    assert results["best_rung_a=8"] == [_TEMP_LADDER[3]] * 2
+    assert sum(results["ascent_stops_a=8"].values()) == 10
 
 
 def test_reproducible_output_modulo_runtime(tmp_path):

@@ -6,7 +6,8 @@ import pytest
 from bnsharp.bandlimited import akhiezer_family, cs_extremal, tensor_product
 from bnsharp.body import ConvexBody, parse_body
 from bnsharp.constants import (OptimizerConfig, _Objective, _TEMP_LADDER,
-                               _ascend, _make_objective,
+                               _ascend, _certificate_grid, _final_value,
+                               _make_objective,
                                bernstein_pq,
                                candidate_lower_bound_E,
                                check_order_consistency, closed_e2_inf,
@@ -249,19 +250,60 @@ def test_optimizer_segment_sup_sup_pinned():
     op = DifferentialOperator.monomial((1,))
     cfg = OptimizerConfig(restarts=2, iterations=500, seed=12)
     out = optimize_full(math.inf, math.inf, op, 8.0, seg, cfg)
-    assert out.estimate.value == 0.9949938783702859  # bitwise
-    # one record per restart and temperature rung, in that order
+    assert out.estimate.value == 0.9955241822115639  # bitwise
+    # one record per restart and temperature rung, in that order; both
+    # ladders stop at t = 1000, whose certified value is below t = 316's
     assert [(s.restart, s.temperature) for s in out.ascent_stops] == \
-        [(i, t) for i in range(2) for t in _TEMP_LADDER]
+        [(i, t) for i in range(2) for t in _TEMP_LADDER[:5]]
     assert [(s.reason, s.steps) for s in out.ascent_stops] == [
         ("no-ascent", 137), ("no-ascent", 94), ("no-ascent", 208),
-        ("no-ascent", 374), ("no-ascent", 452), ("cap", 500), ("cap", 500),
-        ("cap", 500), ("no-ascent", 36), ("no-ascent", 33),
-        ("no-ascent", 27),
+        ("no-ascent", 374), ("no-ascent", 452),
         ("no-ascent", 131), ("no-ascent", 114), ("no-ascent", 223),
-        ("no-ascent", 364), ("no-ascent", 477), ("cap", 500), ("cap", 500),
-        ("no-ascent", 62), ("no-ascent", 31), ("no-ascent", 28),
-        ("no-ascent", 27)]
+        ("no-ascent", 364), ("no-ascent", 477)]
+
+
+def test_ladder_stops_once_the_certified_value_falls():
+    # each restart climbs the temperature ladder while the certified value
+    # of its rung iterates does not fall, and reports its best rung
+    ladder_runs = [
+        (ConvexBody.cube(1.0, 1), DifferentialOperator.monomial((1,)), 8.0),
+        (ConvexBody.ball(1.0, 2), DifferentialOperator.laplacian(2), 4.0)]
+    cfg = OptimizerConfig(restarts=2, iterations=500, seed=12)
+    early = 0
+    for body, op, a in ladder_runs:
+        out = optimize_full(math.inf, math.inf, op, a, body, cfg)
+        for i in range(cfg.restarts):
+            stops = [s for s in out.ascent_stops if s.restart == i]
+            certified = [s.certified for s in stops]
+            assert [s.temperature for s in stops] == \
+                list(_TEMP_LADDER[:len(stops)])
+            for j in range(1, len(stops) - 1):
+                assert certified[j] >= max(certified[:j])
+            if len(stops) < len(_TEMP_LADDER):
+                assert certified[-1] < max(certified[:-1])
+                early += 1
+            assert out.restart_values[i] == max(certified)
+            assert out.best_rungs[i] == \
+                stops[certified.index(max(certified))].temperature
+        keys = body.lattice_points(a).as_array()
+        fine = _certificate_grid(SamplingGrid(
+            keys, default_grid(np.abs(keys).max(axis=0), 8)))
+        c = np.array([out.best_coefficients[tuple(int(v) for v in k)]
+                      for k in keys])
+        d = op.symbol_at_ik(keys.astype(float))
+        assert _final_value(fine, d, c, math.inf, math.inf,
+                            a ** -op.order) == \
+            (out.estimate.value, out.estimate.tolerance)
+    assert early == 4
+    # finite p has no ladder: one record per restart, which it reports
+    out = optimize_full(1.0, math.inf, DifferentialOperator.identity(1), 8.0,
+                        ConvexBody.cube(1.0, 1),
+                        OptimizerConfig(restarts=2, iterations=300, seed=3))
+    assert [(s.restart, s.temperature) for s in out.ascent_stops] == \
+        [(0, None), (1, None)]
+    assert out.restart_values == \
+        tuple(s.certified for s in out.ascent_stops)
+    assert out.best_rungs == (None, None)
 
 
 def test_optimizer_values_pinned():
@@ -445,10 +487,14 @@ def test_optimizer_concurrent_restarts_deterministic(monkeypatch):
     seg = ConvexBody.cube(1.0, 1)
     op = DifferentialOperator.monomial((1,))
     cfg = OptimizerConfig(restarts=4, iterations=100, seed=21)
-    serial = optimize_full(1.0, math.inf, op, 2.0, seg, cfg).estimate
-    monkeypatch.setenv("BNSHARP_WORKERS", "3")
-    threaded = optimize_full(1.0, math.inf, op, 2.0, seg, cfg).estimate
-    assert serial.value == threaded.value  # bitwise
+    # p = inf: the restarts' ladders certify on one shared fine grid
+    for p in (1.0, math.inf):
+        monkeypatch.delenv("BNSHARP_WORKERS", raising=False)
+        serial = optimize_full(p, math.inf, op, 2.0, seg, cfg)
+        monkeypatch.setenv("BNSHARP_WORKERS", "3")
+        threaded = optimize_full(p, math.inf, op, 2.0, seg, cfg)
+        assert serial.estimate.value == threaded.estimate.value  # bitwise
+        assert serial.ascent_stops == threaded.ascent_stops
 
 
 def test_candidate_akhiezer_tensor_approaches_exact():
