@@ -17,8 +17,8 @@ kind rather than closures:
 
 Both evaluate on tensor grids axis by axis, which is the difference between
 milliseconds and hours for cubature over R^m, and both differentiate
-algebraically (``derived_function``).  Functions built from a bare
-evaluator take the generic pointwise paths.
+algebraically (``derived_function``).  Only a univariate function may be
+built from a bare evaluator.
 """
 
 from __future__ import annotations
@@ -140,7 +140,8 @@ class BandLimitedFunction:
     A separable sum sets ``terms``, a tuple of (c_r, (g_{r,1}, ..., g_{r,m}))
     with univariate atoms g; a weight transform sets ``weights`` (W on the
     node grid) and ``nodes`` (one 1-D node array per axis).  A function
-    built from a bare evaluator sets neither.
+    built from a bare evaluator sets neither, and must be univariate
+    (ValueError otherwise).
     """
 
     m: int
@@ -153,6 +154,11 @@ class BandLimitedFunction:
     terms: Terms | None = None
     weights: np.ndarray | None = None
     nodes: tuple[np.ndarray, ...] | None = None
+
+    def __post_init__(self):
+        if self.m >= 2 and self.terms is None and self.weights is None:
+            raise ValueError(f"{self.label}: a multivariate function must be "
+                             "a separable sum or a weight transform")
 
     def __call__(self, x) -> np.ndarray:
         return self.evaluate(np.asarray(x, dtype=float))
@@ -174,21 +180,9 @@ class BandLimitedFunction:
             return fold_terms(self.terms, lambda g, j: g.evaluate(
                 axes[j][:, None]).reshape((-1,) + (1,) * (self.m - 1 - j)))
         if self.weights is not None:
-            # contract the leading node axis each round and append the
-            # target axis at the back; after m rounds the layout is
-            # (u_1, ..., u_m)
-            acc = self.weights.astype(complex)
-            for x, n in zip(axes, self.nodes):
-                E = np.exp(1j * np.multiply.outer(np.asarray(x), n))
-                acc = np.tensordot(acc, E, axes=([0], [1]))
-            return acc
-        grids = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
-        out = np.empty(pts.shape[0], dtype=complex)
-        chunk = max(1, 2 ** 22 // max(1, self.m))
-        for i in range(0, pts.shape[0], chunk):
-            out[i:i + chunk] = self.evaluate(pts[i:i + chunk])
-        return out.reshape([len(ax) for ax in axes])
+            return transform_on_axes(self.weights,
+                                     partial(_phases, self.nodes), axes)
+        return self.evaluate(np.asarray(axes[0])[:, None])
 
     def verify_decay(self, radii=None, tolerance: float = 0.10) -> None:
         """Spot-check |f| <= (1 + tolerance) * envelope on sampled rays."""
@@ -305,7 +299,7 @@ def weight_transform(weights: np.ndarray, nodes: Sequence[np.ndarray],
     """
     m = body.m
     nodes = tuple(nodes)
-    evaluate = partial(_grid_transform, weights, nodes)
+    evaluate = partial(transform_at_points, weights, partial(_phases, nodes))
     sup = float(np.abs(weights).sum())
     d = 1.0 if body.mu < 2.0 else (m + 1) / 2.0
     # measure the constant on rays, then let the standard spot check audit it
@@ -318,8 +312,9 @@ def weight_transform(weights: np.ndarray, nodes: Sequence[np.ndarray],
     f = BandLimitedFunction(
         m=m, evaluate=evaluate, spectral_body=body, sup_bound=sup,
         decay=DecayModel.make_radial(1.25 * C, d), label=label,
-        partials=lambda beta: partial(_grid_transform, _symbol_weights(
-            weights, nodes, DifferentialOperator.monomial(beta)), nodes),
+        partials=lambda beta: partial(transform_at_points, _symbol_weights(
+            weights, nodes, DifferentialOperator.monomial(beta)),
+            partial(_phases, nodes)),
         weights=weights, nodes=nodes)
     f.verify_decay()
     return f
@@ -336,8 +331,7 @@ def derived_function(f: BandLimitedFunction,
     univariate function sums the terms' analytic partials (KeyError where
     f has none) under an envelope of f's decay order, whose constant is
     measured on a ray and re-audited by the standard spot check; its sup
-    bound is that envelope's value at the origin.  Any other function
-    raises ValueError.
+    bound is that envelope's value at the origin.
     """
     if op.m != f.m:
         raise ValueError("function and operator dimensions differ")
@@ -353,9 +347,6 @@ def derived_function(f: BandLimitedFunction,
     if f.weights is not None:
         return weight_transform(_symbol_weights(f.weights, f.nodes, op),
                                 f.nodes, f.spectral_body, label)
-    if f.m != 1:
-        raise ValueError(f"{f.label}: derivatives need a separable sum, a "
-                         "weight transform or a univariate function")
     evals = [(b, f.derivative(alpha)) for alpha, b in op.terms.items()]
 
     def evaluate(x):
@@ -726,25 +717,46 @@ def cs_extremal(body: ConvexBody, op: DifferentialOperator,
     return _indicator_transform(body, op, freq_budget, nodes_per_axis)
 
 
-def _grid_transform(weights: np.ndarray, nodes: Sequence[np.ndarray],
-                    x) -> np.ndarray:
-    """sum_n weights[n] exp(i x . node_n) over the tensor grid of ``nodes``.
+def _phases(nodes: Sequence[np.ndarray], j: int, x) -> np.ndarray:
+    """exp(i x_a nodes[j]_n): a weight transform's matrix on axis j."""
+    return np.exp(1j * np.multiply.outer(np.asarray(x), nodes[j]))
 
-    Contracts the last grid axis by one matrix product and the others
-    pointwise, over chunks of the rows of x; one point gives a 0-d result.
+
+def transform_at_points(weights: np.ndarray, axis_matrix: Callable,
+                        x) -> np.ndarray:
+    """sum_n weights[n] prod_j E_j[i, n_j] at each row x_i of the points x.
+
+    ``axis_matrix(j, x_j)`` gives E_j, one row per coordinate of x_j and one
+    column per node of axis j; the kernel exp(i x . xi_n) of a weight
+    transform has E_j = exp(i x_j xi_{n_j}) (``_phases``).  Contracts the
+    last grid axis by one matrix product and the others pointwise, over
+    chunks of the rows of x; one point gives a 0-d result.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     lead = weights.reshape(-1, weights.shape[-1])
     out = np.empty(x.shape[0], dtype=complex)
     chunk = max(1, 2 ** 22 // lead.shape[0])
     for i in range(0, x.shape[0], chunk):
-        E = [np.exp(1j * np.multiply.outer(xj, nj))
-             for xj, nj in zip(x[i:i + chunk].T, nodes)]
+        E = [axis_matrix(j, xj) for j, xj in enumerate(x[i:i + chunk].T)]
         acc = (lead @ E[-1].T).reshape(*weights.shape[:-1], -1)
         for Ej in reversed(E[:-1]):
             acc = np.einsum("...an,na->...n", acc, Ej)
         out[i:i + chunk] = acc
     return out if out.shape[0] > 1 else out.reshape(())
+
+
+def transform_on_axes(weights: np.ndarray, axis_matrix: Callable,
+                      axes: Sequence[np.ndarray]) -> np.ndarray:
+    """sum_n weights[n] prod_j E_j[i_j, n_j] on the tensor grid of ``axes``.
+
+    ``axis_matrix`` is as for ``transform_at_points``.  Contracts the
+    leading node axis each round and appends the target axis at the back;
+    after m rounds the layout is (x_1, ..., x_m).
+    """
+    acc = weights.astype(complex)
+    for j, x in enumerate(axes):
+        acc = np.tensordot(acc, axis_matrix(j, x), axes=([0], [1]))
+    return acc
 
 
 def _indicator_transform(body: ConvexBody, op: DifferentialOperator,

@@ -363,11 +363,10 @@ def run_converge(cfg: ExperimentConfig) -> tuple[list[str], dict]:
 
 def run_levitan_check(cfg: ExperimentConfig) -> tuple[list[str], dict]:
     body = parse_body(cfg.body, cfg.m)
-    f = sinc_sq_half_kernel(cfg.m)
     if body.label != ConvexBody.cube(1.0, cfg.m).label:
-        # periodize a frequency-scaled window when the body is not the unit cube
         raise ValueError("levitan-check currently runs on the unit-cube "
                          "window family (use --body cube:1)")
+    f = sinc_sq_half_kernel(cfg.m)
     ps = [parse_exponent(t) for t in cfg.p_list.split(",")]
     rows = []
     for a in parse_sweep(cfg.a):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -634,6 +635,9 @@ def optimize_full(p: float, q: float, op: DifferentialOperator,
     # run's largest, so it is built once
     cert = _certificate_grid(prob) if math.isinf(p) and math.isinf(q) \
         else prob
+    # threaded restarts score one at a time, so one fine-grid synthesis is
+    # in memory however many workers run
+    scoring = threading.Lock()
 
     def run_restart(idx: int) -> tuple[tuple, list[AscentStop]]:
         if idx < len(config.warm_starts):
@@ -650,7 +654,8 @@ def optimize_full(p: float, q: float, op: DifferentialOperator,
         for t in _TEMP_LADDER if math.isinf(p) else (None,):
             obj = _make_objective(prob, d, p, q, temperature=t)
             (c, value, grad_norm), stop = _ascend(obj, c, config, neg)
-            final = _final_value(cert, d, c, p, q, pref)
+            with scoring:
+                final = _final_value(cert, d, c, p, q, pref)
             stops.append(AscentStop(idx, t, *stop, value, grad_norm,
                                     final[0]))
             if final[0] < best[0][0]:

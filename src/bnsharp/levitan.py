@@ -10,17 +10,23 @@ trigonometric polynomial whose spectrum sits in the slightly enlarged body
 with a certified bound combining the window's quadratic tail with the decay
 envelope of f, so every downstream check carries an explicit certificate.
 
-Two code paths form the sum.  ``levitan_coefficients`` samples it on a
-tensor grid axis by axis: the shifted coordinates x_j + 2*l*pi*a of each
-axis are tiled once and f is evaluated on their tensor grid through
-``eval_axes``.  ``levitan_evaluate`` sums pointwise at arbitrary points; it
-backs ``LevitanResult.evaluate``, the independent check on the extracted
-polynomial.
+Both kinds of multivariate function sum the shifts of the box |l|_inf <= K
+axis by axis, since the window is separable.  A separable sum periodizes
+each univariate atom on its own axis and combines the atoms term by term.
+A weight transform f(x) = sum_n W_n exp(i x . xi_n) has a kernel that
+factorizes too, so its sum is sum_n W_n prod_j A_j(x_j, xi_{n,j}) with
+
+    A_j(x, xi) = e^{i x xi} sum_{|l|<=K} e^{2 pi i a l xi} sinc^2(x/(2a pi) + l),
+
+one matrix product of the window matrix with the shift phases per axis,
+contracted with W as the transform itself is.  ``levitan_coefficients``
+samples the sum on a tensor grid; ``levitan_evaluate`` sums pointwise at
+arbitrary points and backs ``LevitanResult.evaluate``, the independent
+check on the extracted polynomial.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -28,7 +34,8 @@ from typing import Callable
 import numpy as np
 
 from .bandlimited import BandLimitedFunction, RealDomainNormEstimate, \
-    NonIntegrableTailError, derived_function, fold_terms, norm_lp_truncated
+    NonIntegrableTailError, derived_function, fold_terms, \
+    norm_lp_truncated, transform_at_points, transform_on_axes
 from .body import ConvexBody
 from .trigpoly import DifferentialOperator, TrigPolynomial, \
     apply_operator, default_grid, norm_lp
@@ -57,26 +64,19 @@ def _axis_tail(C: float, d: float, sup: float, a: float, K: int,
 
 
 def _box_tail(f: BandLimitedFunction, a: float, K: int, t: float) -> float:
-    """Certified bound for the generic (radial-decay) box truncation."""
+    """Certified bound on a weight transform's discarded shifts
+    |l|_inf > K, from its radial decay envelope."""
     m = f.m
     if K <= 2 * t + 2:
         return math.inf
     win = f.sup_bound * m * (2.0 / math.pi ** 2) / (K - t)
-    if f.decay.kind == "radial":
-        C, d = f.decay.radial
-        if d + 2.0 > m:
-            env = (2.0 * m * 3.0 ** (m - 1) * 2.0 ** (m - 1) * C *
-                   (2.0 * math.pi * a) ** (-d) / math.pi ** 2 *
-                   (K - t) ** (m - 2.0 - d) / (d + 2.0 - m))
-            return min(win, env)
+    C, d = f.decay.radial
+    if d + 2.0 <= m:
         return win
-    # product decay: per-axis union bound
-    total = 0.0
-    sups = [min(C, f.sup_bound) for C, _ in f.decay.axes]
-    for j, (C, d) in enumerate(f.decay.axes):
-        others = math.prod(s for i, s in enumerate(sups) if i != j)
-        total += others * _axis_tail(C, d, sups[j], a, K, t)
-    return min(win, total)
+    env = (2.0 * m * 3.0 ** (m - 1) * 2.0 ** (m - 1) * C *
+           (2.0 * math.pi * a) ** (-d) / math.pi ** 2 *
+           (K - t) ** (m - 2.0 - d) / (d + 2.0 - m))
+    return min(win, env)
 
 
 def plan_truncation(f: BandLimitedFunction, a: float, eps: float,
@@ -122,14 +122,33 @@ def _tail_for(f: BandLimitedFunction, a: float, K: int, t: float) -> float:
 # the periodization sum
 # ---------------------------------------------------------------------------
 
+def _window(a: float, x: np.ndarray, K: int) -> np.ndarray:
+    """The window matrix (sin(x/(2a))/(x/(2a)+l*pi))^2, one row per
+    coordinate x and one column per shift |l| <= K."""
+    ls = np.arange(-K, K + 1)
+    return np.sinc(x[:, None] / (2.0 * a * math.pi) + ls[None, :]) ** 2
+
+
 def _axis_sum(g: BandLimitedFunction, a: float, x: np.ndarray,
               K: int) -> np.ndarray:
     """sum_{|l|<=K} g(x + 2*l*pi*a) * (sin(x/(2a))/(x/(2a)+l*pi))^2, 1-D."""
     ls = np.arange(-K, K + 1)
     args = x[:, None] + 2.0 * math.pi * a * ls[None, :]
     vals = g.evaluate(args.reshape(-1, 1)).reshape(args.shape)
-    w = np.sinc(x[:, None] / (2.0 * a * math.pi) + ls[None, :]) ** 2
-    return (vals * w).sum(axis=1)
+    return (vals * _window(a, x, K)).sum(axis=1)
+
+
+def _periodized_phases(f: BandLimitedFunction, a: float,
+                       K: int) -> Callable:
+    """The per-axis matrices A_j(x, xi) of the periodized weight transform f,
+    as ``transform_at_points`` and ``transform_on_axes`` take them."""
+    shifts = 2.0 * math.pi * a * np.arange(-K, K + 1)
+    phases = [np.exp(1j * np.multiply.outer(shifts, n)) for n in f.nodes]
+
+    def axis_matrix(j: int, x: np.ndarray) -> np.ndarray:
+        return (np.exp(1j * np.multiply.outer(x, f.nodes[j])) *
+                (_window(a, x, K) @ phases[j]))
+    return axis_matrix
 
 
 def levitan_evaluate(f: BandLimitedFunction, a: float, x,
@@ -150,58 +169,22 @@ def levitan_evaluate(f: BandLimitedFunction, a: float, x,
         return fold_terms(f.terms, lambda g, j: _axis_sum(g, a, x[:, j], K))
     if f.m == 1:
         return _axis_sum(f, a, x[:, 0], K)
-
-    rng = np.arange(-K, K + 1)
-    grids = np.meshgrid(*([rng] * f.m), indexing="ij")
-    ks = np.stack([g.ravel() for g in grids], axis=-1).astype(float)
-    out = np.zeros(x.shape[0], dtype=complex)
-    chunk = max(1, 2 ** 22 // max(1, x.shape[0]))
-    for i in range(0, ks.shape[0], chunk):
-        kc = ks[i:i + chunk]
-        args = x[:, None, :] + 2.0 * math.pi * a * kc[None, :, :]
-        vals = f.evaluate(args.reshape(-1, f.m)).reshape(args.shape[:2])
-        w = np.prod(
-            np.sinc(x[:, None, :] / (2.0 * a * math.pi) + kc[None, :, :]) ** 2,
-            axis=-1)
-        out += (vals * w).sum(axis=1)
-    return out
+    # one point gives a 0-d transform value; keep the (n,) shape
+    return transform_at_points(f.weights, _periodized_phases(f, a, K),
+                               x).reshape(x.shape[0])
 
 
 def _grid_sum(f: BandLimitedFunction, a: float, axes: list[np.ndarray],
               K: int) -> np.ndarray:
-    """S_a(f, x) on the tensor grid of the per-axis coordinates ``axes``.
-
-    A separable sum sums each atom on its own axis's coordinates and
-    combines the atoms term by term, as ``levitan_evaluate`` does point by
-    point.  Any other f is evaluated once per block of shifts on the
-    tiled axes x_j + 2*l*pi*a; the separable window weights the values and
-    the shifts are summed out.  Blocks of shifts keep each tiled grid within
-    2**22 points unless the grid alone is larger.
-    """
+    """S_a(f, x) on the tensor grid of the per-axis coordinates ``axes``,
+    summed as ``levitan_evaluate`` sums point by point."""
     m = len(axes)
     if f.terms is not None:
         return fold_terms(f.terms, lambda g, j: _axis_sum(
             g, a, axes[j], K).reshape((-1,) + (1,) * (m - 1 - j)))
     if m == 1:
         return _axis_sum(f, a, axes[0], K)
-
-    ls = np.arange(-K, K + 1)
-    width = max(1, int((2 ** 22 / math.prod(map(len, axes))) ** (1.0 / m)))
-    blocks = [ls[i:i + width] for i in range(0, ls.size, width)]
-    out = np.zeros([len(x) for x in axes], dtype=complex)
-    for block in itertools.product(blocks, repeat=m):
-        tiles = [x[:, None] + 2.0 * math.pi * a * lb[None, :]
-                 for x, lb in zip(axes, block)]
-        vals = f.eval_axes([t.ravel() for t in tiles])
-        # (x_1, l_1, ..., x_m, l_m): each tile's shifts follow its axis
-        vals = vals.reshape([n for t in tiles for n in t.shape])
-        for j, (x, lb) in enumerate(zip(axes, block)):
-            shape = [1] * (2 * m)
-            shape[2 * j:2 * j + 2] = (len(x), len(lb))
-            vals *= (np.sinc(x[:, None] / (2.0 * a * math.pi) +
-                             lb[None, :]) ** 2).reshape(shape)
-        out += vals.sum(axis=tuple(range(1, 2 * m, 2)))
-    return out
+    return transform_on_axes(f.weights, _periodized_phases(f, a, K), axes)
 
 
 # ---------------------------------------------------------------------------
@@ -243,9 +226,7 @@ def levitan_coefficients(f: BandLimitedFunction, a: float,
     c = f.spectral_body.ell1_over_dual()
     enlarged = f.spectral_body.scaled(a + c)
     spectrum = enlarged.lattice_points(1.0).as_array()
-    degs = [int(math.floor((a + c) * s * (1 + 1e-12))) for s in
-            f.spectral_body.sigma]
-    shape = default_grid(degs, oversample)
+    shape = default_grid(np.abs(spectrum).max(axis=0), oversample)
 
     axes = [(-math.pi + 2.0 * math.pi * np.arange(L) / L) for L in shape]
     # the grid's largest |a*x| is a*pi, the plan's default

@@ -1,8 +1,11 @@
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from bnsharp import constants
 from bnsharp.bandlimited import akhiezer_family, cs_extremal, tensor_product
 from bnsharp.body import ConvexBody, parse_body
 from bnsharp.constants import (OptimizerConfig, _Objective, _TEMP_LADDER,
@@ -495,6 +498,32 @@ def test_optimizer_concurrent_restarts_deterministic(monkeypatch):
         threaded = optimize_full(p, math.inf, op, 2.0, seg, cfg)
         assert serial.estimate.value == threaded.estimate.value  # bitwise
         assert serial.ascent_stops == threaded.ascent_stops
+
+
+def test_threaded_restarts_score_one_at_a_time(monkeypatch):
+    # the certificate grid is the run's largest array, so at most one
+    # restart thread may hold its synthesis at a time
+    scoring = constants._final_value
+    lock = threading.Lock()
+    active, peak = [0], [0]
+
+    def counted(*args):
+        with lock:
+            active[0] += 1
+            peak[0] = max(peak[0], active[0])
+        time.sleep(0.01)
+        try:
+            return scoring(*args)
+        finally:
+            with lock:
+                active[0] -= 1
+
+    monkeypatch.setattr(constants, "_final_value", counted)
+    monkeypatch.setenv("BNSHARP_WORKERS", "3")
+    cfg = OptimizerConfig(restarts=3, iterations=20, seed=4)
+    optimize_full(math.inf, math.inf, DifferentialOperator.monomial((1,)),
+                  2.0, ConvexBody.cube(1.0, 1), cfg)
+    assert peak[0] == 1
 
 
 def test_candidate_akhiezer_tensor_approaches_exact():

@@ -67,10 +67,11 @@ def test_coefficients_spectrum_and_consistency():
     assert np.abs(direct - synth).max() < 5e-9
 
 
-def _loop_coefficients(f, a, eps, oversample):
+def _loop_coefficients(f, a, eps, oversample, evaluate=levitan_evaluate):
     """Reference: walk every FFT index in grid order, sign it, and keep it
     when it lies in the enlarged spectrum (the loop levitan_coefficients
-    vectorizes)."""
+    vectorizes).  The samples come from ``evaluate``, a pointwise lattice
+    sum."""
     c = f.spectral_body.ell1_over_dual()
     spectrum = set(f.spectral_body.scaled(a + c).lattice_points(1.0))
     degs = [int(math.floor((a + c) * s * (1 + 1e-12)))
@@ -79,7 +80,7 @@ def _loop_coefficients(f, a, eps, oversample):
     axes = [(-math.pi + 2.0 * math.pi * np.arange(L) / L) for L in shape]
     grids = np.meshgrid(*axes, indexing="ij")
     pts = a * np.stack([g.ravel() for g in grids], axis=-1)
-    samples = levitan_evaluate(f, a, pts, eps=eps).reshape(shape)
+    samples = evaluate(f, a, pts, eps=eps).reshape(shape)
     spec = np.fft.fftn(samples) / math.prod(shape)
     coeffs = {}
     out_max = 0.0
@@ -112,8 +113,9 @@ def test_coefficients_equal_grid_loop(f, a, oversample):
         np.float64(out_max).tobytes()
 
 
-def _assert_close_to_grid_loop(res, f, a, eps, oversample, tol):
-    coeffs, out_max = _loop_coefficients(f, a, eps, oversample)
+def _assert_close_to_grid_loop(res, f, a, eps, oversample, tol,
+                               evaluate=levitan_evaluate):
+    coeffs, out_max = _loop_coefficients(f, a, eps, oversample, evaluate)
     got = res.polynomial.coefficients
     assert list(got) == list(coeffs)            # same insertion order
     diff = np.array(list(got.values())) - np.array(list(coeffs.values()))
@@ -123,9 +125,9 @@ def _assert_close_to_grid_loop(res, f, a, eps, oversample, tol):
 
 @pytest.mark.parametrize("a", [1.0, 2.0])
 def test_coefficients_match_grid_loop_on_the_disk(a):
-    # the disk's extremal has no tensor factors: its samples come from one
-    # tensor-grid evaluation of the tiled axes, summed in another order
-    # than the pointwise lattice sum, so they agree to rounding only
+    # the disk's extremal is a weight transform: its samples contract the
+    # weights with per-axis matrices on the tensor grid, in another order
+    # than the pointwise sum, so they agree to rounding only
     f = cs_extremal(ConvexBody.ball(1.0, 2), DifferentialOperator.identity(2),
                     nodes_per_axis=64)
     eps = 1e-2
@@ -137,20 +139,68 @@ def test_coefficients_match_grid_loop_on_the_disk(a):
     assert np.abs(direct - synth).max() < eps
 
 
-def test_blocked_generic_sum_matches_grid_loop():
-    # the generic window at eps = 2e-5 plans K = 128, so its tiled grid of
-    # (14 * 257)^2 points spans several 2**22-point blocks
-    tens = sinc_sq_half_kernel(2)
-    C = (1.0 + 2.0 * math.sqrt(2)) ** 2
-    generic = BandLimitedFunction(
-        m=2, evaluate=tens.evaluate, spectral_body=tens.spectral_body,
-        sup_bound=1.0, decay=DecayModel.make_radial(C, 2.0),
-        label="window-generic")
-    a, eps = 2.0, 2e-5
-    K, _ = plan_truncation(generic, a, eps)
-    assert (14 * (2 * K + 1)) ** 2 > 2 * 2 ** 22
-    res = levitan_coefficients(generic, a, eps=eps)
-    _assert_close_to_grid_loop(res, generic, a, eps, 2, 1e-13)
+def _tiled_evaluate(f, a, x, eps):
+    """Reference: the box lattice sum over every shift k with |k|_inf <= K,
+    f evaluated at x + 2*pi*a*k and weighted by the product window, point
+    by point and block by block of shifts."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    K, _ = plan_truncation(f, a, eps,
+                           x_inf=max(float(np.abs(x).max()), a * math.pi))
+    rng = np.arange(-K, K + 1)
+    grids = np.meshgrid(*([rng] * f.m), indexing="ij")
+    ks = np.stack([g.ravel() for g in grids], axis=-1).astype(float)
+    out = np.zeros(x.shape[0], dtype=complex)
+    chunk = max(1, 2 ** 20 // x.shape[0])
+    for i in range(0, ks.shape[0], chunk):
+        kc = ks[i:i + chunk]
+        args = x[:, None, :] + 2.0 * math.pi * a * kc[None, :, :]
+        vals = f.evaluate(args.reshape(-1, f.m)).reshape(args.shape[:2])
+        w = np.prod(
+            np.sinc(x[:, None, :] / (2.0 * a * math.pi) + kc[None, :, :]) ** 2,
+            axis=-1)
+        out += (vals * w).sum(axis=1)
+    return out
+
+
+def test_bare_multivariate_function_is_rejected():
+    # a multivariate function is a separable sum or a weight transform;
+    # only a univariate one may be a bare evaluator
+    w = sinc_sq_half_kernel(2)
+    with pytest.raises(ValueError, match="separable sum or a weight"):
+        BandLimitedFunction(
+            m=2, evaluate=w.evaluate, spectral_body=w.spectral_body,
+            sup_bound=1.0, decay=DecayModel.make_radial(1.0, 2.0),
+            label="bare")
+
+
+@pytest.mark.parametrize("a", [1.0, 2.0])
+def test_transform_sums_match_tiled_lattice_sum(a):
+    # the per-axis sums of a weight transform against the box lattice sum
+    # over the tiled shifts, pointwise and through the coefficients
+    f = cs_extremal(ConvexBody.ball(1.0, 2), DifferentialOperator.identity(2),
+                    nodes_per_axis=64)
+    eps = 1e-2
+    xs = np.random.default_rng(3).uniform(-a * math.pi, a * math.pi,
+                                          size=(5, 2))
+    got = levitan_evaluate(f, a, xs, eps=eps)
+    assert np.abs(got - _tiled_evaluate(f, a, xs, eps)).max() <= 1e-14
+    assert levitan_evaluate(f, a, xs[0], eps=eps).shape == (1,)
+    res = levitan_coefficients(f, a, eps=eps)
+    _assert_close_to_grid_loop(res, f, a, eps, 2, 1e-14, _tiled_evaluate)
+
+
+def test_disk_periodizes_at_tight_tolerance():
+    # the disk's extremal on its default node grid at a = 1, eps = 1e-4
+    # plans K = 1024 shifts per axis
+    f = cs_extremal(ConvexBody.ball(1.0, 2), DifferentialOperator.identity(2))
+    eps = 1e-4
+    res = levitan_coefficients(f, 1.0, eps=eps)
+    assert res.truncation_K == 1024
+    assert res.out_of_spectrum <= eps
+    ys = np.random.default_rng(11).uniform(-math.pi, math.pi, size=(6, 2))
+    direct = res.evaluate(ys)
+    synth = res.polynomial.evaluate_points(ys)
+    assert np.abs(direct - synth).max() < eps
 
 
 def test_real_input_gives_hermitian_coefficients():
@@ -180,31 +230,6 @@ def test_scaled_tensor_product_keeps_its_scale():
     neg = levitan_coefficients(separable_sum([(-1.0, (w, w))]),
                                2.0).polynomial.coefficients
     assert neg == {k: -v for k, v in r.items()}
-
-
-def test_generic_box_sum_matches_tensor_path():
-    tens = sinc_sq_half_kernel(2)
-    # the same function presented without tensor structure exercises the
-    # generic multivariate lattice sum
-    m = 2
-    C = (1.0 + 2.0 * math.sqrt(m)) ** 2
-    generic = BandLimitedFunction(
-        m=m, evaluate=tens.evaluate, spectral_body=tens.spectral_body,
-        sup_bound=1.0, decay=DecayModel.make_radial(C, 2.0),
-        label="window-generic")
-    generic.verify_decay()
-    xs = np.array([[0.4, -0.9], [2.0, 1.0], [-3.0, 0.2]])
-    a = 2.0
-    v1 = levitan_evaluate(tens, a, xs, eps=1e-8)
-    v2 = levitan_evaluate(generic, a, xs, eps=1e-4)
-    assert np.abs(v1 - v2).max() < 2e-4
-
-    r1 = levitan_coefficients(tens, a, eps=1e-8)
-    r2 = levitan_coefficients(generic, a, eps=1e-4)
-    for k in r1.polynomial.coefficients:
-        a1 = r1.polynomial.coefficients[k]
-        a2 = r2.polynomial.coefficients.get(k, 0j)
-        assert abs(a1 - a2) < 5e-4
 
 
 def test_pointwise_bound_one_sixth():
