@@ -14,6 +14,7 @@ agree by construction.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -64,6 +65,38 @@ class LatticeSet:
     def as_array(self) -> np.ndarray:
         """Points as a read-only (n, m) int64 array in enumeration order."""
         return self._array
+
+    def orbits(self, values=None) -> tuple[np.ndarray, np.ndarray, int]:
+        """Orbits of the points under the set's signed-permutation symmetries.
+
+        A signed permutation k -> (s_j k_{pi(j)})_j is a symmetry when it
+        maps the set onto itself and, if ``values`` (one per point) is given,
+        leaves every value unchanged up to 1e-12 of the largest, which
+        absorbs the rounding of values summed in another order.  The
+        symmetries form a group G.  Returns each point's orbit index (orbits
+        numbered by their first point), each orbit's size, and |G|.
+        """
+        arr, n = self._array, len(self._array)
+        vals = None if values is None else np.asarray(values)
+        tol = 0.0 if vals is None else 1e-12 * float(np.abs(vals).max(initial=0))
+        # images[g, i]: the position of g(k_i); the set is sorted, so g maps
+        # it onto itself exactly when its sorted image equals it
+        images = []
+        for perm in itertools.permutations(range(self.m)):
+            for signs in itertools.product((1, -1), repeat=self.m):
+                img = arr[:, perm] * np.array(signs)
+                order = np.lexsort(img.T[::-1])
+                if not np.array_equal(img[order], arr):
+                    continue
+                where = np.empty(n, dtype=np.int64)
+                where[order] = np.arange(n)
+                if vals is None or np.abs(vals[where] - vals).max(
+                        initial=0.0) <= tol:
+                    images.append(where)
+        first = np.min(images, axis=0)
+        _, index = np.unique(first, return_inverse=True)
+        index = index.reshape(n)
+        return index, np.bincount(index), len(images)
 
 
 @dataclass(frozen=True)

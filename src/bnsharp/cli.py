@@ -155,7 +155,6 @@ class ExperimentConfig:
     iterations: int = 400
     oversample: int = 4
     seed: int = 0
-    real_coefficients: bool = False
     p_list: str = "0.5,1,2,inf"
     eps: float = 1e-8
     out: str = "results.csv"
@@ -165,12 +164,7 @@ class ExperimentConfig:
         for key, value in asdict(self).items():
             if key == "kind":
                 continue
-            flag = "--" + key.replace("_", "-")
-            if isinstance(value, bool):
-                if value:
-                    args.append(flag)
-            else:
-                args.extend([flag, str(value)])
+            args.extend(["--" + key.replace("_", "-"), str(value)])
         return args
 
     def digest(self) -> str:
@@ -192,7 +186,6 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--iterations", type=int, default=400)
     sp.add_argument("--oversample", type=int, default=4)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--real-coefficients", action="store_true")
     sp.add_argument("--p-list", default="0.5,1,2,inf",
                     help="exponent list for levitan-check")
     sp.add_argument("--eps", type=float, default=1e-8,
@@ -234,8 +227,7 @@ def config_from_args(argv: list[str]) -> ExperimentConfig:
         kind=ns.kind, body=ns.body, m=ns.m, operator=ns.operator,
         p=ns.p, q=ns.q, a=ns.a, restarts=ns.restarts,
         iterations=ns.iterations, oversample=ns.oversample, seed=ns.seed,
-        real_coefficients=ns.real_coefficients, p_list=ns.p_list,
-        eps=ns.eps, out=ns.out)
+        p_list=ns.p_list, eps=ns.eps, out=ns.out)
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +294,7 @@ def write_manifest(path: str, config: ExperimentConfig,
 def _opt_config(cfg: ExperimentConfig) -> OptimizerConfig:
     return OptimizerConfig(restarts=cfg.restarts, seed=cfg.seed,
                            iterations=cfg.iterations,
-                           oversample=cfg.oversample,
-                           real_coefficients=cfg.real_coefficients)
+                           oversample=cfg.oversample)
 
 
 def run_constant(cfg: ExperimentConfig) -> tuple[list[str], dict]:
@@ -341,6 +332,7 @@ def run_optimize(cfg: ExperimentConfig) -> tuple[list[str], dict]:
         extra[f"ascent_stops_a={a:g}"] = dict(
             Counter(s.reason for s in out.ascent_stops))
         extra[f"best_rung_a={a:g}"] = list(out.best_rungs)
+        extra[f"unknowns_a={a:g}"] = list(out.unknowns)
     return rows, extra
 
 

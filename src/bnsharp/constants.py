@@ -6,10 +6,12 @@ spectrum in a*V (normalized by a^{-N-m/p+m/q}); the continuum constant E
 does the same over band-limited functions on R^m.  Closed forms exist for
 (p, q) = (2, inf) and (2, 2); everything else is bracketed by upper bounds
 and certified lower bounds from a multistart L-BFGS ascent on the sphere,
-which samples on ``trigpoly.SamplingGrid`` as ``norm_lp`` does.  For
-p = inf the ascent climbs a ladder of soft-max temperatures; each rung's
-iterate is certified, and a restart's ladder stops at the first rung whose
-certified value falls below an earlier rung's.
+which samples on ``trigpoly.SamplingGrid`` as ``norm_lp`` does or, where
+that loses nothing, runs on one real unknown per symmetry orbit and
+samples on ``trigpoly.CosineGrid``.  For p = inf the ascent climbs a
+ladder of soft-max temperatures; each rung's iterate is certified, and a
+restart's ladder stops at the first rung whose certified value falls below
+an earlier rung's.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from scipy.optimize import minimize_scalar, minimize
 from .bandlimited import BandLimitedFunction, derived_function, \
     norm_lp_truncated
 from .body import ConvexBody, exact_floor
-from .trigpoly import DifferentialOperator, SamplingGrid, default_grid
+from .trigpoly import CosineGrid, DifferentialOperator, SamplingGrid, \
+    default_grid
 
 TWO_PI = 2.0 * math.pi
 
@@ -335,7 +338,6 @@ class OptimizerConfig:
     iterations: int = 400
     oversample: int = 4
     gtol: float = 1e-13
-    real_coefficients: bool = False
     warm_starts: tuple = ()           # coefficient maps used as extra starts
 
     def workers(self) -> int:
@@ -402,7 +404,7 @@ def _make_objective(prob: SamplingGrid, d: np.ndarray, p: float, q: float,
     """
     def at(c):
         if math.isinf(q):
-            z = complex(np.dot(d, c))
+            z = np.dot(d, c).item()     # a float for real d and c
             num = abs(z)
             gz = lambda: np.conj(d) * (z / num)
         else:
@@ -423,10 +425,6 @@ def _make_objective(prob: SamplingGrid, d: np.ndarray, p: float, q: float,
         return num / den, lambda: gz() / num - gd() / den
 
     return _Objective(at)
-
-
-def _project_real(c: np.ndarray, neg: np.ndarray) -> np.ndarray:
-    return 0.5 * (c + np.conj(c[neg]))
 
 
 @dataclass(frozen=True)
@@ -473,9 +471,11 @@ def _two_loop(g: np.ndarray, pairs) -> np.ndarray:
     return r
 
 
-def _ascend(obj: _Objective, c0: np.ndarray, cfg: OptimizerConfig,
-            neg: np.ndarray | None) -> tuple[tuple, tuple]:
+def _ascend(obj: _Objective, c0: np.ndarray,
+            cfg: OptimizerConfig) -> tuple[tuple, tuple]:
     """L-BFGS ascent on the unit sphere with a backtracking line search.
+
+    The coefficients may be complex or real; the ascent keeps their type.
 
     The direction is the two-loop recursion over the last ``_LBFGS_MEMORY``
     pairs s = c_{k+1} - c_k, y = g_k - g_{k+1} of tangent gradients g (a pair
@@ -489,14 +489,10 @@ def _ascend(obj: _Objective, c0: np.ndarray, cfg: OptimizerConfig,
     gradient norm) and (reason, steps, evaluations).
     """
     def retract(c):
-        if neg is not None:
-            c = _project_real(c, neg)
         n = np.linalg.norm(c)
         return c / n if n > 0 else c
 
     def tangent(v, c):
-        if neg is not None:
-            v = _project_real(v, neg)
         return v - _rdot(c, v) * c
 
     def search(c, F, d):
@@ -558,6 +554,9 @@ class OptimizerOutcome:
     # per restart, the soft-max temperature of the iterate it reports
     # (None for finite p, which has no ladder)
     best_rungs: tuple[float | None, ...] = ()
+    # (unknowns of the ascent, lattice size, order of the symmetry group);
+    # the group is trivial, order 1, unless the ascent ran on cosine orbits
+    unknowns: tuple[int, int, int] = ()
 
 
 def _certificate_grid(prob: SamplingGrid) -> SamplingGrid:
@@ -583,14 +582,30 @@ def _final_value(grid: SamplingGrid, d, c, p, q, pref):
     return pref * grid.norm(grid.synth(d * c), q) / grid.norm(v, p), 1e-9
 
 
+def _cosine_orbits(p: float, q: float, op: DifferentialOperator,
+                   spectrum, d: np.ndarray):
+    """(orbit index per key, orbit sizes, |G|) when the ascent may run on
+    real cosine coefficients, one per orbit of G, without loss; else None.
+
+    That needs 1 <= p < inf, q = inf, and a real symbol that is even in
+    every coordinate (every term has real coefficient and even exponents),
+    so that G holds every coordinate reflection."""
+    if not (1.0 <= p < math.inf and math.isinf(q)):
+        return None
+    if any(b.imag != 0 or any(c % 2 for c in alpha)
+           for alpha, b in op.terms.items()):
+        return None
+    return spectrum.orbits((d * (-1j) ** op.order).real)
+
+
 def optimize_full(p: float, q: float, op: DifferentialOperator,
                   a: float, body: ConvexBody,
                   config: OptimizerConfig = OptimizerConfig(),
                   ) -> OptimizerOutcome:
     """Multistart L-BFGS ascent on the sphere for the normalized ratio.
 
-    Maximizes over complex coefficients on the unit sphere (the ratio is
-    scale invariant).  q = inf becomes |D T(0)| / ||T||_p by translation
+    Maximizes over coefficients on the unit sphere (the ratio is scale
+    invariant).  q = inf becomes |D T(0)| / ||T||_p by translation
     invariance; p = inf runs a log-sum-exp temperature ladder.  Each rung's
     iterate is re-evaluated unsmoothed (for q = inf on a fine grid, built
     once per call, whose sup-certificate keeps the value a genuine lower
@@ -599,6 +614,31 @@ def optimize_full(p: float, q: float, op: DifferentialOperator,
     between the coarse grid's nodes.  Each restart reports its
     best-certified iterate, the first of equal ones.  p = q = 2 is the exact
     lattice maximum (no iteration).
+
+    Cosine-orbit reduction.  Let 1 <= p < inf, q = inf, and let the symbol
+    be i^N s(k) with s real and even in every coordinate.  Let G be the
+    signed permutations g that map S = aV ∩ Z^m onto itself and keep
+    s(g k) = s(k); G holds every coordinate reflection.  The ascent then
+    runs on one real u_o per G-orbit o, with c_k = u_o / sqrt(|o|) for k in
+    o, so ||c|| = ||u||, and samples on ``CosineGrid``.  This loses
+    nothing, for the grid ratio the ascent maximizes as for the true one:
+
+    - g acts on polynomials by (gT)(x) = T(g^T x), which maps c_k to
+      c_{g^{-1} k}.  D(gT)(0) = sum_k s(k) i^N c_{g^{-1} k} = D T(0) since s
+      is G-invariant, and ||gT||_p = ||T||_p because g^T permutes the
+      uniform grid (its per-axis sizes agree on axes that G swaps, since S
+      has equal degrees there).  So the average A = |G|^{-1} sum_g gT keeps
+      D T(0), and by Minkowski (p >= 1) ||A||_p <= ||T||_p.
+    - Scale A by a unimodular constant so that sum_k s(k) a_k = r > 0, and
+      take B = Re A.  G holds -I, so a_{-k} = a_k and B has the
+      coefficients Re a_k: B is a real G-invariant cosine sum, of the form
+      above.  D B(0) = i^N r because s is real, and |B| <= |A| pointwise
+      gives ||B||_p <= ||A||_p.
+
+    The ratio of the result is therefore at least that of T.  p < 1 breaks
+    Minkowski and finite q breaks the translation to x = 0, so those keep
+    the full complex coefficients, as do symbols that are odd in some
+    coordinate (d/dx) or lack single-axis reflections (d^2/dx dy).
     """
     if not (0 < p <= q):
         raise ValueError("need 0 < p <= q")
@@ -618,19 +658,35 @@ def optimize_full(p: float, q: float, op: DifferentialOperator,
                       notes="ratio maximized exactly over the lattice "
                             "(Parseval); no iteration needed")
         return OptimizerOutcome(est, (est.value,), {kbest: 1.0 + 0j},
-                                best_rungs=(None,))
+                                best_rungs=(None,),
+                                unknowns=(0, len(spectrum), 1))
 
     # soft-max landscapes need a denser grid than integral norms
     oversample = max(config.oversample, 8) if math.isinf(p) \
         else config.oversample
     keys = spectrum.as_array()
-    prob = SamplingGrid(keys, default_grid(np.abs(keys).max(axis=0),
-                                           oversample))
-    d = op.symbol_at_ik(spectrum.as_array().astype(float))
-    neg = None
-    if config.real_coefficients:
-        index = {tuple(k): i for i, k in enumerate(spectrum.as_array())}
-        neg = np.array([index[tuple(-k)] for k in spectrum.as_array()])
+    shape = default_grid(np.abs(keys).max(axis=0), oversample)
+    d = op.symbol_at_ik(keys.astype(float))
+    orbits = _cosine_orbits(p, q, op, spectrum, d)
+    if orbits is None:
+        prob = SamplingGrid(keys, shape)
+        unknowns = (prob.n, prob.n, 1)
+        reduce = expand = lambda c: c
+    else:
+        index, sizes, group = orbits
+        prob = CosineGrid(keys, index, shape)
+        unknowns = (prob.n, len(keys), group)
+        root = np.sqrt(sizes)
+        # D T(0) = i^N sum_o s_o sqrt(|o|) u_o, and i^N drops out of |D T(0)|
+        first = np.unique(index, return_index=True)[1]
+        d = (d[first] * (-1j) ** op.order).real * root
+
+        def reduce(c):
+            """u of the orthogonal projection of c onto the cosine sums."""
+            return np.bincount(index, weights=c.real) / root
+
+        def expand(u):
+            return (u / root)[index]
     # every rung's iterate is scored on this grid; at p = q = inf it is the
     # run's largest, so it is built once
     cert = _certificate_grid(prob) if math.isinf(p) and math.isinf(q) \
@@ -641,19 +697,20 @@ def optimize_full(p: float, q: float, op: DifferentialOperator,
 
     def run_restart(idx: int) -> tuple[tuple, list[AscentStop]]:
         if idx < len(config.warm_starts):
-            c0 = np.array([complex(config.warm_starts[idx].get(tuple(k), 0.0))
-                           for k in spectrum.as_array()])
+            c0 = reduce(np.array([
+                complex(config.warm_starts[idx].get(tuple(k), 0.0))
+                for k in keys]))
             if not np.any(c0):
-                c0 = np.ones(prob.n, dtype=complex)
+                c0 = np.ones(prob.n, dtype=c0.dtype)
         else:
             rng = np.random.default_rng([config.seed, idx])
-            z = rng.standard_normal((prob.n, 2))
-            c0 = (z[:, 0] + 1j * z[:, 1]) / math.sqrt(2.0)
+            z = rng.standard_normal((len(keys), 2))
+            c0 = reduce((z[:, 0] + 1j * z[:, 1]) / math.sqrt(2.0))
         c, stops = c0, []
         best = (-math.inf, 0.0), c0, None      # (value, tol), iterate, rung
         for t in _TEMP_LADDER if math.isinf(p) else (None,):
             obj = _make_objective(prob, d, p, q, temperature=t)
-            (c, value, grad_norm), stop = _ascend(obj, c, config, neg)
+            (c, value, grad_norm), stop = _ascend(obj, c, config)
             with scoring:
                 final = _final_value(cert, d, c, p, q, pref)
             stops.append(AscentStop(idx, t, *stop, value, grad_norm,
@@ -679,16 +736,17 @@ def optimize_full(p: float, q: float, op: DifferentialOperator,
     notes = f"multistart ascent, {n_runs} restarts"
     if value == 0.0 and any(abs(x) != 0 for x in d):
         notes += "; all restarts diverged"
-    if config.real_coefficients:
-        notes += "; real-coefficient (conjugate-symmetric) restriction"
+    if orbits is not None:
+        notes += (f"; cosine-orbit reduction: {unknowns[0]} real unknowns "
+                  f"for {unknowns[1]} frequencies, |G| = {unknowns[2]}")
     est = SharpConstantEstimate(value, "lower-bound-optimizer", p, q,
                                 op.label, body.label, a, tol, notes,
                                 seed=config.seed)
     coeffs = {tuple(int(c) for c in k): complex(v)
-              for k, v in zip(spectrum.as_array(), c_best)}
+              for k, v in zip(keys, expand(c_best))}
     return OptimizerOutcome(est, tuple(f for f, _ in finals), coeffs,
                             tuple(s for _, stops in results for s in stops),
-                            tuple(t for (_, _, t), _ in results))
+                            tuple(t for (_, _, t), _ in results), unknowns)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,9 @@ from .trigpoly import DifferentialOperator, TrigPolynomial, \
     apply_operator, default_grid, norm_lp
 
 K_CAP_1D = 10**7
-K_CAP_BOX = 4000
+#: Cap on the entries (2K + 1) * G_j of a weight transform's shift-phase
+#: matrix on one axis with G_j nodes, which sets its largest K.
+PHASE_CAP = 2**24
 
 
 class TruncationFailure(RuntimeError):
@@ -89,7 +91,10 @@ def plan_truncation(f: BandLimitedFunction, a: float, eps: float,
     if x_inf is None:
         x_inf = a * math.pi
     t = x_inf / (2.0 * math.pi * a)
-    cap = K_CAP_1D if (f.m == 1 or f.terms is not None) else K_CAP_BOX
+    if f.m == 1 or f.terms is not None:
+        cap = K_CAP_1D
+    else:
+        cap = (PHASE_CAP // max(len(n) for n in f.nodes) - 1) // 2
     K = int(math.ceil(2 * t + 3))
     while K <= cap:
         bound = _tail_for(f, a, K, t)

@@ -5,7 +5,9 @@ complex coefficients.  ``evaluate_grid``, ``norm_lp`` and the optimizer all
 sample through ``SamplingGrid``: its zero-padded inverse FFT gives values at
 the uniform nodes of Q_pi exact up to rounding, its rectangle rule is exact
 for even integer exponents on alias-free grids, and its sup gap certifies
-the grid maximum by the Bernstein derivative bound.
+the grid maximum by the Bernstein derivative bound.  ``CosineGrid`` is its
+form for real cosine sums with one coefficient per symmetry orbit, sampled
+on a quarter of the grid.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
+import scipy.fft
 
 from .body import ConvexBody, LatticeSet
 
@@ -311,11 +314,15 @@ class SamplingGrid:
         return self.phase * np.fft.fft(u, axis=0)[self.idx[:1] +
                                                   self.cidx[1:]]
 
+    #: how many grid nodes each sampled value stands for
+    node_weight = 1.0
+
     def norm(self, v: np.ndarray, p: float) -> float:
         """Rectangle-rule L_p(Q_pi) quasi-norm of values v; max for p = inf."""
         if math.isinf(p):
             return float(np.abs(v).max())
-        return float((self.weight * (np.abs(v) ** p).sum()) ** (1.0 / p))
+        return float((self.weight * (self.node_weight * np.abs(v) ** p).sum())
+                     ** (1.0 / p))
 
     def sup_gap(self) -> float:
         """Certified relative gap c/(1-c), c = 0.5*(sum_j pi*deg_j/L_j)^2,
@@ -324,6 +331,67 @@ class SamplingGrid:
         c = 0.5 * sum(math.pi * K / L
                       for K, L in zip(self.degrees, self.shape)) ** 2
         return c / (1.0 - c) if c < 1.0 else math.inf
+
+
+class CosineGrid(SamplingGrid):
+    """Real cosine polynomials with one coefficient per orbit, sampled on
+    a quarter of a uniform grid.
+
+    ``orbit`` gives each key's orbit under a group of signed permutations
+    that contains every coordinate reflection.  The unknowns are one real
+    u_o per orbit o, and the polynomial is
+
+        T(x) = sum_o u_o |o|^{-1/2} sum_{k in o} e^{ik.x},
+
+    so the full coefficient vector has the norm of u.  T is real and even
+    in each coordinate, so its values at the nodes l_j = 0..L_j//2 of each
+    axis, weighted 1 (l_j = 0 or 2 l_j = L_j, the nodes that are their own
+    mirror images) or 2 per axis, give the full grid's L_p sums.  ``synth``
+    is one inverse real FFT per axis, and ``analyze`` its adjoint with the
+    node weights applied: the real part of one forward real FFT per axis.
+    """
+
+    def __init__(self, keys: np.ndarray, orbit: np.ndarray,
+                 shape: tuple[int, ...]):
+        self.m = len(shape)
+        self.keys = np.asarray(keys, dtype=np.int64).reshape(-1, self.m)
+        self.shape = tuple(shape)
+        self.size = int(np.prod(shape))
+        self.degrees = tuple(np.abs(self.keys).max(axis=0, initial=0).tolist())
+        self.weight = float(np.prod([2.0 * math.pi / L for L in shape]))
+        sizes = np.bincount(orbit)
+        self.n = len(sizes)
+        # each key with no negative coordinate stands for its 2^(nonzero
+        # coordinates) mirror images; (-1)^(k_1+..+k_m) puts node 0 at -pi
+        nonneg = (self.keys >= 0).all(axis=1)
+        half = self.keys[nonneg]
+        self.pos = tuple(half.T)
+        self.half_orbit = np.asarray(orbit)[nonneg]
+        self.scale = ((-1.0) ** (half.sum(axis=1) % 2) /
+                      np.sqrt(sizes[self.half_orbit]))
+        self.fold = self.scale * 2.0 ** (half != 0).sum(axis=1)
+        self.half_shape = tuple(K + 1 for K in self.degrees)
+        self.nodes = tuple(L // 2 + 1 for L in shape)
+        per_axis = [np.where((2 * np.arange(H) % L) == 0, 1.0, 2.0)
+                    for H, L in zip(self.nodes, shape)]
+        self.node_weight = math.prod(np.ix_(*per_axis))
+
+    def synth(self, u: np.ndarray) -> np.ndarray:
+        A = np.zeros(self.half_shape)
+        A[self.pos] = u[self.half_orbit] * self.scale
+        for j in range(self.m - 1, -1, -1):
+            A = scipy.fft.irfft(A, n=self.shape[j], axis=j)[
+                (slice(None),) * j + (slice(self.nodes[j]),)]
+        A *= self.size
+        return A
+
+    def analyze(self, v: np.ndarray) -> np.ndarray:
+        B = v * self.node_weight
+        for j in range(self.m):
+            B = scipy.fft.rfft(B, n=self.shape[j], axis=j)[
+                (slice(None),) * j + (slice(self.half_shape[j]),)].real
+        return np.bincount(self.half_orbit, weights=B[self.pos] * self.fold,
+                           minlength=self.n)
 
 
 def _sampled(T: TrigPolynomial, L) -> tuple[SamplingGrid, np.ndarray]:

@@ -195,6 +195,44 @@ def test_lattice_array_read_only_and_membership():
         assert (0,) * (body.m + 1) not in pts
 
 
+@pytest.mark.parametrize("spec, m, a, orbits, group", [
+    ("cube:1", 2, 16.0, 153, 8), ("cube:1", 2, 32.0, 561, 8),
+    ("ball:1", 2, 32.0, 429, 8), ("pi:1,2", 2, 4.0, 45, 4),
+    ("ball:1", 3, 4.0, 16, 48), ("cube:1", 1, 8.0, 9, 2)])
+def test_lattice_orbits_under_signed_permutations(spec, m, a, orbits, group):
+    pts = parse_body(spec, m).lattice_points(a)
+    index, sizes, order = pts.orbits()
+    assert (len(sizes), order) == (orbits, group)
+    assert sizes.sum() == len(pts)
+    assert np.array_equal(np.bincount(index), sizes)
+    arr = pts.as_array()
+    for o in range(len(sizes)):
+        # an orbit shares its sorted absolute coordinates; on pi:1,2 the
+        # axes have different lengths, so no swap joins two of them
+        key = {tuple(sorted(np.abs(k))) if order > 2 ** m else
+               tuple(np.abs(k)) for k in arr[index == o].tolist()}
+        assert len(key) == 1
+    # orbits are numbered by their first point
+    assert index[0] == 0 and np.all(np.diff(np.maximum.accumulate(index))
+                                    <= 1)
+
+
+def test_lattice_orbits_keep_the_given_values():
+    pts = parse_body("cube:1", 2).lattice_points(3.0)
+    k = pts.as_array()
+    # k1 k2 is kept by the swap and by -I, not by a single reflection
+    index, sizes, order = pts.orbits(k[:, 0] * k[:, 1])
+    assert order == 4
+    # Burnside: I fixes 49 points, -I one, k -> (k2, k1) and k -> (-k2, -k1)
+    # seven each
+    assert len(sizes) == (49 + 1 + 7 + 7) // 4
+    assert all(len(set((k[index == o, 0] * k[index == o, 1]).tolist())) == 1
+               for o in range(len(sizes)))
+    # values that tell every point apart leave the trivial group
+    index, sizes, order = pts.orbits(np.arange(len(pts), dtype=float))
+    assert order == 1 and np.array_equal(index, np.arange(len(pts)))
+
+
 def test_aliased_representations_agree():
     cube = ConvexBody.cube(1.5, 2)
     lp_inf = ConvexBody.lp_ellipsoid([1.5, 1.5], math.inf)

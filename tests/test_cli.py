@@ -108,6 +108,9 @@ def test_optimize_manifest_counts_ascent_stops(tmp_path):
     assert sum(results["ascent_stops_a=2"].values()) == 2
     # finite p has no temperature ladder
     assert results["best_rung_a=2"] == [None, None]
+    # the identity at p = 1, q = inf runs on the cosine orbits {0}, {-1, 1}
+    # and {-2, 2} of the group {1, -1}
+    assert results["unknowns_a=2"] == [3, 5, 2]
     assert main(["optimize", "--body", "cube:1", "--m", "1", "--p", "inf",
                  "--q", "inf", "--operator", "1:1,0", "--a", "8",
                  "--restarts", "2", "--iterations", "500", "--seed", "12",
@@ -117,6 +120,8 @@ def test_optimize_manifest_counts_ascent_stops(tmp_path):
     # both ladders peak at t = 316 and stop one rung later
     assert results["best_rung_a=8"] == [_TEMP_LADDER[3]] * 2
     assert sum(results["ascent_stops_a=8"].values()) == 10
+    # p = inf runs on every complex coefficient
+    assert results["unknowns_a=8"] == [17, 17, 1]
 
 
 def test_reproducible_output_modulo_runtime(tmp_path):

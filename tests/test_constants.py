@@ -9,8 +9,8 @@ from bnsharp import constants
 from bnsharp.bandlimited import akhiezer_family, cs_extremal, tensor_product
 from bnsharp.body import ConvexBody, parse_body
 from bnsharp.constants import (OptimizerConfig, _Objective, _TEMP_LADDER,
-                               _ascend, _certificate_grid, _final_value,
-                               _make_objective,
+                               _ascend, _certificate_grid, _cosine_orbits,
+                               _final_value, _make_objective,
                                bernstein_pq,
                                candidate_lower_bound_E,
                                check_order_consistency, closed_e2_inf,
@@ -18,7 +18,8 @@ from bnsharp.constants import (OptimizerConfig, _Objective, _TEMP_LADDER,
                                crude_upper, derived_function, limit_study,
                                monomial_integral, nikolskii_upper,
                                optimize_full, symbol_sq_integral)
-from bnsharp.trigpoly import DifferentialOperator, SamplingGrid, default_grid
+from bnsharp.trigpoly import CosineGrid, DifferentialOperator, SamplingGrid, \
+    default_grid
 
 
 def test_monomial_integral_oracle():
@@ -190,16 +191,98 @@ def test_optimizer_two_two_exact_path():
     assert est.value == closed_p22(body, op, 3.0).value
 
 
-def test_optimizer_real_coefficient_toggle():
-    seg = ConvexBody.cube(1.0, 1)
-    ident = DifferentialOperator.identity(1)
-    cfg = OptimizerConfig(restarts=3, iterations=200, seed=2,
-                          real_coefficients=True)
-    est = optimize_full(2.0, math.inf, ident, 1.0, seg, cfg).estimate
-    # real and complex constants coincide at q = inf
-    assert est.value == pytest.approx(closed_p2_inf(seg, ident, 1.0).value,
-                                      abs=1e-5)
-    assert "conjugate-symmetric" in est.notes
+def test_cosine_orbit_reduction_applies_where_it_is_lossless():
+    sq, seg = ConvexBody.cube(1.0, 2), ConvexBody.cube(1.0, 1)
+    ident = DifferentialOperator.identity(2)
+    lap = DifferentialOperator.laplacian(2)
+    mixed = DifferentialOperator.monomial((1, 1))
+    d1 = DifferentialOperator.monomial((1,))
+
+    def group(p, q, op, body, a):
+        spectrum = body.lattice_points(a)
+        d = op.symbol_at_ik(spectrum.as_array().astype(float))
+        found = _cosine_orbits(p, q, op, spectrum, d)
+        return None if found is None else found[2]
+    assert group(1.0, math.inf, ident, sq, 4.0) == 8
+    assert group(3.0, math.inf, lap, ConvexBody.ball(1.0, 2), 4.0) == 8
+    assert group(1.0, math.inf, lap, ConvexBody.parallelepiped([1, 2]),
+                 4.0) == 4
+    # p = inf, p < 1, finite q, an odd symbol and a symbol without
+    # single-axis reflections keep the full complex path
+    for p, q, op, body in ((math.inf, math.inf, ident, sq),
+                           (0.5, math.inf, ident, sq), (1.0, 2.0, ident, sq),
+                           (1.0, math.inf, d1, seg),
+                           (1.0, math.inf, mixed, sq)):
+        assert group(p, q, op, body, 4.0) is None
+    cfg = OptimizerConfig(restarts=1, iterations=30, seed=1)
+    out = optimize_full(1.0, math.inf, ident, 2.0, sq, cfg)
+    assert out.unknowns == (6, 25, 8)
+    assert "cosine-orbit reduction" in out.estimate.notes
+    # the reported coefficients are the full, real, G-invariant key map
+    assert len(out.best_coefficients) == 25
+    assert all(v.imag == 0 and v == out.best_coefficients[(k[1], -k[0])]
+               for k, v in out.best_coefficients.items())
+    out = optimize_full(1.0, math.inf, mixed, 2.0, sq, cfg)
+    assert out.unknowns == (25, 25, 1)
+    assert "cosine-orbit" not in out.estimate.notes
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_symmetrizing_never_lowers_the_grid_ratio(p):
+    # averaging over G and taking the real part after a phase rotation
+    # keeps D T(0) and does not raise the grid's L_p norm
+    rng = np.random.default_rng(int(p))
+    for spec, a, op in (("ball:1", 5.0, DifferentialOperator.laplacian(2)),
+                        ("cube:1", 3.0, DifferentialOperator.identity(2)),
+                        ("pi:1,2", 2.0, DifferentialOperator.laplacian(2))):
+        spectrum = parse_body(spec, 2).lattice_points(a)
+        d = op.symbol_at_ik(spectrum.as_array().astype(float))
+        index, sizes, _ = _cosine_orbits(p, math.inf, op, spectrum, d)
+        full = _grid(spectrum, 4)
+        cos = CosineGrid(spectrum.as_array(), index, full.shape)
+        s = (d * (-1j) ** op.order).real
+        s_orbit = np.bincount(index, weights=s) / sizes
+        for _ in range(20):
+            z = rng.standard_normal((full.n, 2))
+            c = z[:, 0] + 1j * z[:, 1]
+            before = abs(np.dot(d, c)) / full.norm(full.synth(c), p)
+            c = c * np.conj(np.dot(s, c)) / abs(np.dot(s, c))
+            u = np.bincount(index, weights=c.real) / np.sqrt(sizes)
+            after = abs(np.dot(s_orbit * np.sqrt(sizes), u)) / \
+                cos.norm(cos.synth(u), p)
+            assert after >= before * (1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("p", [1.0, 3.0])
+def test_cosine_objective_gradient_is_the_projected_full_gradient(p):
+    # on u the log-ratio and its gradient are the full path's at the
+    # expanded c_k = u_o / sqrt(|o|), and the gradient projected back
+    spectrum = parse_body("ball:1", 2).lattice_points(6.0)
+    op = DifferentialOperator.laplacian(2)
+    d = op.symbol_at_ik(spectrum.as_array().astype(float))
+    index, sizes, _ = _cosine_orbits(p, math.inf, op, spectrum, d)
+    full = _grid(spectrum, 4)
+    cos = CosineGrid(spectrum.as_array(), index, full.shape)
+    root = np.sqrt(sizes)
+    s = (d * (-1j) ** op.order).real
+    d_orbit = np.bincount(index, weights=s) / sizes * root
+    u = np.random.default_rng(8).standard_normal(cos.n)
+    F, g = _make_objective(cos, d_orbit, p, math.inf, None).value_grad(u)
+    F_full, g_full = _make_objective(full, d, p, math.inf, None).value_grad(
+        ((u / root)[index]).astype(complex))
+    assert F == pytest.approx(F_full, rel=1e-13)
+    assert np.isrealobj(g)
+    want = np.bincount(index, weights=g_full.real) / root
+    assert np.abs(g - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_reduced_two_inf_optimum_is_the_closed_form():
+    disk, lap = ConvexBody.ball(1.0, 2), DifferentialOperator.laplacian(2)
+    out = optimize_full(2.0, math.inf, lap, 4.0, disk,
+                        OptimizerConfig(restarts=2, seed=0))
+    assert out.unknowns[1:] == (49, 8)
+    assert out.estimate.value == pytest.approx(
+        closed_p2_inf(disk, lap, 4.0).value, rel=1e-9)
 
 
 def test_optimizer_validation():
@@ -310,12 +393,12 @@ def test_ladder_stops_once_the_certified_value_falls():
 
 
 def test_optimizer_values_pinned():
-    # bitwise, for the L-BFGS ascent
+    # bitwise, for the L-BFGS ascent; the square runs on cosine orbits
     sq = ConvexBody.cube(1.0, 2)
     cfg = OptimizerConfig(restarts=2, seed=11)
     est = optimize_full(1.0, math.inf, DifferentialOperator.identity(2),
                         16.0, sq, cfg).estimate
-    assert est.value == 0.03303436526595676
+    assert est.value == 0.03297084060566897
     seg = ConvexBody.cube(1.0, 1)
     cfg = OptimizerConfig(restarts=2, iterations=300, seed=3)
     out = optimize_full(1.0, 2.0, DifferentialOperator.monomial((1,)), 8.0,
@@ -386,29 +469,20 @@ def test_ascent_computes_gradients_only_at_accepted_points():
     obj = _make_objective(prob, d, 1.0, math.inf, temperature=None)
     z = np.random.default_rng(0).standard_normal((prob.n, 2))
     _, (reason, steps, evaluations) = _ascend(
-        obj, z[:, 0] + 1j * z[:, 1], OptimizerConfig(iterations=50), None)
+        obj, z[:, 0] + 1j * z[:, 1], OptimizerConfig(iterations=50))
     assert (reason, steps) == ("cap", 50)
     # one gradient at the start and one per accepted step
     assert calls["analyze"] == 51
     assert calls["synth"] == evaluations > 51
 
 
-def _hermitian_with_spectrum(lam, rng, neg):
-    """Q diag(lam) Q^H for a random unitary Q; with ``neg``, Q's columns are
-    conjugate-symmetric (v[neg] = conj(v)), so the top eigenvalue is also
-    the maximum over the conjugate-symmetric sphere."""
+def _hermitian_with_spectrum(lam, rng, real):
+    """Q diag(lam) Q^H for a random unitary Q, real orthogonal if ``real``."""
     n = len(lam)
-    if neg is None:
-        Q, _ = np.linalg.qr(rng.standard_normal((n, n)) +
-                            1j * rng.standard_normal((n, n)))
-    else:
-        # a unitary basis of conjugate-symmetric vectors, rotated at random
-        U = np.zeros((n, n), dtype=complex)
-        for k in range(n // 2):
-            U[[k, n - 1 - k], 2 * k] = 1.0 / math.sqrt(2.0)
-            U[[k, n - 1 - k], 2 * k + 1] = np.array([1j, -1j]) / math.sqrt(2.0)
-        U[n // 2, n - 1] = 1.0
-        Q = U @ np.linalg.qr(rng.standard_normal((n, n)))[0]
+    z = rng.standard_normal((n, n))
+    if not real:
+        z = z + 1j * rng.standard_normal((n, n))
+    Q, _ = np.linalg.qr(z)
     A = (Q * lam) @ Q.conj().T
     return 0.5 * (A + A.conj().T)
 
@@ -419,9 +493,8 @@ def test_ascent_direction_on_rayleigh_quotient(n, real):
     # of the spectrum fills [1, 2.9], where steepest ascent takes over 50
     # steps to reach the tolerance
     rng = np.random.default_rng(1)
-    neg = np.arange(n)[::-1] if real else None
     A = _hermitian_with_spectrum(
-        np.append(np.linspace(1.0, 2.9, n - 1), 3.0), rng, neg)
+        np.append(np.linspace(1.0, 2.9, n - 1), 3.0), rng, real)
     points = []
 
     def at(c):
@@ -430,17 +503,18 @@ def test_ascent_direction_on_rayleigh_quotient(n, real):
         F = float(np.real(np.vdot(c, Ac)))
         return F, lambda: 2.0 * Ac / F     # gradient of log F
     z = rng.standard_normal((n, 2))
+    c0 = z[:, 0] if real else z[:, 0] + 1j * z[:, 1]
     cfg = OptimizerConfig(iterations=400, gtol=1e-5)
     (c, value, grad_norm), (reason, steps, evaluations) = _ascend(
-        _Objective(at), z[:, 0] + 1j * z[:, 1], cfg, neg)
+        _Objective(at), c0, cfg)
     assert reason == "gtol" and grad_norm < cfg.gtol * (1.0 + value)
     assert steps < 0.75 * n
     assert value == pytest.approx(3.0, abs=1e-7)
     assert evaluations == len(points)
     for x in points:
         assert abs(np.linalg.norm(x) - 1.0) < 1e-14
-        if real:
-            assert np.array_equal(x[neg], np.conj(x))
+        # a real start keeps the ascent on the real sphere
+        assert np.isrealobj(x) == real
 
 
 def _log_gradient_mismatch(prob, d, p, q, temperature, rng):

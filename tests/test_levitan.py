@@ -8,7 +8,8 @@ from bnsharp.bandlimited import (BandLimitedFunction, DecayModel,
                                  separable_sum, sinc_sq_half_kernel,
                                  tensor_product)
 from bnsharp.body import ConvexBody
-from bnsharp.levitan import (TruncationFailure, check_norm_contraction,
+from bnsharp.levitan import (PHASE_CAP, TruncationFailure,
+                             check_norm_contraction,
                              check_operator_error, levitan_coefficients,
                              levitan_evaluate, m_a_schedule, plan_truncation)
 from bnsharp.trigpoly import DifferentialOperator
@@ -51,6 +52,18 @@ def test_truncation_plan_certificate():
         levitan_evaluate(f, 2.0, np.array([[0.0]]), eps=-1.0)
     with pytest.raises(ValueError):
         levitan_evaluate(f, 0.5, np.array([[0.0]]))
+
+
+def test_weight_transform_plan_reaches_tight_tolerances():
+    # the cap follows the per-axis phase matrix, (2K + 1) * 474 entries for
+    # the disk's extremal, so K = 4096 and 16384 are in reach
+    f = cs_extremal(ConvexBody.ball(1.0, 2), DifferentialOperator.identity(2))
+    for eps, K_want in ((1e-5, 4096), (1e-6, 16384)):
+        K, bound = plan_truncation(f, 1.0, eps)
+        assert K == K_want and bound <= eps
+        assert (2 * K + 1) * 474 <= PHASE_CAP
+    with pytest.raises(ValueError, match="within K"):
+        plan_truncation(f, 1.0, 1e-7)
 
 
 def test_coefficients_spectrum_and_consistency():

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from bnsharp.body import ConvexBody
-from bnsharp.trigpoly import (AliasingError, DifferentialOperator,
+from bnsharp.body import ConvexBody, parse_body
+from bnsharp.trigpoly import (AliasingError, CosineGrid,
+                              DifferentialOperator, SamplingGrid,
                               TrigPolynomial, apply_operator, default_grid,
                               evaluate_grid, norm_lp, random_polynomial)
 
@@ -200,3 +201,37 @@ def test_serialization_errors():
         TrigPolynomial.from_text("")
     with pytest.raises(ValueError, match="inconsistent"):
         TrigPolynomial.from_text("0 0 1.0 0.0\n0 1.0 0.0")
+
+
+@pytest.mark.parametrize("spec, m, a, shape", [
+    ("cube:1", 1, 8.0, (17,)), ("cube:1", 1, 8.0, (68,)),
+    ("ball:1", 2, 5.0, (23, 23)), ("ball:1", 2, 5.0, (22, 22)),
+    ("pi:1,2", 2, 3.0, (15, 28)), ("ball:1", 3, 3.0, (13, 14, 15))])
+def test_cosine_grid_matches_the_full_grid(spec, m, a, shape):
+    # the cosine grid on orbit unknowns u equals the full grid on the
+    # expanded coefficients c_k = u_o / sqrt(|o|), read at its quarter nodes
+    pts = parse_body(spec, m).lattice_points(a)
+    index, sizes, _ = pts.orbits()
+    cos = CosineGrid(pts.as_array(), index, shape)
+    full = SamplingGrid(pts.as_array(), shape)
+    rng = np.random.default_rng(5)
+    u = rng.standard_normal(cos.n)
+    c = (u / np.sqrt(sizes))[index]
+    assert np.linalg.norm(c) == pytest.approx(np.linalg.norm(u), rel=1e-15)
+    v = cos.synth(u)
+    quarter = tuple(slice(L // 2 + 1) for L in shape)
+    assert v.shape == tuple(L // 2 + 1 for L in shape)
+    values = full.synth(c.astype(complex))
+    assert np.abs(values[quarter] - v).max() <= 1e-13 * np.abs(v).max()
+    for p in (1.0, 3.0, math.inf):
+        assert cos.norm(v, p) == pytest.approx(full.norm(values, p),
+                                               rel=1e-13)
+    # analyze against the full grid's analysis of the mirrored values,
+    # summed over each orbit
+    w = rng.standard_normal(v.shape)
+    mirror = np.ix_(*[np.minimum(np.arange(L), -np.arange(L) % L)
+                      for L in shape])
+    g = full.analyze(w[mirror].astype(complex)).real
+    want = np.bincount(index, weights=g) / np.sqrt(sizes)
+    assert np.abs(cos.analyze(w) - want).max() <= \
+        1e-13 * np.abs(want).max()
