@@ -29,7 +29,7 @@ from .bandlimited import (BandLimitedFunction, DecayModel,
                           weight_transform)
 from .levitan import (LevitanResult, check_norm_contraction,
                       check_operator_error, levitan_coefficients,
-                      levitan_evaluate, m_a_schedule)
+                      levitan_evaluate)
 from .constants import (BernsteinBracket, OptimizerConfig,
                         SharpConstantEstimate, bernstein_pq,
                         candidate_lower_bound_E, check_order_consistency,

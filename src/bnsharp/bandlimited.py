@@ -131,17 +131,18 @@ class BandLimitedFunction:
     """An entire function of exponential type, restricted to R^m.
 
     ``evaluate`` accepts arrays of shape (..., m) and returns complex values
-    of shape (...).  ``partials``, when present, maps a multi-index to an
-    analytic derivative evaluator of the same signature; there is no
-    finite-difference fallback, so ``derivative`` raises KeyError for a
-    function without them.  ``eval_axes`` evaluates on a tensor grid given
+    of shape (...).  ``eval_axes`` evaluates on a tensor grid given
     per-axis 1-D node arrays (exploited by cubature).
 
     A separable sum sets ``terms``, a tuple of (c_r, (g_{r,1}, ..., g_{r,m}))
     with univariate atoms g; a weight transform sets ``weights`` (W on the
     node grid) and ``nodes`` (one 1-D node array per axis).  A function
     built from a bare evaluator sets neither, and must be univariate
-    (ValueError otherwise).
+    (ValueError otherwise).  ``partials``, on a univariate function only
+    (ValueError otherwise), maps a 1-index to an analytic derivative
+    evaluator; there is no finite-difference fallback, so ``derivative``
+    raises KeyError without them.  ``derived_function`` is the one
+    builder of D f.
     """
 
     m: int
@@ -159,6 +160,10 @@ class BandLimitedFunction:
         if self.m >= 2 and self.terms is None and self.weights is None:
             raise ValueError(f"{self.label}: a multivariate function must be "
                              "a separable sum or a weight transform")
+        if self.m >= 2 and self.partials is not None:
+            raise ValueError(f"{self.label}: derived_function, not "
+                             "partials, differentiates a multivariate "
+                             "function")
 
     def __call__(self, x) -> np.ndarray:
         return self.evaluate(np.asarray(x, dtype=float))
@@ -184,14 +189,13 @@ class BandLimitedFunction:
                                      partial(_phases, self.nodes), axes)
         return self.evaluate(np.asarray(axes[0])[:, None])
 
-    def verify_decay(self, radii=None, tolerance: float = 0.10) -> None:
+    def verify_decay(self, tolerance: float = 0.10) -> None:
         """Spot-check |f| <= (1 + tolerance) * envelope on sampled rays."""
-        if radii is None:
-            radii = np.geomspace(0.5, 64.0, 12)
+        radii = np.geomspace(0.5, 64.0, 12)
         dirs = [np.eye(self.m)[j] for j in range(self.m)]
         dirs.append(np.ones(self.m) / math.sqrt(self.m))
         for u in dirs:
-            pts = np.asarray(radii)[:, None] * u[None, :]
+            pts = radii[:, None] * u[None, :]
             vals = np.abs(self.evaluate(pts))
             env = self.decay.envelope(pts)
             if np.any(vals > (1.0 + tolerance) * env):
@@ -217,13 +221,10 @@ def fold_terms(terms: Terms, values: Callable) -> np.ndarray:
     return out
 
 
-def _sum_partial(terms: Terms, alpha: MultiIndex) -> Callable:
-    """The evaluator of D^alpha of a separable sum, atom by atom."""
-    def d_eval(x):
-        x = np.asarray(x, dtype=float)
-        return fold_terms(terms, lambda g, j: g.derivative((alpha[j],))(
-            x[..., j:j + 1]))
-    return d_eval
+def _sum_values(terms: Terms, x) -> np.ndarray:
+    """A separable sum at the points x, atom by atom."""
+    x = np.asarray(x, dtype=float)
+    return fold_terms(terms, lambda g, j: g.evaluate(x[..., j:j + 1]))
 
 
 def separable_sum(terms, body: ConvexBody | None = None,
@@ -258,16 +259,12 @@ def separable_sum(terms, body: ConvexBody | None = None,
                 for (c, _), ds in zip(terms, decays))
         axes = [(C if j == 0 else 1.0, min(ds[j][1] for ds in decays))
                 for j in range(m)]
-    has_partials = all(g.partials is not None
-                       for _, atoms in terms for g in atoms)
     return BandLimitedFunction(
-        m=m, evaluate=_sum_partial(terms, (0,) * m),
+        m=m, evaluate=partial(_sum_values, terms),
         spectral_body=body,
         sup_bound=sum(abs(c) * math.prod(g.sup_bound for g in atoms)
                       for c, atoms in terms),
-        decay=DecayModel.make_product(axes), label=label,
-        partials=partial(_sum_partial, terms) if has_partials else None,
-        terms=terms)
+        decay=DecayModel.make_product(axes), label=label, terms=terms)
 
 
 def tensor_product(factors: Sequence[BandLimitedFunction],
@@ -312,9 +309,6 @@ def weight_transform(weights: np.ndarray, nodes: Sequence[np.ndarray],
     f = BandLimitedFunction(
         m=m, evaluate=evaluate, spectral_body=body, sup_bound=sup,
         decay=DecayModel.make_radial(1.25 * C, d), label=label,
-        partials=lambda beta: partial(transform_at_points, _symbol_weights(
-            weights, nodes, DifferentialOperator.monomial(beta)),
-            partial(_phases, nodes)),
         weights=weights, nodes=nodes)
     f.verify_decay()
     return f
@@ -878,9 +872,8 @@ def _transform_l2(f: BandLimitedFunction, R: float) -> tuple[float, float]:
     return gram, np.finfo(float).eps * bound / gram if gram > 0 else 0.0
 
 
-def norm_lp_truncated(f: BandLimitedFunction, p: float, R: float,
-                      nodes_per_axis: int | None = None,
-                      ) -> RealDomainNormEstimate:
+def norm_lp_truncated(f: BandLimitedFunction, p: float,
+                      R: float) -> RealDomainNormEstimate:
     """L_p(R^m) norm of f, computed over Q_R with an analytic tail bound.
 
     A one-term separable sum factorizes exactly (per-axis 1-D
@@ -896,7 +889,7 @@ def norm_lp_truncated(f: BandLimitedFunction, p: float, R: float,
         raise ValueError("truncation radius must be positive")
 
     if math.isinf(p):
-        return _sup_truncated(f, R, nodes_per_axis)
+        return _sup_truncated(f, R)
 
     tail = f.decay.integral_outside(p, R, f.m)
 
@@ -922,8 +915,8 @@ def norm_lp_truncated(f: BandLimitedFunction, p: float, R: float,
                 vals = vals * w.reshape(shape)
             return float(vals.sum())
 
-    coarse = integral(nodes_per_axis or 8)
-    fine = integral((nodes_per_axis or 8) + 4)
+    coarse = integral(8)
+    fine = integral(12)
     value = fine ** (1.0 / p) if fine > 0 else 0.0
     err = abs(fine - coarse) / fine if fine > 0 else 0.0
     return RealDomainNormEstimate(value, p, R, tail, err / p)
@@ -933,8 +926,7 @@ def _odd(n: int) -> int:
     return n if n % 2 == 1 else n + 1
 
 
-def _sup_truncated(f: BandLimitedFunction, R: float,
-                   nodes_per_axis: int | None) -> RealDomainNormEstimate:
+def _sup_truncated(f: BandLimitedFunction, R: float) -> RealDomainNormEstimate:
     # odd node counts keep the origin on the grid, where the candidate
     # families peak
     sigma = np.asarray(f.spectral_body.sigma)
@@ -945,7 +937,7 @@ def _sup_truncated(f: BandLimitedFunction, R: float,
         (c, atoms), = f.terms
         total, rel = 1.0, 0.0
         for j, g in enumerate(atoms):
-            n = _odd(nodes_per_axis or max(513, int(32 * sigma[j] * R)))
+            n = _odd(max(513, int(32 * sigma[j] * R)))
             x = np.linspace(-R, R, n)
             s = c if j == 0 else 1.0
             mx = float(np.abs(s * g.evaluate(x[:, None])).max())
@@ -955,8 +947,8 @@ def _sup_truncated(f: BandLimitedFunction, R: float,
             rel += cj / (1.0 - cj) * (1.0 + rel)
         return RealDomainNormEstimate(total, math.inf, R,
                                       f.decay.sup_outside(R), rel)
-    n = nodes_per_axis or max(129, int(16 * float(sigma.max()) * R))
-    n = _odd(min(n, int((4 * 10**6) ** (1.0 / f.m)) + 1))
+    n = _odd(min(max(129, int(16 * float(sigma.max()) * R)),
+                 int((4 * 10**6) ** (1.0 / f.m)) + 1))
     axes = [np.linspace(-R, R, n) for _ in range(f.m)]
     mx = float(np.abs(f.eval_axes(axes)).max())
     delta = 2.0 * R / (n - 1)

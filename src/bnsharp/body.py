@@ -230,7 +230,7 @@ class ConvexBody:
 
     # ----- lattice enumeration ------------------------------------------
 
-    def lattice_points(self, a: float, cap: int = LATTICE_CAP) -> LatticeSet:
+    def lattice_points(self, a: float) -> LatticeSet:
         """All k in Z^m with k/a in V, sorted lexicographically.
 
         Boundary points are included (the body is closed).  Membership is
@@ -246,10 +246,10 @@ class ConvexBody:
         else:
             radii = [int(math.floor(a * s * (1.0 + 1e-9))) for s in self.sigma]
         box = math.prod(2 * r + 1 for r in radii)
-        if box > cap:
+        if box > LATTICE_CAP:
             raise OverflowError(
                 f"bounding box of {self.label} at a={a} holds {box} points "
-                f"(cap {cap})")
+                f"(cap {LATTICE_CAP})")
 
         # meshgrid(indexing="ij") over ascending ranges is lexicographic
         grids = np.meshgrid(*[np.arange(-r, r + 1) for r in radii],

@@ -25,7 +25,7 @@ import sys
 import tempfile
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -111,14 +111,24 @@ def parse_exponent(text: str) -> float:
 
 
 def parse_sweep(text: str) -> list[float]:
-    """Either a comma list "4,8,16" or "start:stop:count:spacing"."""
+    """Either a comma list "4,8,16" or "start:stop:count:spacing".
+
+    Every scale must be finite (ValueError otherwise).
+    """
     text = text.strip()
+
+    def finite(t: str) -> float:
+        value = float(t)
+        if not math.isfinite(value):
+            raise ValueError(f"sweep {text!r}: scale {t!r} is not finite")
+        return value
+
     if ":" in text:
         bits = text.split(":")
         if len(bits) != 4:
             raise ValueError(
                 f"sweep {text!r}: expected start:stop:count:lin|geom")
-        start, stop = float(bits[0]), float(bits[1])
+        start, stop = finite(bits[0]), finite(bits[1])
         count = int(bits[2])
         spacing = bits[3].lower()
         if count < 1:
@@ -130,7 +140,7 @@ def parse_sweep(text: str) -> list[float]:
         else:
             raise ValueError(f"unknown spacing {spacing!r}")
         return [float(v) for v in vals]
-    vals = [float(t) for t in text.split(",") if t.strip()]
+    vals = [finite(t) for t in text.split(",") if t.strip()]
     if not vals:
         raise ValueError("empty sweep")
     return vals
@@ -192,7 +202,8 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
                     help="periodization truncation tolerance")
     sp.add_argument("--out", default="results.csv")
     sp.add_argument("--config", default=None,
-                    help="JSON file of flag values (flags still win)")
+                    help="JSON file of flag values, or a run manifest "
+                         "(flags still win)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -218,10 +229,22 @@ def config_from_args(argv: list[str]) -> ExperimentConfig:
     if pre.config:
         with open(pre.config) as fh:
             stored = json.load(fh)
-        cleaned = {k.replace("-", "_"): v for k, v in stored.items()
-                   if k not in ("kind", "config")}
+        if not isinstance(stored, dict):
+            raise ValueError(f"{pre.config}: expected a JSON object")
+        # a run manifest keeps its flag values in its config block
+        if isinstance(stored.get("config"), dict):
+            stored = stored["config"]
+        stored = {k.replace("-", "_"): v for k, v in stored.items()}
+        kind = stored.pop("kind", pre.kind)
+        if kind != pre.kind:
+            raise ValueError(f"{pre.config}: kind {kind!r} is not the "
+                             f"subcommand {pre.kind!r}")
+        unknown = sorted(set(stored) -
+                         {f.name for f in fields(ExperimentConfig)})
+        if unknown:
+            raise ValueError(f"{pre.config}: unknown keys {unknown}")
         for sp in parser._subparsers._group_actions[0].choices.values():
-            sp.set_defaults(**cleaned)
+            sp.set_defaults(**stored)
     ns = parser.parse_args(argv)
     return ExperimentConfig(
         kind=ns.kind, body=ns.body, m=ns.m, operator=ns.operator,
@@ -235,8 +258,6 @@ def config_from_args(argv: list[str]) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 def _fmt_float(x: float) -> str:
-    if x is None:
-        return "limit"
     if math.isinf(x):
         return "inf"
     return repr(float(x))
@@ -348,8 +369,6 @@ def run_converge(cfg: ExperimentConfig) -> tuple[list[str], dict]:
     extra = {}
     if study.reference is not None:
         extra["reference_E"] = study.reference.value
-    if study.extrapolated is not None:
-        extra["extrapolated"] = study.extrapolated
     return rows, extra
 
 
@@ -448,7 +467,8 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         config = config_from_args(argv)
-    except (BodySpecError, OperatorSpecError, ValueError) as exc:
+    except (BodySpecError, OperatorSpecError, ValueError, OSError) as exc:
+        # OSError: the --config file cannot be read
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     return run(config)

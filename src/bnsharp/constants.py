@@ -59,8 +59,8 @@ class SharpConstantEstimate:
     seed: int | None = None
 
 
-def check_order_consistency(estimates: Sequence[SharpConstantEstimate],
-                            slack: float = 0.0) -> None:
+def check_order_consistency(
+        estimates: Sequence[SharpConstantEstimate]) -> None:
     """Assert every lower-bound kind <= every upper-bound kind.
 
     Estimates must share (p, q, operator, body); exact values count on both
@@ -73,7 +73,7 @@ def check_order_consistency(estimates: Sequence[SharpConstantEstimate],
     for lo in lowers:
         for up in uppers:
             budget = (abs(lo.value) * lo.tolerance +
-                      abs(up.value) * up.tolerance + slack)
+                      abs(up.value) * up.tolerance)
             if lo.value > up.value + budget:
                 raise AssertionError(
                     f"lower bound {lo.value} ({lo.kind}) exceeds upper bound "
@@ -157,8 +157,11 @@ def closed_p22(body: ConvexBody, op: DifferentialOperator,
                                  op.label, body.label, a, 1e-14)
 
 
-def closed_e22(body: ConvexBody, op: DifferentialOperator,
-               refine_tol: float = 1e-8) -> SharpConstantEstimate:
+_REFINE_TOL = 1e-8      # closed_e22's boundary-ascent tolerance
+
+
+def closed_e22(body: ConvexBody,
+               op: DifferentialOperator) -> SharpConstantEstimate:
     """Continuum constant at (2, 2): the symbol maximum over the body.
 
     Homogeneity puts the maximum on the boundary; a direction grid plus
@@ -185,13 +188,13 @@ def closed_e22(body: ConvexBody, op: DifferentialOperator,
         try:
             res = minimize_scalar(lambda t: neg_mod_sq([t]),
                                   bracket=(t0 - 0.01, t0, t0 + 0.01),
-                                  options={"xtol": refine_tol})
+                                  options={"xtol": _REFINE_TOL})
         except ValueError:
             # a maximum along a flat edge (boxes) leaves no strict bracket
             res = minimize_scalar(lambda t: neg_mod_sq([t]),
                                   bounds=(t0 - 0.01, t0 + 0.01),
                                   method="bounded",
-                                  options={"xatol": refine_tol})
+                                  options={"xatol": _REFINE_TOL})
         best = -res.fun
     elif m == 3:
         grid = [(t, ph) for t in np.linspace(0.0, math.pi, 61)
@@ -199,7 +202,8 @@ def closed_e22(body: ConvexBody, op: DifferentialOperator,
         vals = [neg_mod_sq(g) for g in grid]
         g0 = grid[int(np.argmin(vals))]
         res = minimize(neg_mod_sq, x0=np.asarray(g0), method="Nelder-Mead",
-                       options={"xatol": refine_tol, "fatol": refine_tol ** 2})
+                       options={"xatol": _REFINE_TOL,
+                                "fatol": _REFINE_TOL ** 2})
         if not res.success and res.fun > min(vals):
             raise RuntimeError("boundary ascent failed to converge")
         best = -min(res.fun, min(vals))
@@ -207,7 +211,7 @@ def closed_e22(body: ConvexBody, op: DifferentialOperator,
         raise ValueError("supported up to dimension 3")
     return SharpConstantEstimate(math.sqrt(best), "exact-closed-form",
                                  2.0, 2.0, op.label, body.label, None,
-                                 refine_tol)
+                                 _REFINE_TOL)
 
 
 def _unit_from_angles(angles, m: int) -> np.ndarray:
@@ -373,30 +377,16 @@ def _lse(prob: SamplingGrid, v: np.ndarray, t: float):
     return val, grad
 
 
-@dataclass(frozen=True)
-class _Objective:
-    """Ratio value and the gradient of its logarithm at coefficients c.
-
-    ``at(c)`` returns the value and a callable for the gradient, so a line
-    search pays for the gradient only at the points it accepts.  Call the
-    gradient at most once: it reuses the value's buffers.  The log-ratio
-    gradient is scale free, which keeps the line search well conditioned
-    across very different magnitudes of numerator and denominator.
-    """
-
-    at: Callable[[np.ndarray], tuple[float, Callable[[], np.ndarray]]]
-
-    def value(self, c: np.ndarray) -> float:
-        return self.at(c)[0]
-
-    def value_grad(self, c: np.ndarray) -> tuple[float, np.ndarray]:
-        F, grad = self.at(c)
-        return F, grad()
-
-
 def _make_objective(prob: SamplingGrid, d: np.ndarray, p: float, q: float,
-                    temperature: float | None) -> _Objective:
+                    temperature: float | None) -> Callable:
     """The ratio ||D T||_q / ||T||_p in coefficient space.
+
+    The result ``at(c)`` returns the ratio at coefficients c and a callable
+    for the gradient of its logarithm, so a line search pays for the
+    gradient only at the points it accepts.  Call the gradient at most
+    once: it reuses the value's buffers.  The log-ratio gradient is scale
+    free, which keeps the line search well conditioned across very
+    different magnitudes of numerator and denominator.
 
     q = inf uses the translation reduction |D T(0)| (linear in c); p = inf
     uses a soft maximum at the given temperature during ascent, and has no
@@ -424,7 +414,7 @@ def _make_objective(prob: SamplingGrid, d: np.ndarray, p: float, q: float,
             return (num / den if den > 0 else 0.0), lambda: np.zeros_like(c)
         return num / den, lambda: gz() / num - gd() / den
 
-    return _Objective(at)
+    return at
 
 
 @dataclass(frozen=True)
@@ -471,7 +461,7 @@ def _two_loop(g: np.ndarray, pairs) -> np.ndarray:
     return r
 
 
-def _ascend(obj: _Objective, c0: np.ndarray,
+def _ascend(at: Callable, c0: np.ndarray,
             cfg: OptimizerConfig) -> tuple[tuple, tuple]:
     """L-BFGS ascent on the unit sphere with a backtracking line search.
 
@@ -500,7 +490,7 @@ def _ascend(obj: _Objective, c0: np.ndarray,
         t = 1.0
         while t > 1e-15:
             cn = retract(c + t * d)
-            Fn, grad = obj.at(cn)
+            Fn, grad = at(cn)
             evals += 1
             if Fn > F * (1.0 + 1e-12):
                 return cn, Fn, grad
@@ -508,7 +498,7 @@ def _ascend(obj: _Objective, c0: np.ndarray,
         return None
 
     c = retract(c0)
-    F, grad = obj.at(c)
+    F, grad = at(c)
     g = tangent(grad(), c)
     pairs = deque(maxlen=_LBFGS_MEMORY)
     steps, evals = 0, 1
@@ -709,8 +699,8 @@ def optimize_full(p: float, q: float, op: DifferentialOperator,
         c, stops = c0, []
         best = (-math.inf, 0.0), c0, None      # (value, tol), iterate, rung
         for t in _TEMP_LADDER if math.isinf(p) else (None,):
-            obj = _make_objective(prob, d, p, q, temperature=t)
-            (c, value, grad_norm), stop = _ascend(obj, c, config)
+            at = _make_objective(prob, d, p, q, temperature=t)
+            (c, value, grad_norm), stop = _ascend(at, c, config)
             with scoring:
                 final = _final_value(cert, d, c, p, q, pref)
             stops.append(AscentStop(idx, t, *stop, value, grad_norm,
@@ -756,19 +746,18 @@ def optimize_full(p: float, q: float, op: DifferentialOperator,
 def candidate_lower_bound_E(f: BandLimitedFunction, p: float, q: float,
                             op: DifferentialOperator,
                             R: float | None = None,
-                            R_num: float | None = None,
                             ) -> SharpConstantEstimate:
     """Lower-bound candidate ||D_N f||_q / ||f||_p for the continuum constant.
 
     Numerator and denominator are truncated real-domain norms with their
     certificates folded into the tolerance.  For q = inf the numerator grid
-    maximum is itself a valid lower estimate.
+    maximum is itself a valid lower estimate, taken over Q_R for R at most
+    64.
     """
     if R is None:
         R = 64.0 * f.spectral_body.diameter()
-    if R_num is None:
-        R_num = R if not math.isinf(q) else min(R, 64.0)
-    num = norm_lp_truncated(derived_function(f, op), q, R_num)
+    num = norm_lp_truncated(derived_function(f, op), q,
+                            min(R, 64.0) if math.isinf(q) else R)
     den = norm_lp_truncated(f, p, R)
     if den.value == 0:
         raise ValueError("zero candidate")
@@ -792,7 +781,6 @@ def candidate_lower_bound_E(f: BandLimitedFunction, p: float, q: float,
 class LimitStudy:
     rows: tuple[SharpConstantEstimate, ...]
     reference: SharpConstantEstimate | None
-    extrapolated: float | None
     runtime_ms: tuple[float, ...]          # wall time of each row
 
 
@@ -801,7 +789,11 @@ def limit_study(p: float, q: float, op: DifferentialOperator,
                 config: OptimizerConfig = OptimizerConfig(),
                 chain_warm_start: bool = True) -> LimitStudy:
     """Periodic constants along an increasing scale sweep, with the continuum
-    reference where a closed form exists and an Aitken-extrapolated limit."""
+    reference where a closed form exists.
+
+    The paper proves E <= liminf P, with equality at q = inf.  That is the
+    reason for the sweep; the rows and the reference are all it reports.
+    """
     a_list = [float(a) for a in a_list]
     if any(b <= a for a, b in zip(a_list, a_list[1:])):
         raise ValueError("scale sweep must be strictly increasing")
@@ -829,13 +821,4 @@ def limit_study(p: float, q: float, op: DifferentialOperator,
                 reference = bernstein_pq(body, alpha, a_list[-1], q).continuum
             except ValueError:
                 pass    # a * sigma_j < 1 on a differentiated axis
-    extrapolated = None
-    if len(rows) >= 3:
-        x0, x1, x2 = (r.value for r in rows[-3:])
-        denom = (x2 - x1) - (x1 - x0)
-        if abs(denom) > 1e-15 * max(1.0, abs(x2)):
-            extrapolated = x2 - (x2 - x1) ** 2 / denom
-        else:
-            extrapolated = x2
-    return LimitStudy(tuple(rows), reference, extrapolated,
-                      tuple(runtime_ms))
+    return LimitStudy(tuple(rows), reference, tuple(runtime_ms))

@@ -286,16 +286,15 @@ class ContractionReport:
 
 
 def check_norm_contraction(f: BandLimitedFunction, a: float, p: float,
-                           eps: float = 1e-8, R: float | None = None,
-                           oversample: int = 4) -> ContractionReport:
+                           eps: float = 1e-8) -> ContractionReport:
     """Report the slack in the periodization norm contraction.
 
-    The right-hand side uses the truncated real-domain norm with its tail
-    certificate; a non-integrable tail makes the inequality vacuously true
-    and is reported as infinite slack.
+    The right-hand side uses the truncated real-domain norm over Q_R, R =
+    max(64 diam, 4 a pi), with its tail certificate; a non-integrable tail
+    makes the inequality vacuously true and is reported as infinite slack.
     """
     res = levitan_coefficients(f, a, eps=eps)
-    est = norm_lp(res.polynomial, p, oversample=oversample)
+    est = norm_lp(res.polynomial, p)
     if math.isinf(p):
         lhs = est.value
         lhs_unc = est.value * est.error_bound + eps
@@ -304,8 +303,7 @@ def check_norm_contraction(f: BandLimitedFunction, a: float, p: float,
         err = est.error_bound if math.isfinite(est.error_bound) else 0.0
         lhs_unc = lhs * err + eps * (2.0 * math.pi * a) ** (f.m / p)
 
-    if R is None:
-        R = max(64.0 * f.spectral_body.diameter(), 4.0 * a * math.pi)
+    R = max(64.0 * f.spectral_body.diameter(), 4.0 * a * math.pi)
     try:
         rhs = norm_lp_truncated(f, p, R)
     except NonIntegrableTailError:
@@ -349,24 +347,3 @@ def check_operator_error(f: BandLimitedFunction, a: float,
     return OperatorErrorReport(a=a, A=float(coef[0]), B=float(coef[1]),
                                max_error=float(errs.max()), errors=errs,
                                xs=xs)
-
-
-def m_a_schedule(a: float, q: float, N: int, m: int, delta: float) -> float:
-    """Growing sub-cube edge min(a^delta, a*pi) for the limit experiments.
-
-    delta must lie strictly inside (0, eps_limit) where eps_limit is
-    2q/(2q+m) for order zero and min(q/m, 2q/(2q+m)) otherwise (1 at
-    q = inf).
-    """
-    if a < 1:
-        raise ValueError("scale a must be >= 1")
-    if math.isinf(q):
-        eps_limit = 1.0
-    else:
-        eps_limit = 2.0 * q / (2.0 * q + m)
-        if N >= 1:
-            eps_limit = min(q / m, eps_limit)
-    if not (0.0 < delta < eps_limit):
-        raise ValueError(
-            f"delta={delta} outside the open interval (0, {eps_limit})")
-    return min(a ** delta, a * math.pi)

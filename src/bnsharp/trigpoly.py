@@ -209,33 +209,6 @@ class TrigPolynomial:
 
     # ----- serialization ----------------------------------------------------
 
-    def to_text(self) -> str:
-        lines = []
-        for k in sorted(self.coefficients):
-            v = self.coefficients[k]
-            lines.append(" ".join(str(c) for c in k) + f" {v.real!r} {v.imag!r}")
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    @staticmethod
-    def from_text(text: str) -> "TrigPolynomial":
-        coeffs = {}
-        m = None
-        for ln, raw in enumerate(text.splitlines()):
-            if not raw.strip():
-                continue
-            toks = raw.split()
-            if len(toks) < 3:
-                raise ValueError(f"line {ln}: expected 'k_1 .. k_m re im'")
-            if m is None:
-                m = len(toks) - 2
-            if len(toks) != m + 2:
-                raise ValueError(f"line {ln}: inconsistent dimension")
-            k = tuple(int(t) for t in toks[:m])
-            coeffs[k] = complex(float(toks[m]), float(toks[m + 1]))
-        if m is None:
-            raise ValueError("empty polynomial file")
-        return TrigPolynomial(m, coeffs)
-
     def to_json(self) -> str:
         rows = [[*k, self.coefficients[k].real, self.coefficients[k].imag]
                 for k in sorted(self.coefficients)]
@@ -246,7 +219,10 @@ class TrigPolynomial:
         obj = json.loads(text)
         m = int(obj["m"])
         coeffs = {}
-        for row in obj["coefficients"]:
+        for i, row in enumerate(obj["coefficients"]):
+            if len(row) != m + 2:
+                raise ValueError(f"row {i}: expected k_1 .. k_m, re, im "
+                                 f"({m + 2} fields), got {len(row)}")
             coeffs[tuple(int(c) for c in row[:m])] = complex(row[m], row[m + 1])
         return TrigPolynomial(m, coeffs)
 

@@ -45,8 +45,10 @@ def test_sinc_partials_match_closed_forms():
     assert np.abs(w.derivative((1,))(y[:, None]) - ref).max() < 1e-14
     assert w.derivative((2,))(np.zeros((1, 1)))[0].real == \
         pytest.approx(-1.0 / 6.0, rel=1e-14)
-    assert sinc_sq_half_kernel(2).partials is not None
-    assert sinc_kernel(2).partials is not None
+    # a tensor kernel keeps its partials on its univariate atoms
+    for kernel in (sinc_kernel, sinc_sq_half_kernel):
+        assert all(g.partials is not None
+                   for _, atoms in kernel(2).terms for g in atoms)
 
 
 def test_poisson_window_sum_converges_to_one():
@@ -335,7 +337,8 @@ def test_indicator_transform_matches_dense_phase_sum(body, op, budget, G,
     rows = np.r_[0:20, 2611:2631]
     rows = rows[rows < n_points]
     for alpha in ((0,) * body.m, beta):
-        got = f.derivative(alpha)(x)[rows]
+        got = derived_function(f, DifferentialOperator.monomial(alpha)
+                               ).evaluate(x)[rows]
         ref = dense_indicator_transform(body, op, G, alpha, x[rows])
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
     assert f.evaluate(x[0]).shape == ()
@@ -360,13 +363,17 @@ def test_indicator_transform_matches_dense_phase_sum(body, op, budget, G,
 ])
 def test_derived_separable_sum_matches_its_partials(body, m, spec):
     # D f of a separable sum is again one, term by term: it equals
-    # sum_alpha b_alpha D^alpha f and its folded envelope covers every ray
+    # sum_alpha b_alpha D^alpha f, here the phase sums of the 32-node
+    # Gauss-Legendre rule on the box (exact to rounding for |x_j| <= 10),
+    # and its folded envelope covers every ray
     op = operator_parse(spec, m)
-    f = cs_extremal(parse_body(body, m), op)
+    box = parse_body(body, m)
+    f = cs_extremal(box, op)
     g = derived_function(f, op)
     assert g.terms is not None
     x = np.random.default_rng(17).uniform(-10.0, 10.0, size=(200, m))
-    ref = sum(b * f.derivative(alpha)(x) for alpha, b in op.terms.items())
+    ref = sum(b * dense_indicator_transform(box, op, (32,) * m, alpha, x)
+              for alpha, b in op.terms.items())
     assert np.abs(g.evaluate(x) - ref).max() <= 1e-13 * np.abs(ref).max()
     g.verify_decay(tolerance=0.0)
 

@@ -81,6 +81,8 @@ def test_converge_csv_and_manifest(tmp_path):
     assert manifest["config_sha256"]
     assert manifest["results"]["reference_E"] == \
         pytest.approx(1 / math.sqrt(math.pi))
+    # the rows and the exact reference are all a sweep reports
+    assert set(manifest["results"]) == {"reference_E"}
 
 
 def test_converge_rows_equal_optimize_rows(tmp_path):
@@ -225,6 +227,27 @@ def test_config_file_defaults(tmp_path):
     assert len(rows) == 3  # header + 2 sweep points
 
 
+def test_manifest_replays_its_run(tmp_path):
+    first, again = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["converge", "--body", "cube:1", "--m", "1", "--p", "2",
+                 "--q", "inf", "--a", "2,4", "--out", str(first)]) == 0
+    manifest = tmp_path / "a.csv.manifest.json"
+    assert main(["converge", "--config", str(manifest),
+                 "--out", str(again)]) == 0
+    strip = lambda p: [r[:-1] for r in read_rows(p)]
+    assert len(strip(again)) == 3
+    assert strip(again) == strip(first)
+    # a misspelt key, a run of another subcommand, or a missing file is a
+    # usage error
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"body": "cube:1", "restart": 2}))
+    assert main(["converge", "--config", str(bad), "--out", str(again)]) == 2
+    assert main(["optimize", "--config", str(manifest),
+                 "--out", str(again)]) == 2
+    assert main(["converge", "--config", str(tmp_path / "none.json"),
+                 "--out", str(again)]) == 2
+
+
 def test_usage_errors_exit_two(tmp_path):
     out = tmp_path / "x.csv"
     assert main(["converge", "--body", "egg:1", "--m", "1",
@@ -236,6 +259,10 @@ def test_usage_errors_exit_two(tmp_path):
     # a converge sweep must increase
     assert main(["converge", "--body", "cube:1", "--m", "1", "--p", "2",
                  "--q", "inf", "--a", "8,4", "--out", str(out)]) == 2
+    # and every scale must be finite
+    for sweep in ("inf", "1:inf:3:geom"):
+        assert main(["converge", "--body", "cube:1", "--m", "1", "--p", "2",
+                     "--q", "inf", "--a", sweep, "--out", str(out)]) == 2
     assert not out.exists()
 
 

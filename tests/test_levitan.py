@@ -11,7 +11,7 @@ from bnsharp.body import ConvexBody
 from bnsharp.levitan import (PHASE_CAP, TruncationFailure,
                              check_norm_contraction,
                              check_operator_error, levitan_coefficients,
-                             levitan_evaluate, m_a_schedule, plan_truncation)
+                             levitan_evaluate, plan_truncation)
 from bnsharp.trigpoly import DifferentialOperator
 
 
@@ -184,6 +184,12 @@ def test_bare_multivariate_function_is_rejected():
             m=2, evaluate=w.evaluate, spectral_body=w.spectral_body,
             sup_bound=1.0, decay=DecayModel.make_radial(1.0, 2.0),
             label="bare")
+    # and derived_function, not partials, differentiates it
+    with pytest.raises(ValueError, match="not partials"):
+        BandLimitedFunction(
+            m=2, evaluate=w.evaluate, spectral_body=w.spectral_body,
+            sup_bound=1.0, decay=w.decay, label="with partials",
+            partials=lambda alpha: w.evaluate, terms=w.terms)
 
 
 @pytest.mark.parametrize("a", [1.0, 2.0])
@@ -350,19 +356,6 @@ def test_out_of_spectrum_guard_fires():
         decay=f.decay, label="undersized")
     with pytest.raises(TruncationFailure):
         levitan_coefficients(lying, 2.0, eps=1e-9)
-
-
-def test_m_a_schedule():
-    assert m_a_schedule(4.0, 2.0, 0, 2, 0.5) == pytest.approx(2.0)
-    assert m_a_schedule(1.0, 2.0, 0, 2, 0.5) == pytest.approx(1.0)
-    # q = inf allows any delta below 1
-    assert m_a_schedule(9.0, math.inf, 1, 3, 0.5) == pytest.approx(3.0)
-    with pytest.raises(ValueError):
-        m_a_schedule(4.0, 2.0, 0, 2, 2.0 / 3.0)   # boundary of the interval
-    with pytest.raises(ValueError):
-        m_a_schedule(4.0, 2.0, 1, 2, 0.9)          # above min(q/m, ...)
-    with pytest.raises(ValueError):
-        m_a_schedule(0.5, 2.0, 0, 2, 0.1)
 
 
 def test_levitan_cs_extremal_input():
