@@ -152,7 +152,8 @@ def parse_sweep(text: str) -> list[float]:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment, fully determined (round-trips through flags)."""
+    """One experiment, fully determined; a run's manifest stores it, and
+    ``--config`` replays it."""
 
     kind: str
     body: str = "cube:1"
@@ -168,14 +169,6 @@ class ExperimentConfig:
     p_list: str = "0.5,1,2,inf"
     eps: float = 1e-8
     out: str = "results.csv"
-
-    def to_args(self) -> list[str]:
-        args = [self.kind]
-        for key, value in asdict(self).items():
-            if key == "kind":
-                continue
-            args.extend(["--" + key.replace("_", "-"), str(value)])
-        return args
 
     def digest(self) -> str:
         return hashlib.sha256(

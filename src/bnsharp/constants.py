@@ -358,13 +358,16 @@ def _grad_norm_p(prob: SamplingGrid, v: np.ndarray, p: float, norm: float,
 
 
 def _lse(prob: SamplingGrid, v: np.ndarray, t: float):
+    """The soft maximum M + log(mean_x e^{t(|T(x)| - M)}) / t over the full
+    grid, each sampled value counted ``node_weight`` times, and a callable
+    for its gradient (``analyze`` applies the same node weights)."""
     av = np.abs(v)
     M = av.max()
     e = np.subtract(av, M)
     e *= t
     np.exp(e, out=e)
-    total = e.sum()
-    val = M + math.log(total / e.size) / t
+    total = (e * prob.node_weight).sum()
+    val = M + math.log(total / prob.size) / t
 
     def grad():
         np.divide(e, total, out=e)      # the soft-max weights
@@ -551,11 +554,14 @@ class OptimizerOutcome:
 
 def _certificate_grid(prob: SamplingGrid) -> SamplingGrid:
     """The square grid on prob's spectrum whose Bernstein sup gap is at
-    most about ``_SUP_GAP``; p = q = inf values are certified on it."""
+    most about ``_SUP_GAP``, of prob's kind; p = q = inf values are
+    certified on it.  A ``CosineGrid`` samples a quarter of it, whose
+    maximum is the full grid's for the real, coordinatewise even
+    polynomials it carries."""
     L = max(int(math.ceil(math.pi * max(sum(prob.degrees), 1) /
                           math.sqrt(2.0 * _SUP_GAP))) + 1,
             max(prob.shape))
-    return SamplingGrid(prob.keys, (L,) * prob.m)
+    return prob.resized((L,) * prob.m)
 
 
 def _final_value(grid: SamplingGrid, d, c, p, q, pref):
@@ -577,10 +583,10 @@ def _cosine_orbits(p: float, q: float, op: DifferentialOperator,
     """(orbit index per key, orbit sizes, |G|) when the ascent may run on
     real cosine coefficients, one per orbit of G, without loss; else None.
 
-    That needs 1 <= p < inf, q = inf, and a real symbol that is even in
+    That needs 1 <= p <= inf, q = inf, and a real symbol that is even in
     every coordinate (every term has real coefficient and even exponents),
     so that G holds every coordinate reflection."""
-    if not (1.0 <= p < math.inf and math.isinf(q)):
+    if not (p >= 1.0 and math.isinf(q)):
         return None
     if any(b.imag != 0 or any(c % 2 for c in alpha)
            for alpha, b in op.terms.items()):
@@ -605,7 +611,7 @@ def optimize_full(p: float, q: float, op: DifferentialOperator,
     best-certified iterate, the first of equal ones.  p = q = 2 is the exact
     lattice maximum (no iteration).
 
-    Cosine-orbit reduction.  Let 1 <= p < inf, q = inf, and let the symbol
+    Cosine-orbit reduction.  Let 1 <= p <= inf, q = inf, and let the symbol
     be i^N s(k) with s real and even in every coordinate.  Let G be the
     signed permutations g that map S = aV ∩ Z^m onto itself and keep
     s(g k) = s(k); G holds every coordinate reflection.  The ascent then
@@ -618,7 +624,9 @@ def optimize_full(p: float, q: float, op: DifferentialOperator,
       is G-invariant, and ||gT||_p = ||T||_p because g^T permutes the
       uniform grid (its per-axis sizes agree on axes that G swaps, since S
       has equal degrees there).  So the average A = |G|^{-1} sum_g gT keeps
-      D T(0), and by Minkowski (p >= 1) ||A||_p <= ||T||_p.
+      D T(0), and ||A||_p <= ||T||_p since ||.||_p is a norm for p >= 1
+      (Minkowski, or for p = inf the triangle inequality of the grid
+      maximum).
     - Scale A by a unimodular constant so that sum_k s(k) a_k = r > 0, and
       take B = Re A.  G holds -I, so a_{-k} = a_k and B has the
       coefficients Re a_k: B is a real G-invariant cosine sum, of the form
@@ -629,6 +637,12 @@ def optimize_full(p: float, q: float, op: DifferentialOperator,
     Minkowski and finite q breaks the translation to x = 0, so those keep
     the full complex coefficients, as do symbols that are odd in some
     coordinate (d/dx) or lack single-axis reflections (d^2/dx dy).
+
+    For p = inf the argument covers the certified sup ratio, not each rung
+    of the ladder.  The soft maximum at a fixed temperature is not
+    homogeneous in T, and the ascent runs on the unit sphere, so the
+    reduced and the full ladders reach different iterates; a rung's value,
+    and the reported value, may lie on either side of the full path's.
     """
     if not (0 < p <= q):
         raise ValueError("need 0 < p <= q")

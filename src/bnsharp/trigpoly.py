@@ -293,6 +293,10 @@ class SamplingGrid:
     #: how many grid nodes each sampled value stands for
     node_weight = 1.0
 
+    def resized(self, shape: tuple[int, ...]) -> "SamplingGrid":
+        """The same spectrum sampled on a grid of another shape."""
+        return SamplingGrid(self.keys, shape)
+
     def norm(self, v: np.ndarray, p: float) -> float:
         """Rectangle-rule L_p(Q_pi) quasi-norm of values v; max for p = inf."""
         if math.isinf(p):
@@ -335,6 +339,7 @@ class CosineGrid(SamplingGrid):
         self.size = int(np.prod(shape))
         self.degrees = tuple(np.abs(self.keys).max(axis=0, initial=0).tolist())
         self.weight = float(np.prod([2.0 * math.pi / L for L in shape]))
+        self.orbit = np.asarray(orbit)
         sizes = np.bincount(orbit)
         self.n = len(sizes)
         # each key with no negative coordinate stands for its 2^(nonzero
@@ -342,7 +347,7 @@ class CosineGrid(SamplingGrid):
         nonneg = (self.keys >= 0).all(axis=1)
         half = self.keys[nonneg]
         self.pos = tuple(half.T)
-        self.half_orbit = np.asarray(orbit)[nonneg]
+        self.half_orbit = self.orbit[nonneg]
         self.scale = ((-1.0) ** (half.sum(axis=1) % 2) /
                       np.sqrt(sizes[self.half_orbit]))
         self.fold = self.scale * 2.0 ** (half != 0).sum(axis=1)
@@ -351,6 +356,9 @@ class CosineGrid(SamplingGrid):
         per_axis = [np.where((2 * np.arange(H) % L) == 0, 1.0, 2.0)
                     for H, L in zip(self.nodes, shape)]
         self.node_weight = math.prod(np.ix_(*per_axis))
+
+    def resized(self, shape: tuple[int, ...]) -> "CosineGrid":
+        return CosineGrid(self.keys, self.orbit, shape)
 
     def synth(self, u: np.ndarray) -> np.ndarray:
         A = np.zeros(self.half_shape)

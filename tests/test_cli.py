@@ -5,9 +5,8 @@ import os
 
 import pytest
 
-from bnsharp.cli import (ExperimentConfig, OperatorSpecError,
-                         config_from_args, main, operator_parse,
-                         parse_exponent, parse_sweep, run)
+from bnsharp.cli import (OperatorSpecError, main, operator_parse,
+                         parse_exponent, parse_sweep)
 from bnsharp.constants import _TEMP_LADDER
 
 
@@ -56,14 +55,6 @@ def test_parse_exponent():
     assert parse_exponent("2.5") == 2.5
     with pytest.raises(ValueError):
         parse_exponent("-1")
-
-
-def test_config_round_trip():
-    cfg = ExperimentConfig(kind="converge", body="ball:1", m=2, p="2",
-                           q="inf", a="1:10:5:geom", seed=3,
-                           out="x.csv")
-    again = config_from_args(cfg.to_args())
-    assert again == cfg
 
 
 def test_converge_csv_and_manifest(tmp_path):
@@ -122,8 +113,17 @@ def test_optimize_manifest_counts_ascent_stops(tmp_path):
     # both ladders peak at t = 316 and stop one rung later
     assert results["best_rung_a=8"] == [_TEMP_LADDER[3]] * 2
     assert sum(results["ascent_stops_a=8"].values()) == 10
-    # p = inf runs on every complex coefficient
+    # d/dx is odd, so p = inf runs on every complex coefficient
     assert results["unknowns_a=8"] == [17, 17, 1]
+    # the disk Laplacian at p = inf runs on the cosine orbits of the
+    # group of order 8 that the square's symmetries form
+    assert main(["optimize", "--body", "ball:1", "--m", "2", "--p", "inf",
+                 "--q", "inf", "--operator", "laplacian:2", "--a", "8",
+                 "--restarts", "1", "--iterations", "5", "--seed", "12",
+                 "--out", str(out)]) == 0
+    results = json.loads((tmp_path / "o.csv.manifest.json").read_text())[
+        "results"]
+    assert results["unknowns_a=8"] == [32, 197, 8]
 
 
 def test_reproducible_output_modulo_runtime(tmp_path):

@@ -207,10 +207,11 @@ def test_cosine_orbit_reduction_applies_where_it_is_lossless():
     assert group(3.0, math.inf, lap, ConvexBody.ball(1.0, 2), 4.0) == 8
     assert group(1.0, math.inf, lap, ConvexBody.parallelepiped([1, 2]),
                  4.0) == 4
-    # p = inf, p < 1, finite q, an odd symbol and a symbol without
-    # single-axis reflections keep the full complex path
-    for p, q, op, body in ((math.inf, math.inf, ident, sq),
-                           (0.5, math.inf, ident, sq), (1.0, 2.0, ident, sq),
+    assert group(math.inf, math.inf, ident, sq, 4.0) == 8
+    assert group(math.inf, math.inf, lap, ConvexBody.ball(1.0, 2), 4.0) == 8
+    # p < 1, finite q, an odd symbol and a symbol without single-axis
+    # reflections keep the full complex path
+    for p, q, op, body in ((0.5, math.inf, ident, sq), (1.0, 2.0, ident, sq),
                            (1.0, math.inf, d1, seg),
                            (1.0, math.inf, mixed, sq)):
         assert group(p, q, op, body, 4.0) is None
@@ -253,10 +254,15 @@ def test_symmetrizing_never_lowers_the_grid_ratio(p):
             assert after >= before * (1.0 - 1e-12)
 
 
-@pytest.mark.parametrize("p", [1.0, 3.0])
-def test_cosine_objective_gradient_is_the_projected_full_gradient(p):
+@pytest.mark.parametrize("p, t", [
+    pytest.param(1.0, None, id="1.0"), pytest.param(3.0, None, id="3.0"),
+    pytest.param(math.inf, 10.0, id="inf-10"),
+    pytest.param(math.inf, 1e3, id="inf-1000")])
+def test_cosine_objective_gradient_is_the_projected_full_gradient(p, t):
     # on u the log-ratio and its gradient are the full path's at the
-    # expanded c_k = u_o / sqrt(|o|), and the gradient projected back
+    # expanded c_k = u_o / sqrt(|o|), and the gradient projected back; the
+    # soft maximum at temperature t counts each quarter node as the full
+    # grid nodes it stands for
     spectrum = parse_body("ball:1", 2).lattice_points(6.0)
     op = DifferentialOperator.laplacian(2)
     d = op.symbol_at_ik(spectrum.as_array().astype(float))
@@ -267,15 +273,45 @@ def test_cosine_objective_gradient_is_the_projected_full_gradient(p):
     s = (d * (-1j) ** op.order).real
     d_orbit = np.bincount(index, weights=s) / sizes * root
     u = np.random.default_rng(8).standard_normal(cos.n)
-    F, grad = _make_objective(cos, d_orbit, p, math.inf, None)(u)
+    F, grad = _make_objective(cos, d_orbit, p, math.inf, t)(u)
     g = grad()
-    F_full, grad_full = _make_objective(full, d, p, math.inf, None)(
+    F_full, grad_full = _make_objective(full, d, p, math.inf, t)(
         ((u / root)[index]).astype(complex))
     g_full = grad_full()
     assert F == pytest.approx(F_full, rel=1e-13)
     assert np.isrealobj(g)
     want = np.bincount(index, weights=g_full.real) / root
     assert np.abs(g - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_quarter_grid_certifies_the_full_grid_sup():
+    # for real G-invariant coefficients the quarter certificate grid gives
+    # the full certificate grid's value and the same sup gap
+    rng = np.random.default_rng(2)
+    for spec, a, op in (("ball:1", 4.0, DifferentialOperator.laplacian(2)),
+                        ("cube:1", 3.0, DifferentialOperator.identity(2))):
+        spectrum = parse_body(spec, 2).lattice_points(a)
+        keys = spectrum.as_array()
+        d = op.symbol_at_ik(keys.astype(float))
+        index, sizes, _ = _cosine_orbits(math.inf, math.inf, op, spectrum, d)
+        full = _grid(spectrum, 8)
+        quarter = _certificate_grid(CosineGrid(keys, index, full.shape))
+        full = _certificate_grid(full)
+        assert isinstance(quarter, CosineGrid)
+        assert quarter.shape == full.shape
+        root = np.sqrt(sizes)
+        s = (d * (-1j) ** op.order).real
+        d_orbit = np.bincount(index, weights=s) / sizes * root
+        pref = a ** -op.order
+        for _ in range(5):
+            u = rng.standard_normal(len(sizes))
+            value, tol = _final_value(quarter, d_orbit, u, math.inf,
+                                      math.inf, pref)
+            want, want_tol = _final_value(
+                full, d, ((u / root)[index]).astype(complex), math.inf,
+                math.inf, pref)
+            assert value == pytest.approx(want, rel=1e-13)
+            assert tol == want_tol
 
 
 def test_reduced_two_inf_optimum_is_the_closed_form():
@@ -350,15 +386,23 @@ def test_optimizer_segment_sup_sup_pinned():
         ("no-ascent", 364), ("no-ascent", 477)]
 
 
-def test_ladder_stops_once_the_certified_value_falls():
+def test_ladder_stops_once_the_certified_value_falls(monkeypatch):
     # each restart climbs the temperature ladder while the certified value
     # of its rung iterates does not fall, and reports its best rung
     ladder_runs = [
         (ConvexBody.cube(1.0, 1), DifferentialOperator.monomial((1,)), 8.0),
         (ConvexBody.ball(1.0, 2), DifferentialOperator.laplacian(2), 4.0)]
     cfg = OptimizerConfig(restarts=2, iterations=500, seed=12)
+    scoring = constants._final_value
+    scored = []
+
+    def recorded(grid, d, c, *args):
+        scored.append(c)
+        return scoring(grid, d, c, *args)
+    monkeypatch.setattr(constants, "_final_value", recorded)
     early = 0
     for body, op, a in ladder_runs:
+        scored.clear()
         out = optimize_full(math.inf, math.inf, op, a, body, cfg)
         for i in range(cfg.restarts):
             stops = [s for s in out.ascent_stops if s.restart == i]
@@ -373,12 +417,24 @@ def test_ladder_stops_once_the_certified_value_falls():
             assert out.restart_values[i] == max(certified)
             assert out.best_rungs[i] == \
                 stops[certified.index(max(certified))].temperature
-        keys = body.lattice_points(a).as_array()
-        fine = _certificate_grid(SamplingGrid(
-            keys, default_grid(np.abs(keys).max(axis=0), 8)))
+        spectrum = body.lattice_points(a)
+        keys = spectrum.as_array()
+        shape = default_grid(np.abs(keys).max(axis=0), 8)
         c = np.array([out.best_coefficients[tuple(int(v) for v in k)]
                       for k in keys])
         d = op.symbol_at_ik(keys.astype(float))
+        orbits = _cosine_orbits(math.inf, math.inf, op, spectrum, d)
+        if orbits is None:      # d/dx is odd: the full complex path
+            fine = _certificate_grid(SamplingGrid(keys, shape))
+        else:   # the Laplacian: the quarter grid, on one unknown per orbit
+            index, sizes, _ = orbits
+            fine = _certificate_grid(CosineGrid(keys, index, shape))
+            root = np.sqrt(sizes)
+            first = np.unique(index, return_index=True)[1]
+            d = (d[first] * (-1j) ** op.order).real * root
+            # the scored orbit unknowns whose expansion is the reported map
+            c = next(u for u in scored
+                     if np.array_equal((u / root)[index], c))
         assert _final_value(fine, d, c, math.inf, math.inf,
                             a ** -op.order) == \
             (out.estimate.value, out.estimate.tolerance)
