@@ -25,7 +25,7 @@ import sys
 import tempfile
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -164,7 +164,6 @@ class ExperimentConfig:
     a: str = "1"
     restarts: int = 8
     iterations: int = 400
-    oversample: int = 4
     seed: int = 0
     p_list: str = "0.5,1,2,inf"
     eps: float = 1e-8
@@ -176,27 +175,27 @@ class ExperimentConfig:
 
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--body", default="cube:1",
+    sp.add_argument("--body",
                     help="body spec: pi:1,2 | cube:1 | ball:1 | lp:1,2:3")
-    sp.add_argument("--m", type=int, default=1, help="ambient dimension")
-    sp.add_argument("--operator", default="identity",
+    sp.add_argument("--m", type=int, help="ambient dimension")
+    sp.add_argument("--operator",
                     help='operator spec, e.g. "1,1:1,0" or laplacian:2')
-    sp.add_argument("--p", default="2")
-    sp.add_argument("--q", default="inf")
-    sp.add_argument("--a", default="1",
-                    help="scale or sweep: 4 | 4,8,16 | 1:100:25:geom")
-    sp.add_argument("--restarts", type=int, default=8)
-    sp.add_argument("--iterations", type=int, default=400)
-    sp.add_argument("--oversample", type=int, default=4)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--p-list", default="0.5,1,2,inf",
-                    help="exponent list for levitan-check")
-    sp.add_argument("--eps", type=float, default=1e-8,
+    sp.add_argument("--p")
+    sp.add_argument("--q")
+    sp.add_argument("--a", help="scale or sweep: 4 | 4,8,16 | 1:100:25:geom")
+    sp.add_argument("--restarts", type=int)
+    sp.add_argument("--iterations", type=int)
+    sp.add_argument("--seed", type=int)
+    sp.add_argument("--p-list", help="exponent list for levitan-check")
+    sp.add_argument("--eps", type=float,
                     help="periodization truncation tolerance")
-    sp.add_argument("--out", default="results.csv")
-    sp.add_argument("--config", default=None,
+    sp.add_argument("--out")
+    sp.add_argument("--config",
                     help="JSON file of flag values, or a run manifest "
                          "(flags still win)")
+    # the defaults live in ExperimentConfig alone
+    sp.set_defaults(**{f.name: f.default for f in fields(ExperimentConfig)
+                       if f.default is not MISSING})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -239,11 +238,8 @@ def config_from_args(argv: list[str]) -> ExperimentConfig:
         for sp in parser._subparsers._group_actions[0].choices.values():
             sp.set_defaults(**stored)
     ns = parser.parse_args(argv)
-    return ExperimentConfig(
-        kind=ns.kind, body=ns.body, m=ns.m, operator=ns.operator,
-        p=ns.p, q=ns.q, a=ns.a, restarts=ns.restarts,
-        iterations=ns.iterations, oversample=ns.oversample, seed=ns.seed,
-        p_list=ns.p_list, eps=ns.eps, out=ns.out)
+    return ExperimentConfig(**{f.name: getattr(ns, f.name)
+                               for f in fields(ExperimentConfig)})
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +303,7 @@ def write_manifest(path: str, config: ExperimentConfig,
 
 def _opt_config(cfg: ExperimentConfig) -> OptimizerConfig:
     return OptimizerConfig(restarts=cfg.restarts, seed=cfg.seed,
-                           iterations=cfg.iterations,
-                           oversample=cfg.oversample)
+                           iterations=cfg.iterations)
 
 
 def run_constant(cfg: ExperimentConfig) -> tuple[list[str], dict]:

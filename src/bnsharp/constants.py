@@ -17,11 +17,8 @@ an earlier rung's.
 from __future__ import annotations
 
 import math
-import os
-import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -56,7 +53,6 @@ class SharpConstantEstimate:
     a: float | None
     tolerance: float
     notes: str = ""
-    seed: int | None = None
 
 
 def check_order_consistency(
@@ -340,12 +336,8 @@ class OptimizerConfig:
     restarts: int = 8
     seed: int = 0
     iterations: int = 400
-    oversample: int = 4
     gtol: float = 1e-13
     warm_starts: tuple = ()           # coefficient maps used as extra starts
-
-    def workers(self) -> int:
-        return max(1, int(os.environ.get("BNSHARP_WORKERS", "1")))
 
 
 def _grad_norm_p(prob: SamplingGrid, v: np.ndarray, p: float, norm: float,
@@ -658,18 +650,15 @@ def optimize_full(p: float, q: float, op: DifferentialOperator,
         keys = spectrum.as_array().astype(float)
         mods = np.abs(op.symbol_at_ik(keys))
         kbest = tuple(int(c) for c in spectrum.as_array()[int(np.argmax(mods))])
-        est = replace(est, seed=config.seed,
-                      notes="ratio maximized exactly over the lattice "
-                            "(Parseval); no iteration needed")
+        est = replace(est, notes="ratio maximized exactly over the lattice "
+                                 "(Parseval); no iteration needed")
         return OptimizerOutcome(est, (est.value,), {kbest: 1.0 + 0j},
                                 best_rungs=(None,),
                                 unknowns=(0, len(spectrum), 1))
 
     # soft-max landscapes need a denser grid than integral norms
-    oversample = max(config.oversample, 8) if math.isinf(p) \
-        else config.oversample
     keys = spectrum.as_array()
-    shape = default_grid(np.abs(keys).max(axis=0), oversample)
+    shape = default_grid(np.abs(keys).max(axis=0), 8 if math.isinf(p) else 4)
     d = op.symbol_at_ik(keys.astype(float))
     orbits = _cosine_orbits(p, q, op, spectrum, d)
     if orbits is None:
@@ -695,9 +684,6 @@ def optimize_full(p: float, q: float, op: DifferentialOperator,
     # run's largest, so it is built once
     cert = _certificate_grid(prob) if math.isinf(p) and math.isinf(q) \
         else prob
-    # threaded restarts score one at a time, so one fine-grid synthesis is
-    # in memory however many workers run
-    scoring = threading.Lock()
 
     def run_restart(idx: int) -> tuple[tuple, list[AscentStop]]:
         if idx < len(config.warm_starts):
@@ -715,8 +701,7 @@ def optimize_full(p: float, q: float, op: DifferentialOperator,
         for t in _TEMP_LADDER if math.isinf(p) else (None,):
             at = _make_objective(prob, d, p, q, temperature=t)
             (c, value, grad_norm), stop = _ascend(at, c, config)
-            with scoring:
-                final = _final_value(cert, d, c, p, q, pref)
+            final = _final_value(cert, d, c, p, q, pref)
             stops.append(AscentStop(idx, t, *stop, value, grad_norm,
                                     final[0]))
             if final[0] < best[0][0]:
@@ -726,11 +711,7 @@ def optimize_full(p: float, q: float, op: DifferentialOperator,
         return best, stops
 
     n_runs = max(config.restarts, len(config.warm_starts))
-    if config.workers() > 1:
-        with ThreadPoolExecutor(max_workers=config.workers()) as ex:
-            results = list(ex.map(run_restart, range(n_runs)))
-    else:
-        results = [run_restart(i) for i in range(n_runs)]
+    results = [run_restart(i) for i in range(n_runs)]
 
     finals = [final for (final, _, _), _ in results]
     best_idx = max(range(n_runs), key=lambda i: (finals[i][0], -i))
@@ -744,8 +725,7 @@ def optimize_full(p: float, q: float, op: DifferentialOperator,
         notes += (f"; cosine-orbit reduction: {unknowns[0]} real unknowns "
                   f"for {unknowns[1]} frequencies, |G| = {unknowns[2]}")
     est = SharpConstantEstimate(value, "lower-bound-optimizer", p, q,
-                                op.label, body.label, a, tol, notes,
-                                seed=config.seed)
+                                op.label, body.label, a, tol, notes)
     coeffs = {tuple(int(c) for c in k): complex(v)
               for k, v in zip(keys, expand(c_best))}
     return OptimizerOutcome(est, tuple(f for f, _ in finals), coeffs,

@@ -378,7 +378,7 @@ def test_12_sup_sup_laplacian_ball_probe():
     for a, bound in dual.items():
         check_order_consistency([rows[a], replace(
             rows[a], value=bound, kind="upper-bound", tolerance=1e-12,
-            notes="LP dual certificate", seed=None)])
+            notes="LP dual certificate")])
 
 
 def test_13_scaling_law_closed_forms_and_candidates():

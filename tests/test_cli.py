@@ -263,6 +263,13 @@ def test_usage_errors_exit_two(tmp_path):
     for sweep in ("inf", "1:inf:3:geom"):
         assert main(["converge", "--body", "cube:1", "--m", "1", "--p", "2",
                      "--q", "inf", "--a", sweep, "--out", str(out)]) == 2
+    # the optimizer's grid factor is fixed: no flag or config key sets it
+    with pytest.raises(SystemExit) as exc:
+        main(["optimize", "--oversample", "4", "--out", str(out)])
+    assert exc.value.code == 2
+    stale = tmp_path / "stale.json"
+    stale.write_text(json.dumps({"body": "cube:1", "oversample": 4}))
+    assert main(["optimize", "--config", str(stale), "--out", str(out)]) == 2
     assert not out.exists()
 
 

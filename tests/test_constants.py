@@ -1,6 +1,4 @@
 import math
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -616,46 +614,6 @@ def test_derived_function_envelope_covers_diagonal_ray():
     g = derived_function(cs_extremal(ConvexBody.cube(1.0, 2), lap), lap)
     assert g.decay.kind == "product"
     g.verify_decay(tolerance=0.0)
-
-
-def test_optimizer_concurrent_restarts_deterministic(monkeypatch):
-    seg = ConvexBody.cube(1.0, 1)
-    op = DifferentialOperator.monomial((1,))
-    cfg = OptimizerConfig(restarts=4, iterations=100, seed=21)
-    # p = inf: the restarts' ladders certify on one shared fine grid
-    for p in (1.0, math.inf):
-        monkeypatch.delenv("BNSHARP_WORKERS", raising=False)
-        serial = optimize_full(p, math.inf, op, 2.0, seg, cfg)
-        monkeypatch.setenv("BNSHARP_WORKERS", "3")
-        threaded = optimize_full(p, math.inf, op, 2.0, seg, cfg)
-        assert serial.estimate.value == threaded.estimate.value  # bitwise
-        assert serial.ascent_stops == threaded.ascent_stops
-
-
-def test_threaded_restarts_score_one_at_a_time(monkeypatch):
-    # the certificate grid is the run's largest array, so at most one
-    # restart thread may hold its synthesis at a time
-    scoring = constants._final_value
-    lock = threading.Lock()
-    active, peak = [0], [0]
-
-    def counted(*args):
-        with lock:
-            active[0] += 1
-            peak[0] = max(peak[0], active[0])
-        time.sleep(0.01)
-        try:
-            return scoring(*args)
-        finally:
-            with lock:
-                active[0] -= 1
-
-    monkeypatch.setattr(constants, "_final_value", counted)
-    monkeypatch.setenv("BNSHARP_WORKERS", "3")
-    cfg = OptimizerConfig(restarts=3, iterations=20, seed=4)
-    optimize_full(math.inf, math.inf, DifferentialOperator.monomial((1,)),
-                  2.0, ConvexBody.cube(1.0, 1), cfg)
-    assert peak[0] == 1
 
 
 def test_candidate_akhiezer_tensor_approaches_exact():
