@@ -7,7 +7,7 @@ the uniform nodes of Q_pi exact up to rounding, its rectangle rule is exact
 for even integer exponents on alias-free grids, and its sup gap certifies
 the grid maximum by the Bernstein derivative bound.  ``CosineGrid`` is its
 form for real cosine sums with one coefficient per symmetry orbit, sampled
-on a quarter of the grid.
+on a quarter of the grid through one dense cosine matrix per axis.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.fft
 
 from .body import ConvexBody, LatticeSet
 
@@ -327,8 +326,12 @@ class CosineGrid(SamplingGrid):
     in each coordinate, so its values at the nodes l_j = 0..L_j//2 of each
     axis, weighted 1 (l_j = 0 or 2 l_j = L_j, the nodes that are their own
     mirror images) or 2 per axis, give the full grid's L_p sums.  ``synth``
-    is one inverse real FFT per axis, and ``analyze`` its adjoint with the
-    node weights applied: the real part of one forward real FFT per axis.
+    applies one dense real matrix per axis, built once: entry (l, k) is
+    w_k cos(2 pi l k / L_j) for the kept nodes l <= L_j // 2 and the degrees
+    k <= K_j, with w_0 = 1 and w_k = 2 otherwise.  ``analyze`` is its
+    adjoint with the node weights folded into the transposed cosines (the
+    w_k sit in ``fold``).  The matrices compute only the nodes kept, and on
+    these small spectra a matrix product costs less than an FFT call.
     """
 
     def __init__(self, keys: np.ndarray, orbit: np.ndarray,
@@ -352,10 +355,17 @@ class CosineGrid(SamplingGrid):
                       np.sqrt(sizes[self.half_orbit]))
         self.fold = self.scale * 2.0 ** (half != 0).sum(axis=1)
         self.half_shape = tuple(K + 1 for K in self.degrees)
-        self.nodes = tuple(L // 2 + 1 for L in shape)
+        nodes = tuple(L // 2 + 1 for L in shape)
         per_axis = [np.where((2 * np.arange(H) % L) == 0, 1.0, 2.0)
-                    for H, L in zip(self.nodes, shape)]
+                    for H, L in zip(nodes, shape)]
         self.node_weight = math.prod(np.ix_(*per_axis))
+        self.synth_mats, self.analyze_mats = [], []
+        for K, H, L, w in zip(self.degrees, nodes, shape, per_axis):
+            cos = np.cos(2.0 * np.pi * (np.outer(np.arange(H),
+                                                 np.arange(K + 1)) % L) / L)
+            self.synth_mats.append(np.where(np.arange(K + 1) == 0, 1.0, 2.0)
+                                   * cos)
+            self.analyze_mats.append((w[:, None] * cos).T)
 
     def resized(self, shape: tuple[int, ...]) -> "CosineGrid":
         return CosineGrid(self.keys, self.orbit, shape)
@@ -364,17 +374,15 @@ class CosineGrid(SamplingGrid):
         A = np.zeros(self.half_shape)
         A[self.pos] = u[self.half_orbit] * self.scale
         for j in range(self.m - 1, -1, -1):
-            A = scipy.fft.irfft(A, n=self.shape[j], axis=j)[
-                (slice(None),) * j + (slice(self.nodes[j]),)]
-        A *= self.size
+            A = np.moveaxis(np.tensordot(self.synth_mats[j], A, axes=(1, j)),
+                            0, j)
         return A
 
     def analyze(self, v: np.ndarray) -> np.ndarray:
-        B = v * self.node_weight
         for j in range(self.m):
-            B = scipy.fft.rfft(B, n=self.shape[j], axis=j)[
-                (slice(None),) * j + (slice(self.half_shape[j]),)].real
-        return np.bincount(self.half_orbit, weights=B[self.pos] * self.fold,
+            v = np.moveaxis(np.tensordot(self.analyze_mats[j], v,
+                                         axes=(1, j)), 0, j)
+        return np.bincount(self.half_orbit, weights=v[self.pos] * self.fold,
                            minlength=self.n)
 
 

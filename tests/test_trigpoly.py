@@ -205,7 +205,10 @@ def test_serialization_errors():
 @pytest.mark.parametrize("spec, m, a, shape", [
     ("cube:1", 1, 8.0, (17,)), ("cube:1", 1, 8.0, (68,)),
     ("ball:1", 2, 5.0, (23, 23)), ("ball:1", 2, 5.0, (22, 22)),
-    ("pi:1,2", 2, 3.0, (15, 28)), ("ball:1", 3, 3.0, (13, 14, 15))])
+    ("pi:1,2", 2, 3.0, (15, 28)), ("ball:1", 3, 3.0, (13, 14, 15)),
+    # the disk's certificate grid at a = 8, and a large even grid, whose
+    # node L/2 is its own mirror image
+    ("ball:1", 2, 8.0, (1125, 1125)), ("ball:1", 2, 8.0, (1126, 1126))])
 def test_cosine_grid_matches_the_full_grid(spec, m, a, shape):
     # the cosine grid on orbit unknowns u equals the full grid on the
     # expanded coefficients c_k = u_o / sqrt(|o|), read at its quarter nodes
