@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .body import ConvexBody, exact_floor
-from .trigpoly import DifferentialOperator, TrigPolynomial
+from .trigpoly import DifferentialOperator, TrigPolynomial, bernstein_gap
 
 MultiIndex = tuple[int, ...]
 Terms = tuple[tuple[complex, tuple["BandLimitedFunction", ...]], ...]
@@ -468,16 +468,10 @@ def sinc_sq_half_kernel(m: int) -> BandLimitedFunction:
     return tensor_product([one] * m, label=f"sinc_sq_half^({m})")
 
 
-def window_axis_sum(theta: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
-    """Truncated 1-D window sum sum_{|l|<=K} (sin t/(t+l*pi))^2 with tail bound.
-
-    Returns (value, certified bound on the discarded positive tail).  The
-    full sum equals 1 for every t.
-    """
+def window_terms(theta: np.ndarray, K: int) -> np.ndarray:
+    """The window terms (sin t/(t+l*pi))^2 for |l| <= K, one column per
+    shift l, for the points t of ``theta``."""
     theta = np.asarray(theta, dtype=float)
-    t0 = np.abs(theta) / math.pi
-    if K <= np.max(t0) + 1:
-        raise ValueError("truncation K too small for these arguments")
     ls = np.arange(-K, K + 1)
     # sin(t+l*pi)^2 == sin(t)^2, so one sin per point serves every term
     total = theta[..., None] + math.pi * ls
@@ -490,7 +484,20 @@ def window_axis_sum(theta: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
     l0 = np.rint(-theta / math.pi).astype(np.int64)
     np.put_along_axis(total, (l0 + K)[..., None],
                       (np.sinc(theta / math.pi + l0) ** 2)[..., None], axis=-1)
-    value = total.sum(axis=-1)
+    return total
+
+
+def window_axis_sum(theta: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """Truncated 1-D window sum sum_{|l|<=K} (sin t/(t+l*pi))^2 with tail bound.
+
+    Returns (value, certified bound on the discarded positive tail).  The
+    full sum equals 1 for every t.
+    """
+    theta = np.asarray(theta, dtype=float)
+    t0 = np.abs(theta) / math.pi
+    if K <= np.max(t0) + 1:
+        raise ValueError("truncation K too small for these arguments")
+    value = window_terms(theta, K).sum(axis=-1)
     bound = np.sin(theta) ** 2 * (2.0 / math.pi ** 2) / (K - t0)
     return value, bound
 
@@ -544,15 +551,13 @@ def _abs_integral_01(poly: np.polynomial.Polynomial) -> float:
     return float(total)
 
 
-def akhiezer_family(M: float, q: float, h_param: float,
-                    s: int = 1) -> BandLimitedFunction:
+def akhiezer_family(M: float, q: float, h_param: float) -> BandLimitedFunction:
     """One member of the spectral-edge family concentrating at frequency M.
 
     f_h(t) = e^{iMt} * int_0^1 e^{-i h t tau} phi(tau) dtau with a
     boundary-flat bump phi = (tau(1-tau))^{d+1}, d = floor(1/q) + 1.  As
-    h -> 0+ the ratio ||f^(s)||_q / ||f||_q climbs to M^s.  Analytic
-    derivatives up to any order are attached (``s`` records the order the
-    member is meant to witness).
+    h -> 0+ the ratio ||f^(s)||_q / ||f||_q climbs to M^s for every order
+    s.  Analytic derivatives up to any order are attached.
 
     The transforms are exact: with tau = (1+x)/2, tau^l phi(tau) is the
     polynomial ((1+x)/2)^l ((1-x^2)/4)^{d+1} = sum_k p_{l,k} x^k, so
@@ -565,8 +570,6 @@ def akhiezer_family(M: float, q: float, h_param: float,
     """
     if not (0 < h_param < M):
         raise ValueError("window width h_param must lie in (0, M)")
-    if s < 1:
-        raise ValueError("derivative order s must be positive")
     d = (0 if math.isinf(q) else math.floor(1.0 / q)) + 1
     phi = _flat_bump_poly(d)
     bump = np.polynomial.Polynomial([0.25, 0.0, -0.25]) ** (d + 1)
@@ -608,7 +611,7 @@ def akhiezer_family(M: float, q: float, h_param: float,
     f = BandLimitedFunction(
         m=1, evaluate=evaluate, spectral_body=ConvexBody.cube(M, 1),
         sup_bound=A, decay=DecayModel.make_product([(C, float(d))]),
-        label=f"akhiezer(M={M},q={q},h={h_param},s={s})",
+        label=f"akhiezer(M={M},q={q},h={h_param})",
         partials=partials)
     f.verify_decay()
     return f
@@ -942,9 +945,8 @@ def _sup_truncated(f: BandLimitedFunction, R: float) -> RealDomainNormEstimate:
             s = c if j == 0 else 1.0
             mx = float(np.abs(s * g.evaluate(x[:, None])).max())
             delta = 2.0 * R / (n - 1)
-            cj = 0.5 * (sigma[j] * delta / 2.0) ** 2
             total *= mx
-            rel += cj / (1.0 - cj) * (1.0 + rel)
+            rel += bernstein_gap(sigma[j] * delta / 2.0) * (1.0 + rel)
         return RealDomainNormEstimate(total, math.inf, R,
                                       f.decay.sup_outside(R), rel)
     n = _odd(min(max(129, int(16 * float(sigma.max()) * R)),
@@ -952,6 +954,5 @@ def _sup_truncated(f: BandLimitedFunction, R: float) -> RealDomainNormEstimate:
     axes = [np.linspace(-R, R, n) for _ in range(f.m)]
     mx = float(np.abs(f.eval_axes(axes)).max())
     delta = 2.0 * R / (n - 1)
-    c = 0.5 * (float(sigma.sum()) * delta / 2.0) ** 2
-    rel = c / (1.0 - c) if c < 1 else math.inf
+    rel = bernstein_gap(float(sigma.sum()) * delta / 2.0)
     return RealDomainNormEstimate(mx, math.inf, R, f.decay.sup_outside(R), rel)

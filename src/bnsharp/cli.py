@@ -35,7 +35,7 @@ from .bandlimited import akhiezer_family, cs_extremal, separable_sum, \
 from .body import BodySpecError, ConvexBody, parse_body
 from .constants import OptimizerConfig, SharpConstantEstimate, \
     candidate_lower_bound_E, closed_form, crude_upper, limit_study, \
-    nikolskii_upper, optimize_full
+    optimize_full
 from .levitan import check_norm_contraction, levitan_coefficients
 from .trigpoly import DifferentialOperator
 
@@ -306,10 +306,14 @@ def _opt_config(cfg: ExperimentConfig) -> OptimizerConfig:
                            iterations=cfg.iterations)
 
 
+def _problem(cfg: ExperimentConfig) -> tuple:
+    """The body, operator and exponents p, q that ``cfg`` names."""
+    return (parse_body(cfg.body, cfg.m), operator_parse(cfg.operator, cfg.m),
+            parse_exponent(cfg.p), parse_exponent(cfg.q))
+
+
 def run_constant(cfg: ExperimentConfig) -> tuple[list[str], dict]:
-    body = parse_body(cfg.body, cfg.m)
-    op = operator_parse(cfg.operator, cfg.m)
-    p, q = parse_exponent(cfg.p), parse_exponent(cfg.q)
+    body, op, p, q = _problem(cfg)
     rows = []
     for i, a in enumerate(parse_sweep(cfg.a)):
         t0 = time.perf_counter()
@@ -317,8 +321,6 @@ def run_constant(cfg: ExperimentConfig) -> tuple[list[str], dict]:
         if i == 0:
             # continuum rows do not depend on the sweep point
             ests.append(closed_form(p, q, body, op))
-            if op.order == 0:
-                ests.append(nikolskii_upper(p, q, body))
             ests.append(crude_upper(p, q, op, body))
         ms = (time.perf_counter() - t0) * 1000.0
         rows.extend(estimate_row(e, cfg.seed, ms) for e in ests
@@ -327,9 +329,7 @@ def run_constant(cfg: ExperimentConfig) -> tuple[list[str], dict]:
 
 
 def run_optimize(cfg: ExperimentConfig) -> tuple[list[str], dict]:
-    body = parse_body(cfg.body, cfg.m)
-    op = operator_parse(cfg.operator, cfg.m)
-    p, q = parse_exponent(cfg.p), parse_exponent(cfg.q)
+    body, op, p, q = _problem(cfg)
     rows = []
     extra = {}
     for a in parse_sweep(cfg.a):
@@ -346,9 +346,7 @@ def run_optimize(cfg: ExperimentConfig) -> tuple[list[str], dict]:
 
 
 def run_converge(cfg: ExperimentConfig) -> tuple[list[str], dict]:
-    body = parse_body(cfg.body, cfg.m)
-    op = operator_parse(cfg.operator, cfg.m)
-    p, q = parse_exponent(cfg.p), parse_exponent(cfg.q)
+    body, op, p, q = _problem(cfg)
     # each point starts afresh, so a row equals the optimize row at that a
     study = limit_study(p, q, op, body, parse_sweep(cfg.a), _opt_config(cfg),
                         chain_warm_start=False)
@@ -392,9 +390,7 @@ def run_levitan_check(cfg: ExperimentConfig) -> tuple[list[str], dict]:
 
 
 def run_candidates(cfg: ExperimentConfig) -> tuple[list[str], dict]:
-    body = parse_body(cfg.body, cfg.m)
-    op = operator_parse(cfg.operator, cfg.m)
-    p, q = parse_exponent(cfg.p), parse_exponent(cfg.q)
+    body, op, p, q = _problem(cfg)
     rows = []
     t0 = time.perf_counter()
     f = cs_extremal(body, op)
@@ -406,21 +402,15 @@ def run_candidates(cfg: ExperimentConfig) -> tuple[list[str], dict]:
         ref = closed_form(p, q, body, op)
         if ref is not None:
             rows.append(estimate_row(ref, cfg.seed, 0.0))
-    if p == q and math.isinf(body.mu) and len(op.terms) == 1:
-        (alpha, b), = op.terms.items()
-        if b == 1.0 and not math.isinf(p):
-            t0 = time.perf_counter()
-            factors = [akhiezer_family(body.sigma[j], p, 0.05 * body.sigma[j],
-                                       s=max(1, alpha[j]))
-                       for j in range(cfg.m)]
-            fa = separable_sum([(1.0, factors)], body)
-            cand2 = candidate_lower_bound_E(fa, p, q, op)
-            rows.append(estimate_row(cand2, cfg.seed,
-                                     (time.perf_counter() - t0) * 1000.0))
-    if op.order == 0:
-        rows.append(estimate_row(nikolskii_upper(p, q, body), cfg.seed, 0.0))
-    else:
-        rows.append(estimate_row(crude_upper(p, q, op, body), cfg.seed, 0.0))
+    if (p == q and not math.isinf(p) and math.isinf(body.mu)
+            and list(op.terms.values()) == [1.0]):
+        t0 = time.perf_counter()
+        factors = [akhiezer_family(s, p, 0.05 * s) for s in body.sigma]
+        fa = separable_sum([(1.0, factors)], body)
+        cand2 = candidate_lower_bound_E(fa, p, q, op)
+        rows.append(estimate_row(cand2, cfg.seed,
+                                 (time.perf_counter() - t0) * 1000.0))
+    rows.append(estimate_row(crude_upper(p, q, op, body), cfg.seed, 0.0))
     return rows, {}
 
 

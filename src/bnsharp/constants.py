@@ -171,10 +171,10 @@ def closed_e22(body: ConvexBody,
     def neg_mod_sq(angles) -> float:
         u = _unit_from_angles(angles, m)
         x = u / body.gauge(u)
-        return -abs(op.symbol(x)) ** 2
+        return -abs(op.symbol_at_ik(x)[0]) ** 2
 
     if m == 1:
-        value = abs(op.symbol(np.array([body.sigma[0]])))
+        value = float(abs(op.symbol_at_ik([body.sigma[0]])[0]))
         return SharpConstantEstimate(value, "exact-closed-form", 2.0, 2.0,
                                      op.label, body.label, None, 1e-15)
     if m == 2:
@@ -312,7 +312,8 @@ def nikolskii_upper(p: float, q: float,
 def crude_upper(p: float, q: float, op: DifferentialOperator,
                 body: ConvexBody) -> SharpConstantEstimate:
     """Composition bound: enclosing-cube derivative bound times the
-    metric-change factor.  Upper bound for E; asymptotic upper for P."""
+    metric-change factor, which it equals at order 0.  Upper bound for E;
+    asymptotic upper for P."""
     qt = 1.0 if math.isinf(q) else min(1.0, q)
     coeff = (sum(abs(b) ** qt for b in op.terms.values())) ** (1.0 / qt)
     value = ((body.diameter() / 2.0) ** op.order * coeff *
@@ -384,8 +385,8 @@ def _make_objective(prob: SamplingGrid, d: np.ndarray, p: float, q: float,
     different magnitudes of numerator and denominator.
 
     q = inf uses the translation reduction |D T(0)| (linear in c); p = inf
-    uses a soft maximum at the given temperature during ascent, and has no
-    gradient without one.
+    uses a soft maximum at the given temperature (``_final_value`` scores
+    the unsmoothed ratio).
     """
     def at(c):
         if math.isinf(q):
@@ -398,14 +399,11 @@ def _make_objective(prob: SamplingGrid, d: np.ndarray, p: float, q: float,
             gz = lambda: _grad_norm_p(prob, vD, q, num, d)
         v = prob.synth(c)
         if math.isinf(p):
-            if temperature is None:
-                den, gd = prob.norm(v, p), None
-            else:
-                den, gd = _lse(prob, v, temperature)
+            den, gd = _lse(prob, v, temperature)
         else:
             den = prob.norm(v, p)
             gd = lambda: _grad_norm_p(prob, v, p, den, None)
-        if den == 0 or num == 0 or gd is None:
+        if den == 0 or num == 0:
             return (num / den if den > 0 else 0.0), lambda: np.zeros_like(c)
         return num / den, lambda: gz() / num - gd() / den
 

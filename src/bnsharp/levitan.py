@@ -35,7 +35,7 @@ import numpy as np
 
 from .bandlimited import BandLimitedFunction, RealDomainNormEstimate, \
     NonIntegrableTailError, derived_function, fold_terms, \
-    norm_lp_truncated, transform_at_points, transform_on_axes
+    norm_lp_truncated, transform_at_points, transform_on_axes, window_terms
 from .body import ConvexBody
 from .trigpoly import DifferentialOperator, TrigPolynomial, \
     apply_operator, default_grid, norm_lp
@@ -91,10 +91,8 @@ def plan_truncation(f: BandLimitedFunction, a: float, eps: float,
     if x_inf is None:
         x_inf = a * math.pi
     t = x_inf / (2.0 * math.pi * a)
-    if f.m == 1 or f.terms is not None:
-        cap = K_CAP_1D
-    else:
-        cap = (PHASE_CAP // max(len(n) for n in f.nodes) - 1) // 2
+    cap = (K_CAP_1D if _terms(f) is not None else
+           (PHASE_CAP // max(len(n) for n in f.nodes) - 1) // 2)
     K = int(math.ceil(2 * t + 3))
     while K <= cap:
         bound = _tail_for(f, a, K, t)
@@ -105,21 +103,27 @@ def plan_truncation(f: BandLimitedFunction, a: float, eps: float,
         f"cannot certify truncation at tolerance {eps} within K <= {cap}")
 
 
+def _terms(f: BandLimitedFunction):
+    """f's separable terms, a bare univariate f being the one-term sum
+    ((1, (f,)),); None for a weight transform."""
+    if f.weights is not None:
+        return None
+    return f.terms if f.terms is not None else ((1.0, (f,)),)
+
+
 def _tail_for(f: BandLimitedFunction, a: float, K: int, t: float) -> float:
-    if f.terms is not None:
+    terms = _terms(f)
+    if terms is not None:
         # the periodization is linear: each term's per-axis union bound,
         # weighted by |c_r|
         total = 0.0
-        for c, atoms in f.terms:
+        for c, atoms in terms:
             sups = [g.sup_bound for g in atoms]
             for j, g in enumerate(atoms):
                 C, d = g.decay.univariate()
                 others = math.prod(s for i, s in enumerate(sups) if i != j)
                 total += abs(c) * others * _axis_tail(C, d, sups[j], a, K, t)
         return total
-    if f.m == 1:
-        C, d = f.decay.univariate()
-        return _axis_tail(C, d, f.sup_bound, a, K, t)
     return _box_tail(f, a, K, t)
 
 
@@ -127,20 +131,13 @@ def _tail_for(f: BandLimitedFunction, a: float, K: int, t: float) -> float:
 # the periodization sum
 # ---------------------------------------------------------------------------
 
-def _window(a: float, x: np.ndarray, K: int) -> np.ndarray:
-    """The window matrix (sin(x/(2a))/(x/(2a)+l*pi))^2, one row per
-    coordinate x and one column per shift |l| <= K."""
-    ls = np.arange(-K, K + 1)
-    return np.sinc(x[:, None] / (2.0 * a * math.pi) + ls[None, :]) ** 2
-
-
 def _axis_sum(g: BandLimitedFunction, a: float, x: np.ndarray,
               K: int) -> np.ndarray:
     """sum_{|l|<=K} g(x + 2*l*pi*a) * (sin(x/(2a))/(x/(2a)+l*pi))^2, 1-D."""
     ls = np.arange(-K, K + 1)
     args = x[:, None] + 2.0 * math.pi * a * ls[None, :]
     vals = g.evaluate(args.reshape(-1, 1)).reshape(args.shape)
-    return (vals * _window(a, x, K)).sum(axis=1)
+    return (vals * window_terms(x / (2.0 * a), K)).sum(axis=1)
 
 
 def _periodized_phases(f: BandLimitedFunction, a: float,
@@ -152,7 +149,7 @@ def _periodized_phases(f: BandLimitedFunction, a: float,
 
     def axis_matrix(j: int, x: np.ndarray) -> np.ndarray:
         return (np.exp(1j * np.multiply.outer(x, f.nodes[j])) *
-                (_window(a, x, K) @ phases[j]))
+                (window_terms(x / (2.0 * a), K) @ phases[j]))
     return axis_matrix
 
 
@@ -170,10 +167,9 @@ def levitan_evaluate(f: BandLimitedFunction, a: float, x,
     x_inf = float(np.abs(x).max()) if x.size else 0.0
     K, _ = plan_truncation(f, a, eps, x_inf=max(x_inf, a * math.pi))
 
-    if f.terms is not None:
-        return fold_terms(f.terms, lambda g, j: _axis_sum(g, a, x[:, j], K))
-    if f.m == 1:
-        return _axis_sum(f, a, x[:, 0], K)
+    terms = _terms(f)
+    if terms is not None:
+        return fold_terms(terms, lambda g, j: _axis_sum(g, a, x[:, j], K))
     # one point gives a 0-d transform value; keep the (n,) shape
     return transform_at_points(f.weights, _periodized_phases(f, a, K),
                                x).reshape(x.shape[0])
@@ -184,11 +180,10 @@ def _grid_sum(f: BandLimitedFunction, a: float, axes: list[np.ndarray],
     """S_a(f, x) on the tensor grid of the per-axis coordinates ``axes``,
     summed as ``levitan_evaluate`` sums point by point."""
     m = len(axes)
-    if f.terms is not None:
-        return fold_terms(f.terms, lambda g, j: _axis_sum(
+    terms = _terms(f)
+    if terms is not None:
+        return fold_terms(terms, lambda g, j: _axis_sum(
             g, a, axes[j], K).reshape((-1,) + (1,) * (m - 1 - j)))
-    if m == 1:
-        return _axis_sum(f, a, axes[0], K)
     return transform_on_axes(f.weights, _periodized_phases(f, a, K), axes)
 
 

@@ -81,16 +81,6 @@ class DifferentialOperator:
             terms[tuple(2 if i == j else 0 for i in range(m))] = 1.0
         return DifferentialOperator(m, 2, terms, label=f"laplacian:{m}")
 
-    def symbol(self, y) -> complex:
-        """Total symbol sum_a b_a y^a at a real point y."""
-        y = np.asarray(y, dtype=float)
-        if y.shape != (self.m,):
-            raise ValueError(f"expected a vector of length {self.m}")
-        out = 0j
-        for a, b in self.terms.items():
-            out += b * np.prod([y[j] ** a[j] for j in range(self.m)])
-        return complex(out)
-
     def symbol_at_ik(self, k) -> np.ndarray:
         """Frequency multiplier(s) sum_a b_a (ik)^a.
 
@@ -238,6 +228,14 @@ def apply_operator(op: DifferentialOperator, T: TrigPolynomial) -> TrigPolynomia
     return TrigPolynomial(T.m, out, T.budget)
 
 
+def bernstein_gap(s: float) -> float:
+    """Certified relative gap c/(1-c), c = s^2/2, between a grid maximum
+    and the sup, for s = sum_j (spectral half-width * half node spacing)_j:
+    Bernstein's inequality bounds the fall from the sup to the nearest node."""
+    c = 0.5 * s ** 2
+    return c / (1.0 - c) if c < 1.0 else math.inf
+
+
 class SamplingGrid:
     """One spectrum sampled on one uniform grid over Q_pi.
 
@@ -304,12 +302,10 @@ class SamplingGrid:
                      ** (1.0 / p))
 
     def sup_gap(self) -> float:
-        """Certified relative gap c/(1-c), c = 0.5*(sum_j pi*deg_j/L_j)^2,
-        between the grid maximum and the sup over Q_pi: the gradient of a
-        polynomial on this spectrum is Bernstein-bounded by its degrees."""
-        c = 0.5 * sum(math.pi * K / L
-                      for K, L in zip(self.degrees, self.shape)) ** 2
-        return c / (1.0 - c) if c < 1.0 else math.inf
+        """``bernstein_gap`` of s = sum_j pi*deg_j/L_j, between the grid
+        maximum and the sup over Q_pi."""
+        return bernstein_gap(sum(math.pi * K / L
+                                 for K, L in zip(self.degrees, self.shape)))
 
 
 class CosineGrid(SamplingGrid):
@@ -413,7 +409,7 @@ def default_grid(degrees, oversample: int = 4) -> tuple[int, ...]:
     return tuple(int(oversample * (2 * K + 1)) for K in degrees)
 
 
-def norm_lp(T: TrigPolynomial, p: float, L=None, oversample: int = 4,
+def norm_lp(T: TrigPolynomial, p: float, L=None,
             refine: bool = True) -> NormEstimate:
     """L_p(Q_pi) quasi-norm of T by rectangle-rule quadrature.
 
@@ -426,8 +422,8 @@ def norm_lp(T: TrigPolynomial, p: float, L=None, oversample: int = 4,
     """
     if not (p > 0):
         raise ValueError("exponent p must be positive (use math.inf for sup)")
-    grid, values = _sampled(
-        T, L if L is not None else default_grid(T.degrees(), oversample))
+    grid, values = _sampled(T, L if L is not None
+                            else default_grid(T.degrees()))
     val, shape = grid.norm(values, p), grid.shape
     if math.isinf(p):
         return NormEstimate(val, p, "Q_pi", shape, grid.sup_gap())

@@ -291,7 +291,7 @@ def test_11_sup_metric_limit_trend():
             stab_late = abs(values[32.0] - values[16.0])
             stab_early = abs(values[8.0] - values[4.0])
             cands = []
-            f_ak = akhiezer_family(1.0, p, 0.02, s=max(1, N))
+            f_ak = akhiezer_family(1.0, p, 0.02)
             cands.append(candidate_lower_bound_E(
                 f_ak, p, math.inf, op, R=3000.0).value)
             if p > 1.0:

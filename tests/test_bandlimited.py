@@ -90,8 +90,6 @@ def test_akhiezer_parameter_validation():
         akhiezer_family(1.0, 2.0, 1.5)
     with pytest.raises(ValueError):
         akhiezer_family(1.0, 2.0, 0.0)
-    with pytest.raises(ValueError):
-        akhiezer_family(1.0, 2.0, 0.1, s=0)
 
 
 def _ratio_q(f, s, q, R):

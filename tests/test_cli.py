@@ -176,6 +176,18 @@ def test_constant_rows_share_one_operator_label(tmp_path):
     assert {r[2] for r in rows[1:]} == {"0:1,0"}
 
 
+def test_constant_rows_are_distinct(tmp_path):
+    # an order-0 operator's composition bound is the metric-change bound,
+    # so the upper bound is listed once
+    out = tmp_path / "c.csv"
+    code = main(["constant", "--body", "cube:1", "--m", "1", "--p", "1",
+                 "--q", "inf", "--a", "4", "--out", str(out)])
+    assert code == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == len(set(lines))
+    assert [r[5] for r in read_rows(out)[1:]].count("upper-bound") == 1
+
+
 def test_candidates_subcommand(tmp_path):
     out = tmp_path / "cand.csv"
     code = main(["candidates", "--body", "cube:1", "--m", "1", "--p", "2",

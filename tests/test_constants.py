@@ -100,6 +100,21 @@ def test_closed_e22_flat_box_edge():
     assert closed_e22(box, d2).value == pytest.approx(2.0, rel=1e-8)
 
 
+@pytest.mark.parametrize("body, m, op, expected", [
+    ("cube:2", 1, DifferentialOperator.partial(1, 0), 2.0),     # endpoint
+    ("ball:1", 3, DifferentialOperator.laplacian(3), 1.0),
+    ("cube:1", 3, DifferentialOperator.monomial((1, 1, 1)), 1.0),
+    ("ball:1", 3, DifferentialOperator.monomial((1, 1, 0)), 0.5),
+    ("lp:1,2,3:2", 3, DifferentialOperator.monomial((0, 0, 2)), 9.0),
+    ("ball:1", 2, DifferentialOperator.identity(2), 1.0),       # order 0
+])
+def test_closed_e22_branches(body, m, op, expected):
+    # the order-0 branch, the m = 1 endpoint and the m = 3 Nelder-Mead
+    # ascent each reach the known symbol maximum within their tolerance
+    est = closed_e22(parse_body(body, m), op)
+    assert abs(est.value - expected) <= est.tolerance * expected
+
+
 def test_bernstein_bracket():
     body = ConvexBody.parallelepiped([2.0, 3.0])
     br = bernstein_pq(body, (1, 1), 1.0)
@@ -643,7 +658,7 @@ def test_candidate_akhiezer_tensor_approaches_exact():
     op = DifferentialOperator.monomial((1, 1))
     vals = []
     for h in (0.1, 0.05):
-        F = tensor_product([akhiezer_family(s, 2.0, h * s, s=1)
+        F = tensor_product([akhiezer_family(s, 2.0, h * s)
                             for s in sigma])
         est = candidate_lower_bound_E(F, 2.0, 2.0, op, R=600.0)
         vals.append(est.value)
