@@ -38,8 +38,11 @@ MultiIndex = tuple[int, ...]
 Terms = tuple[tuple[complex, tuple["BandLimitedFunction", ...]], ...]
 
 
-class NonIntegrableTailError(ValueError):
-    """The decay envelope cannot certify a finite tail at this exponent."""
+class NonIntegrableTailError(ArithmeticError):
+    """The decay envelope cannot certify a finite tail at this exponent.
+
+    An arithmetic failure, not a malformed request: the CLI reports it with
+    exit code 1 and a JSON error record, not as a usage error."""
 
 
 # ---------------------------------------------------------------------------

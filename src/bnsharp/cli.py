@@ -3,7 +3,8 @@
 Subcommands
 -----------
 constant       closed forms and bounds for one parameter set
-optimize       certified lower bound from the multistart optimizer
+optimize       certified lower bound from the optimizer (and at p = q = inf
+               for small problems an LP dual upper bound, in the manifest)
 converge       periodic constant along a scale sweep (limit experiments)
 levitan-check  periodization property checks, one CSV row per property
 candidates     continuum lower-bound candidates vs closed forms
@@ -338,10 +339,16 @@ def run_optimize(cfg: ExperimentConfig) -> tuple[list[str], dict]:
         ms = (time.perf_counter() - t0) * 1000.0
         rows.append(estimate_row(out.estimate, cfg.seed, ms))
         extra[f"restart_values_a={a:g}"] = list(out.restart_values)
-        extra[f"ascent_stops_a={a:g}"] = dict(
-            Counter(s.reason for s in out.ascent_stops))
-        extra[f"best_rung_a={a:g}"] = list(out.best_rungs)
         extra[f"unknowns_a={a:g}"] = list(out.unknowns)
+        if out.upper is None:
+            extra[f"ascent_stops_a={a:g}"] = dict(
+                Counter(s.reason for s in out.ascent_stops))
+            extra[f"best_rung_a={a:g}"] = list(out.best_rungs)
+        else:
+            lps, active, residual = out.lp
+            extra[f"upper_bound_a={a:g}"] = out.upper.value
+            extra[f"lp_a={a:g}"] = {"lps": lps, "active_nodes": active,
+                                    "residual": residual}
     return rows, extra
 
 

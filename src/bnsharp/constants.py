@@ -11,11 +11,14 @@ that loses nothing, runs on one real unknown per symmetry orbit and
 samples on ``trigpoly.CosineGrid``.  For p = inf the ascent climbs a
 ladder of soft-max temperatures; each rung's iterate is certified, and a
 restart's ladder stops at the first rung whose certified value falls below
-an earlier rung's.
+an earlier rung's.  At p = q = inf a problem with few orbit unknowns is
+instead bracketed by an exchange LP: a certified lower bound from its
+solution and an upper bound from its duals.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from collections import deque
@@ -23,7 +26,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar, minimize
+from scipy.optimize import linprog, minimize_scalar, minimize
 
 from .bandlimited import BandLimitedFunction, derived_function, \
     norm_lp_truncated
@@ -39,7 +42,9 @@ class SharpConstantEstimate:
     """A sharp-constant value tagged with its epistemic status.
 
     ``kind`` is one of "exact-closed-form", "lower-bound-optimizer",
-    "lower-bound-candidate", "upper-bound".  ``a`` is None for continuum
+    "lower-bound-candidate", "upper-bound", "upper-bound-dual" (an LP dual
+    certificate, rigorous whatever the solver's accuracy).  Every
+    "upper-bound*" kind is an upper bound.  ``a`` is None for continuum
     (limit) constants.  ``tolerance`` is a relative uncertainty of the
     reported value; exact closed forms carry rounding-level tolerances.
     """
@@ -64,7 +69,7 @@ def check_order_consistency(
     """
     lowers = [e for e in estimates if e.kind.startswith("lower") or
               e.kind == "exact-closed-form"]
-    uppers = [e for e in estimates if e.kind == "upper-bound" or
+    uppers = [e for e in estimates if e.kind.startswith("upper-bound") or
               e.kind == "exact-closed-form"]
     for lo in lowers:
         for up in uppers:
@@ -540,14 +545,18 @@ class OptimizerOutcome:
     # (unknowns of the ascent, lattice size, order of the symmetry group);
     # the group is trivial, order 1, unless the ascent ran on cosine orbits
     unknowns: tuple[int, int, int] = ()
+    # the exchange LP's "upper-bound-dual" estimate, and (LPs solved, active
+    # nodes of the last LP, its dual residual term); set only on that path
+    upper: SharpConstantEstimate | None = None
+    lp: tuple[int, int, float] = ()
 
 
 def _certificate_grid(prob: SamplingGrid) -> SamplingGrid:
     """The square grid on prob's spectrum whose Bernstein sup gap is at
     most about ``_SUP_GAP``, of prob's kind; p = q = inf values are
     certified on it.  A ``CosineGrid`` samples a quarter of it, whose
-    maximum is the full grid's for the real, coordinatewise even
-    polynomials it carries."""
+    maximum is the full grid's for the polynomials it carries, |T| being
+    even in every coordinate."""
     L = max(int(math.ceil(math.pi * max(sum(prob.degrees), 1) /
                           math.sqrt(2.0 * _SUP_GAP))) + 1,
             max(prob.shape))
@@ -568,26 +577,226 @@ def _final_value(grid: SamplingGrid, d, c, p, q, pref):
     return pref * grid.norm(grid.synth(d * c), q) / grid.norm(v, p), 1e-9
 
 
-def _cosine_orbits(p: float, q: float, op: DifferentialOperator,
-                   spectrum, d: np.ndarray):
-    """(orbit index per key, orbit sizes, |G|) when the ascent may run on
-    real cosine coefficients, one per orbit of G, without loss; else None.
+def _cosine_orbits(p: float, q: float, op: DifferentialOperator, spectrum):
+    """(orbit index per key, orbit sizes, |G|, odd axes) when the problem
+    may run on one real unknown per orbit of G (``CosineGrid``) without
+    loss; else None.
 
-    That needs 1 <= p <= inf, q = inf, and a real symbol that is even in
-    every coordinate (every term has real coefficient and even exponents),
-    so that G holds every coordinate reflection."""
+    That needs 1 <= p <= inf, q = inf, and a symbol i^N s(k) with s real
+    and of one parity in each coordinate: every term has a real
+    coefficient, and on each axis j its exponents are all even or all odd
+    (``odd[j]``).  G is the signed permutations that map the spectrum onto
+    itself, keep s(|k|) (|k| taken coordinatewise) and map odd axes to odd
+    axes; it holds every coordinate reflection.  A key with a zero
+    coordinate on an odd axis carries no unknown and gets index -1.  The
+    reduction is proved in ``optimize_full``.
+    """
     if not (p >= 1.0 and math.isinf(q)):
         return None
-    if any(b.imag != 0 or any(c % 2 for c in alpha)
-           for alpha, b in op.terms.items()):
+    parities = {tuple(c % 2 for c in alpha) for alpha in op.terms}
+    if len(parities) > 1 or any(b.imag != 0 for b in op.terms.values()):
         return None
-    return spectrum.orbits((d * (-1j) ** op.order).real)
+    odd = tuple(bool(c) for c in parities.pop())
+    keys = spectrum.as_array()
+    values = _abs_symbol(op, keys)
+    if not any(odd):
+        return (*spectrum.orbits(values), odd)
+    # a second coordinate tells the odd axes from the even ones
+    tag = (keys[:, list(odd)] ** 2).sum(axis=1)
+    index, _, group = spectrum.orbits(
+        values + 1j * max(np.abs(values).max(), 1.0) * tag)
+    live = (keys[:, list(odd)] != 0).all(axis=1)
+    _, renumbered = np.unique(index[live], return_inverse=True)
+    index = np.full(len(keys), -1)
+    index[live] = renumbered
+    return index, np.bincount(renumbered), group, odd
+
+
+def _abs_symbol(op: DifferentialOperator, keys: np.ndarray) -> np.ndarray:
+    """s(|k|) for each row k of keys, where the symbol is i^N s."""
+    return (op.symbol_at_ik(np.abs(keys).astype(float)) *
+            (-1j) ** op.order).real
+
+
+_LP_MAX_UNKNOWNS = 200  # largest orbit count that goes to the exchange LP
+_LP_SLACK = 1e-6        # the exchange stops once max |T| <= 1 + _LP_SLACK
+_LP_MAX_ROUNDS = 200    # a bound on the LPs of one problem
 
 
 def optimize_full(p: float, q: float, op: DifferentialOperator,
                   a: float, body: ConvexBody,
                   config: OptimizerConfig = OptimizerConfig(),
                   ) -> OptimizerOutcome:
+    """The normalized ratio's supremum: a certified lower bound, and at
+    p = q = inf for small problems an upper bound too.
+
+    At p = q = inf a problem whose orbit unknowns (``_cosine_orbits``)
+    number at most ``_LP_MAX_UNKNOWNS`` goes to ``exchange_lp``; every
+    other problem, and every symbol without a parity on each axis, goes to
+    ``optimize_ascent``.
+
+    Orbit reduction.  Let 1 <= p <= inf, q = inf, and let the symbol be
+    i^N s(k) with s real and of parity eps_j = +-1 in each coordinate
+    k_j; n axes are odd.  Let G be the group of ``_cosine_orbits``, and
+    chi(g) the product of eps_j over the axes that g reflects.  chi is a
+    character of G, because G maps odd axes to odd axes, and
+    s(g k) = chi(g) s(k): the permutation part of g keeps s and each
+    reflection of axis j multiplies it by eps_j.  The problem then runs on
+    one real u_o per G-orbit o, with c_k = i^{-n} sgn(k) u_o / sqrt(|o|)
+    (``trigpoly.CosineGrid``), so ||c|| = ||u||.  This loses nothing, for
+    the grid ratio as for the true one:
+
+    - g acts on polynomials by (gT)(x) = T(g^T x), which maps c_k to
+      c_{g^{-1} k}.  D(gT)(0) = sum_k i^N s(k) c_{g^{-1} k} = chi(g) D T(0),
+      and ||gT||_p = ||T||_p because g^T permutes the uniform grid (its
+      per-axis sizes agree on axes that G swaps, since S has equal degrees
+      there).  So A = |G|^{-1} sum_g chi(g) gT keeps D T(0), and
+      ||A||_p <= ||T||_p since ||.||_p is a norm for p >= 1 (Minkowski, or
+      for p = inf the triangle inequality of the grid maximum).
+    - A's coefficients satisfy a_{gk} = chi(g) a_k.  A reflection of an
+      odd axis fixes every k with k_j = 0 and has chi = -1, so a_k = 0
+      there; elsewhere sgn(g k) = chi(g) sgn(k), so a_k = i^{-n} sgn(k) z_o
+      with one complex z_o per orbit.  That is sum_o z_o phi_o with the
+      real basis functions phi_o above.  Scale A by a unimodular constant
+      so that sum_o s_o sqrt(|o|) z_o = r > 0, where s_o = s(|k|) on o
+      (D A(0) = i^{N-n} times that sum, since s(k) sgn(k) = s(|k|)), and
+      take B = Re A = sum_o Re(z_o) phi_o.  Then D B(0) = i^{N-n} r,
+      and |B| <= |A| pointwise gives ||B||_p <= ||A||_p.
+
+    The ratio of B is therefore at least that of T.  p < 1 breaks
+    Minkowski and finite q breaks the translation to x = 0, so those keep
+    the full complex coefficients, as do symbols of neither parity in some
+    coordinate.
+    """
+    if math.isinf(p) and math.isinf(q):
+        out = exchange_lp(op, a, body)
+        if out is not None:
+            return out
+    return optimize_ascent(p, q, op, a, body, config)
+
+
+def _spectrum(p: float, q: float, op: DifferentialOperator, a: float,
+              body: ConvexBody):
+    """The lattice set aV ∩ Z^m and the normalization a^{-N-m/p+m/q}."""
+    if not (0 < p <= q):
+        raise ValueError("need 0 < p <= q")
+    spectrum = body.lattice_points(a)
+    if len(spectrum) == 0:
+        raise ValueError("empty spectrum")
+    pref = a ** (-(op.order + (0.0 if math.isinf(p) else body.m / p)
+                   - (0.0 if math.isinf(q) else body.m / q)))
+    return spectrum, pref
+
+
+def _orbit_symbol(op: DifferentialOperator, keys: np.ndarray,
+                  index: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The real d_o = s_o sqrt(|o|) with |D T(0)| = |sum_o d_o u_o|."""
+    live = np.flatnonzero(index >= 0)
+    first = live[np.unique(index[live], return_index=True)[1]]
+    return _abs_symbol(op, keys[first]) * np.sqrt(sizes)
+
+
+def exchange_lp(op: DifferentialOperator, a: float,
+                body: ConvexBody) -> OptimizerOutcome | None:
+    """Bracket P(a) at p = q = inf by an exchange LP on the orbit unknowns;
+    None when the symbol has no parity on some axis, P(a) is 0, or the
+    orbits number more than ``_LP_MAX_UNKNOWNS``.
+
+    P(a)/pref is the maximum of d.u subject to |T(x)| <= 1 on Q_pi, over
+    the orbit basis of ``optimize_full``, which loses nothing.  The LP
+    imposes the constraint on an active set of nodes of the certificate
+    grid (a quarter grid, since |T| is even in every coordinate).  It
+    starts as the nodes of the factor-2 quarter grid, moved to the nearest
+    certificate nodes.  Each round solves the LP (HiGHS), synthesizes its
+    solution on the certificate grid, adds the local maxima of |T| above
+    1 + ``_LP_SLACK`` and drops the rows whose dual is zero; it stops once
+    no node is above.  This is the exchange (cutting-plane) method for
+    semi-infinite LPs.
+
+    - The lower bound is ``_final_value`` of the last solution: the
+      certified sup ratio, as for the ascent.
+    - The upper bound comes from the duals y of each LP's rows R: for every
+      T, d.u = y.(R u) + (d - R^T y).u <= (sum |y_l| + ||R^T y - d||_2)
+      ||T||_inf, because |T(x_l)| <= ||T||_inf and ||u||_2 = ||c||_2 <=
+      ||T||_inf (Parseval).  So it holds whatever the solver's accuracy;
+      the least over the rounds is reported.
+    """
+    spectrum, pref = _spectrum(math.inf, math.inf, op, a, body)
+    orbits = _cosine_orbits(math.inf, math.inf, op, spectrum)
+    if orbits is None:
+        return None
+    index, sizes, group, odd = orbits
+    keys = spectrum.as_array()
+    if not 0 < len(sizes) <= _LP_MAX_UNKNOWNS:
+        return None
+    d = _orbit_symbol(op, keys, index, sizes)
+    if not np.any(d):
+        return None
+    cert = _certificate_grid(CosineGrid(
+        keys, index, default_grid(np.abs(keys).max(axis=0), 8), odd))
+    coarse = default_grid(cert.degrees, 2)
+    axes = [np.minimum(np.rint(np.arange(L // 2 + 1) * (Lc / L)), Lc // 2)
+            for L, Lc in zip(coarse, cert.shape)]
+    active = np.unique(np.stack([g.ravel() for g in np.meshgrid(
+        *axes, indexing="ij")], axis=-1).astype(np.int64), axis=0)
+    upper = (math.inf, 0.0)
+    for lps in range(1, _LP_MAX_ROUNDS + 1):
+        R = cert.rows(active)
+        res = linprog(-d, A_ub=np.vstack([R, -R]),
+                      b_ub=np.ones(2 * len(R)), bounds=(None, None),
+                      method="highs")
+        if res.status != 0:
+            raise RuntimeError(f"exchange LP at a = {a:g}: {res.message}")
+        # the rows R u <= 1 and -R u <= 1 of min -d.u have marginals
+        # -y+ <= 0 and -y- <= 0, and y = y+ - y- solves R^T y = d
+        u, dual = res.x, res.ineqlin.marginals.reshape(2, -1)
+        y = dual[1] - dual[0]
+        residual = float(np.linalg.norm(R.T @ y - d))
+        upper = min(upper, (float(np.abs(y).sum()) + residual, residual))
+        peaks = _peaks_above(np.abs(cert.synth(u)), cert.shape,
+                             1.0 + _LP_SLACK)
+        if len(peaks) == 0:
+            break
+        active = np.unique(np.vstack([active[(dual != 0).any(axis=0)],
+                                      peaks]), axis=0)
+    value, tol = _final_value(cert, d, u, math.inf, math.inf, pref)
+    notes = (f"exchange LP: {lps} LPs, {len(R)} active nodes; orbit "
+             f"reduction: {len(sizes)} real unknowns for {len(keys)} "
+             f"frequencies, |G| = {group}")
+    est = SharpConstantEstimate(value, "lower-bound-optimizer", math.inf,
+                                math.inf, op.label, body.label, a, tol, notes)
+    bound = SharpConstantEstimate(pref * upper[0], "upper-bound-dual",
+                                  math.inf, math.inf, op.label, body.label,
+                                  a, 0.0, notes)
+    coeffs = {tuple(int(v) for v in k): complex(v)
+              for k, v in zip(keys, cert.coefficients(u))}
+    return OptimizerOutcome(est, (value,), coeffs,
+                            unknowns=(len(sizes), len(keys), group),
+                            upper=bound,
+                            lp=(lps, len(R), pref * upper[1]))
+
+
+def _peaks_above(av: np.ndarray, shape: tuple[int, ...],
+                 level: float) -> np.ndarray:
+    """The (r, m) quarter-grid nodes where av > level and av is at least
+    each neighbour's value.  |T| is even about node 0 and node L//2 of
+    each axis, so a neighbour past the kept nodes 0..L//2 mirrors one
+    inside that is compared anyway; clipping the offsets to the kept nodes
+    loses no comparison."""
+    nodes = np.argwhere(av > level)
+    top = av[tuple(nodes.T)]
+    peak = np.ones(len(nodes), dtype=bool)
+    last = [L // 2 for L in shape]
+    for offset in itertools.product((-1, 0, 1), repeat=av.ndim):
+        near = np.clip(nodes + offset, 0, last)
+        peak &= top >= av[tuple(near.T)]
+    return nodes[peak]
+
+
+def optimize_ascent(p: float, q: float, op: DifferentialOperator,
+                    a: float, body: ConvexBody,
+                    config: OptimizerConfig = OptimizerConfig(),
+                    ) -> OptimizerOutcome:
     """Multistart L-BFGS ascent on the sphere for the normalized ratio.
 
     Maximizes over coefficients on the unit sphere (the ratio is scale
@@ -601,47 +810,18 @@ def optimize_full(p: float, q: float, op: DifferentialOperator,
     best-certified iterate, the first of equal ones.  p = q = 2 is the exact
     lattice maximum (no iteration).
 
-    Cosine-orbit reduction.  Let 1 <= p <= inf, q = inf, and let the symbol
-    be i^N s(k) with s real and even in every coordinate.  Let G be the
-    signed permutations g that map S = aV ∩ Z^m onto itself and keep
-    s(g k) = s(k); G holds every coordinate reflection.  The ascent then
-    runs on one real u_o per G-orbit o, with c_k = u_o / sqrt(|o|) for k in
-    o, so ||c|| = ||u||, and samples on ``CosineGrid``.  This loses
-    nothing, for the grid ratio the ascent maximizes as for the true one:
+    Where ``_cosine_orbits`` applies and the symbol is even in every
+    coordinate, the ascent runs on the real cosine unknowns, one per orbit
+    (the reduction of ``optimize_full``); symbols with an odd axis keep the
+    full complex coefficients here.
 
-    - g acts on polynomials by (gT)(x) = T(g^T x), which maps c_k to
-      c_{g^{-1} k}.  D(gT)(0) = sum_k s(k) i^N c_{g^{-1} k} = D T(0) since s
-      is G-invariant, and ||gT||_p = ||T||_p because g^T permutes the
-      uniform grid (its per-axis sizes agree on axes that G swaps, since S
-      has equal degrees there).  So the average A = |G|^{-1} sum_g gT keeps
-      D T(0), and ||A||_p <= ||T||_p since ||.||_p is a norm for p >= 1
-      (Minkowski, or for p = inf the triangle inequality of the grid
-      maximum).
-    - Scale A by a unimodular constant so that sum_k s(k) a_k = r > 0, and
-      take B = Re A.  G holds -I, so a_{-k} = a_k and B has the
-      coefficients Re a_k: B is a real G-invariant cosine sum, of the form
-      above.  D B(0) = i^N r because s is real, and |B| <= |A| pointwise
-      gives ||B||_p <= ||A||_p.
-
-    The ratio of the result is therefore at least that of T.  p < 1 breaks
-    Minkowski and finite q breaks the translation to x = 0, so those keep
-    the full complex coefficients, as do symbols that are odd in some
-    coordinate (d/dx) or lack single-axis reflections (d^2/dx dy).
-
-    For p = inf the argument covers the certified sup ratio, not each rung
+    For p = inf the reduction covers the certified sup ratio, not each rung
     of the ladder.  The soft maximum at a fixed temperature is not
     homogeneous in T, and the ascent runs on the unit sphere, so the
     reduced and the full ladders reach different iterates; a rung's value,
     and the reported value, may lie on either side of the full path's.
     """
-    if not (0 < p <= q):
-        raise ValueError("need 0 < p <= q")
-    spectrum = body.lattice_points(a)
-    if len(spectrum) == 0:
-        raise ValueError("empty spectrum")
-    m = body.m
-    pref = a ** (-(op.order + (0.0 if math.isinf(p) else m / p)
-                   - (0.0 if math.isinf(q) else m / q)))
+    spectrum, pref = _spectrum(p, q, op, a, body)
 
     if p == 2.0 and q == 2.0:
         est = closed_p22(body, op, a)
@@ -658,26 +838,25 @@ def optimize_full(p: float, q: float, op: DifferentialOperator,
     keys = spectrum.as_array()
     shape = default_grid(np.abs(keys).max(axis=0), 8 if math.isinf(p) else 4)
     d = op.symbol_at_ik(keys.astype(float))
-    orbits = _cosine_orbits(p, q, op, spectrum, d)
+    orbits = _cosine_orbits(p, q, op, spectrum)
+    if orbits is not None and any(orbits[3]):
+        orbits = None       # the ascent keeps odd symbols complex
     if orbits is None:
         prob = SamplingGrid(keys, shape)
         unknowns = (prob.n, prob.n, 1)
         reduce = expand = lambda c: c
     else:
-        index, sizes, group = orbits
+        index, sizes, group, _ = orbits
         prob = CosineGrid(keys, index, shape)
         unknowns = (prob.n, len(keys), group)
         root = np.sqrt(sizes)
         # D T(0) = i^N sum_o s_o sqrt(|o|) u_o, and i^N drops out of |D T(0)|
-        first = np.unique(index, return_index=True)[1]
-        d = (d[first] * (-1j) ** op.order).real * root
+        d = _orbit_symbol(op, keys, index, sizes)
 
         def reduce(c):
             """u of the orthogonal projection of c onto the cosine sums."""
             return np.bincount(index, weights=c.real) / root
-
-        def expand(u):
-            return (u / root)[index]
+        expand = prob.coefficients
     # every rung's iterate is scored on this grid; at p = q = inf it is the
     # run's largest, so it is built once
     cert = _certificate_grid(prob) if math.isinf(p) and math.isinf(q) \

@@ -309,29 +309,35 @@ class SamplingGrid:
 
 
 class CosineGrid(SamplingGrid):
-    """Real cosine polynomials with one coefficient per orbit, sampled on
-    a quarter of a uniform grid.
+    """Real cosine polynomials, or sine-cosine products, with one
+    coefficient per orbit, sampled on a quarter of a uniform grid.
 
     ``orbit`` gives each key's orbit under a group of signed permutations
-    that contains every coordinate reflection.  The unknowns are one real
-    u_o per orbit o, and the polynomial is
+    that contains every coordinate reflection, and -1 on the keys that
+    carry no coefficient.  ``odd`` marks the axes of odd parity (none by
+    default).  Write sgn(k) for the product of sign(k_j) over the odd axes,
+    0 when one of them is 0, and n for the number of odd axes.  The
+    unknowns are one real u_o per orbit o, and the polynomial is
 
-        T(x) = sum_o u_o |o|^{-1/2} sum_{k in o} e^{ik.x},
+        T(x) = sum_o u_o |o|^{-1/2} sum_{k in o} i^{-n} sgn(k) e^{ik.x},
 
-    so the full coefficient vector has the norm of u.  T is real and even
-    in each coordinate, so its values at the nodes l_j = 0..L_j//2 of each
+    so the full coefficient vector has the norm of u.  T is real, even in
+    each coordinate of an even axis and odd in each coordinate of an odd
+    one; the keys with sgn(k) = 0 must carry orbit -1.  So |T| is even in
+    every coordinate, and its values at the nodes l_j = 0..L_j//2 of each
     axis, weighted 1 (l_j = 0 or 2 l_j = L_j, the nodes that are their own
     mirror images) or 2 per axis, give the full grid's L_p sums.  ``synth``
     applies one dense real matrix per axis, built once: entry (l, k) is
-    w_k cos(2 pi l k / L_j) for the kept nodes l <= L_j // 2 and the degrees
-    k <= K_j, with w_0 = 1 and w_k = 2 otherwise.  ``analyze`` is its
-    adjoint with the node weights folded into the transposed cosines (the
-    w_k sit in ``fold``).  The matrices compute only the nodes kept, and on
-    these small spectra a matrix product costs less than an FFT call.
+    w_k cos(2 pi l k / L_j) on an even axis and 2 sin(2 pi l k / L_j) on
+    an odd one, for the kept nodes l <= L_j // 2 and the degrees k <= K_j,
+    with w_0 = 1 and w_k = 2 otherwise.  ``analyze`` is its adjoint with the
+    node weights folded into the transposed matrices (the w_k sit in
+    ``fold``).  The matrices compute only the nodes kept, and on these
+    small spectra a matrix product costs less than an FFT call.
     """
 
     def __init__(self, keys: np.ndarray, orbit: np.ndarray,
-                 shape: tuple[int, ...]):
+                 shape: tuple[int, ...], odd: tuple[bool, ...] | None = None):
         self.m = len(shape)
         self.keys = np.asarray(keys, dtype=np.int64).reshape(-1, self.m)
         self.shape = tuple(shape)
@@ -339,11 +345,12 @@ class CosineGrid(SamplingGrid):
         self.degrees = tuple(np.abs(self.keys).max(axis=0, initial=0).tolist())
         self.weight = float(np.prod([2.0 * math.pi / L for L in shape]))
         self.orbit = np.asarray(orbit)
-        sizes = np.bincount(orbit)
+        self.odd = (False,) * self.m if odd is None else tuple(odd)
+        sizes = np.bincount(self.orbit[self.orbit >= 0])
         self.n = len(sizes)
         # each key with no negative coordinate stands for its 2^(nonzero
         # coordinates) mirror images; (-1)^(k_1+..+k_m) puts node 0 at -pi
-        nonneg = (self.keys >= 0).all(axis=1)
+        nonneg = (self.keys >= 0).all(axis=1) & (self.orbit >= 0)
         half = self.keys[nonneg]
         self.pos = tuple(half.T)
         self.half_orbit = self.orbit[nonneg]
@@ -356,15 +363,21 @@ class CosineGrid(SamplingGrid):
                     for H, L in zip(nodes, shape)]
         self.node_weight = math.prod(np.ix_(*per_axis))
         self.synth_mats, self.analyze_mats = [], []
-        for K, H, L, w in zip(self.degrees, nodes, shape, per_axis):
-            cos = np.cos(2.0 * np.pi * (np.outer(np.arange(H),
-                                                 np.arange(K + 1)) % L) / L)
-            self.synth_mats.append(np.where(np.arange(K + 1) == 0, 1.0, 2.0)
-                                   * cos)
-            self.analyze_mats.append((w[:, None] * cos).T)
+        for K, H, L, w, odd_j in zip(self.degrees, nodes, shape, per_axis,
+                                     self.odd):
+            angle = 2.0 * np.pi * (np.outer(np.arange(H),
+                                            np.arange(K + 1)) % L) / L
+            if odd_j:
+                wave = np.sin(angle)
+                self.synth_mats.append(2.0 * wave)
+            else:
+                wave = np.cos(angle)
+                self.synth_mats.append(np.where(np.arange(K + 1) == 0, 1.0,
+                                                2.0) * wave)
+            self.analyze_mats.append((w[:, None] * wave).T)
 
     def resized(self, shape: tuple[int, ...]) -> "CosineGrid":
-        return CosineGrid(self.keys, self.orbit, shape)
+        return CosineGrid(self.keys, self.orbit, shape, self.odd)
 
     def synth(self, u: np.ndarray) -> np.ndarray:
         A = np.zeros(self.half_shape)
@@ -380,6 +393,27 @@ class CosineGrid(SamplingGrid):
                                          axes=(1, j)), 0, j)
         return np.bincount(self.half_orbit, weights=v[self.pos] * self.fold,
                            minlength=self.n)
+
+    def coefficients(self, u: np.ndarray) -> np.ndarray:
+        """The full coefficient vector of the polynomial, in key order."""
+        live = self.orbit >= 0
+        sign = np.prod(np.sign(self.keys[live][:, list(self.odd)]), axis=1)
+        c = np.zeros(len(self.keys), dtype=complex)
+        c[live] = ((u / np.sqrt(np.bincount(self.orbit[live])))[
+            self.orbit[live]] * sign) * (1j) ** -sum(self.odd)
+        return c
+
+    def rows(self, nodes: np.ndarray) -> np.ndarray:
+        """The matrix R with R @ u = synth(u)[tuple(nodes.T)], for an (r, m)
+        array of kept node indices, built from the per-axis matrices
+        without sampling the grid."""
+        prod = self.scale
+        for j in range(self.m):
+            prod = prod * self.synth_mats[j][np.ix_(nodes[:, j],
+                                                    self.pos[j])]
+        member = np.zeros((len(self.half_orbit), self.n))
+        member[np.arange(len(self.half_orbit)), self.half_orbit] = 1.0
+        return prod @ member
 
 
 def _sampled(T: TrigPolynomial, L) -> tuple[SamplingGrid, np.ndarray]:

@@ -21,7 +21,7 @@ from bnsharp.constants import (OptimizerConfig, TWO_PI, bernstein_pq,
                                candidate_lower_bound_E,
                                check_order_consistency, closed_e2_inf,
                                closed_e22, closed_p2_inf, closed_p22,
-                               crude_upper, limit_study, nikolskii_upper,
+                               crude_upper, nikolskii_upper,
                                optimize_full, _make_objective)
 from bnsharp.levitan import (check_norm_contraction, levitan_evaluate)
 from bnsharp.trigpoly import (DifferentialOperator, SamplingGrid,
@@ -348,24 +348,36 @@ def test_12_sup_sup_laplacian_ball_probe():
     # paper does not say whether lim P equals that value.  P(a) at a finite
     # scale can sit well below the limit: the LP dual certificate puts
     # P(4) <= 1.416, under the band's lower edge, so that edge applies only
-    # at a = 8 and 16, and a = 4 and 8 are checked against their certificate.
+    # at a = 8 and 16.  The optimizer brackets each P(a) by its exchange
+    # LP: a certified lower value and a dual upper bound, which must lie
+    # within the independent 64^m-grid certificate at a = 4 and 8.  Each
+    # lower value must be at least the soft-max ladder's (6 restarts,
+    # seed 12).
     t0 = time.perf_counter()
     body = ConvexBody.ball(1.0, 2)
     lap = DifferentialOperator.laplacian(2)
     cfg = OptimizerConfig(restarts=6, iterations=500, seed=12)
-    study = limit_study(math.inf, math.inf, lap, body, [4.0, 8.0, 16.0],
-                        cfg, chain_warm_start=True)
+    ladder = {4.0: 1.4059119, 8.0: 1.6607910, 16.0: 1.8172810}
+    outs = {a: optimize_full(math.inf, math.inf, lap, a, body, cfg)
+            for a in ladder}
     dt = time.perf_counter() - t0
-    rows = {r.a: r for r in study.rows}
-    values = [r.value for r in study.rows]
+    rows = {a: out.estimate for a, out in outs.items()}
+    uppers = {a: out.upper for a, out in outs.items()}
+    values = [rows[a].value for a in ladder]
     dual = {a: _dual_upper_sup_sup(lap, body, a) for a in (4.0, 8.0)}
     nondecreasing = all(b >= a - 1e-6 for a, b in zip(values, values[1:]))
     below_edge = all(v <= 2.05 for v in values)
     above_edge = all(rows[a].value >= 1.6 for a in (8.0, 16.0))
     bracketed = all(rows[a].value <= dual[a] for a in dual)
+    lp_bracket = all(uppers[a] is not None and
+                     rows[a].value <= uppers[a].value for a in ladder)
+    above_ladder = all(rows[a].value >= ladder[a] for a in ladder)
+    within_dual = lp_bracket and all(uppers[a].value <= dual[a]
+                                     for a in dual)
     ok = (nondecreasing and below_edge and above_edge and bracketed
-          and dt < 600.0)
+          and lp_bracket and above_ladder and within_dual and dt < 600.0)
     report(12, ok, f"values={[round(v, 4) for v in values]} "
+                   f"lp_upper={[round(u.value, 4) for u in uppers.values()]} "
                    f"dual_upper(a=4,8)={[round(d, 4) for d in dual.values()]} "
                    f"nondecreasing={nondecreasing} v<=2.05={below_edge} "
                    f"v>=1.6(a=8,16)={above_edge} runtime={dt:.0f}s")
@@ -375,8 +387,11 @@ def test_12_sup_sup_laplacian_ball_probe():
     # the certificate is what excludes the lower edge at a = 4
     assert dual[4.0] < 1.6
     assert above_edge, "lattice value below 1.6 at a = 8 or 16"
+    assert lp_bracket, "no LP bracket, or a lower value above its upper"
+    assert above_ladder, "a lower value below the soft-max ladder's"
+    assert within_dual, "an LP upper bound above the 64^m certificate"
     for a, bound in dual.items():
-        check_order_consistency([rows[a], replace(
+        check_order_consistency([rows[a], uppers[a], replace(
             rows[a], value=bound, kind="upper-bound", tolerance=1e-12,
             notes="LP dual certificate")])
 

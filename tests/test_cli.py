@@ -7,7 +7,10 @@ import pytest
 
 from bnsharp.cli import (OperatorSpecError, main, operator_parse,
                          parse_exponent, parse_sweep)
-from bnsharp.constants import _TEMP_LADDER
+from bnsharp.body import ConvexBody
+from bnsharp.constants import (_TEMP_LADDER, OptimizerConfig,
+                               optimize_ascent)
+from bnsharp.trigpoly import DifferentialOperator
 
 
 def read_rows(path):
@@ -104,17 +107,31 @@ def test_optimize_manifest_counts_ascent_stops(tmp_path):
     # the identity at p = 1, q = inf runs on the cosine orbits {0}, {-1, 1}
     # and {-2, 2} of the group {1, -1}
     assert results["unknowns_a=2"] == [3, 5, 2]
+    # the segment's d/dx at p = inf on the ladder, which the CLI reaches
+    # only above the LP's cut: both ladders peak at t = 316 and stop one
+    # rung later
+    out_ladder = optimize_ascent(
+        math.inf, math.inf, DifferentialOperator.monomial((1,)), 8.0,
+        ConvexBody.cube(1.0, 1),
+        OptimizerConfig(restarts=2, iterations=500, seed=12))
+    assert list(out_ladder.best_rungs) == [_TEMP_LADDER[3]] * 2
+    assert len(out_ladder.ascent_stops) == 10
+    # d/dx is odd, so the ladder runs on every complex coefficient
+    assert out_ladder.unknowns == (17, 17, 1)
+    # the CLI brackets it by the exchange LP on the sine orbits {-k, k},
+    # k = 1..8, and writes the dual bound and the LP's counts
     assert main(["optimize", "--body", "cube:1", "--m", "1", "--p", "inf",
                  "--q", "inf", "--operator", "1:1,0", "--a", "8",
                  "--restarts", "2", "--iterations", "500", "--seed", "12",
                  "--out", str(out)]) == 0
     results = json.loads((tmp_path / "o.csv.manifest.json").read_text())[
         "results"]
-    # both ladders peak at t = 316 and stop one rung later
-    assert results["best_rung_a=8"] == [_TEMP_LADDER[3]] * 2
-    assert sum(results["ascent_stops_a=8"].values()) == 10
-    # d/dx is odd, so p = inf runs on every complex coefficient
-    assert results["unknowns_a=8"] == [17, 17, 1]
+    assert results["unknowns_a=8"] == [8, 17, 2]
+    value = float(read_rows(out)[1][6])
+    assert len(read_rows(out)) == 2
+    assert value <= 1.0 <= results["upper_bound_a=8"] < 1.002 * value
+    assert set(results["lp_a=8"]) == {"lps", "active_nodes", "residual"}
+    assert "best_rung_a=8" not in results
     # the disk Laplacian at p = inf runs on the cosine orbits of the
     # group of order 8 that the square's symmetries form
     assert main(["optimize", "--body", "ball:1", "--m", "2", "--p", "inf",
@@ -282,6 +299,23 @@ def test_usage_errors_exit_two(tmp_path):
     stale = tmp_path / "stale.json"
     stale.write_text(json.dumps({"body": "cube:1", "oversample": 4}))
     assert main(["optimize", "--config", str(stale), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_uncertifiable_tail_is_an_error_record_not_a_usage_error(
+        tmp_path, capsys):
+    # every flag is valid, but the disk's candidate decays too slowly for an
+    # L_1 tail certificate in dimension 2: exit 1 with a JSON error record
+    out = tmp_path / "x.csv"
+    code = main(["candidates", "--body", "ball:1", "--m", "2", "--p", "1",
+                 "--q", "inf", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "usage error" not in err
+    record = json.loads(err.strip().splitlines()[-1])
+    assert record["error"] == "NonIntegrableTailError"
+    assert "cannot certify" in record["message"]
+    assert len(record["config_sha256"]) == 64
     assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,15 +8,17 @@ import pytest
 from bnsharp import constants
 from bnsharp.bandlimited import akhiezer_family, cs_extremal, tensor_product
 from bnsharp.body import ConvexBody, parse_body
-from bnsharp.constants import (OptimizerConfig, _TEMP_LADDER,
+from bnsharp.constants import (OptimizerConfig, SharpConstantEstimate,
+                               _TEMP_LADDER, _LP_MAX_UNKNOWNS,
                                _ascend, _certificate_grid, _cosine_orbits,
-                               _final_value, _make_objective,
-                               bernstein_pq,
+                               _final_value, _make_objective, _orbit_symbol,
+                               _peaks_above, bernstein_pq,
                                candidate_lower_bound_E,
                                check_order_consistency, closed_e2_inf,
                                closed_e22, closed_p2_inf, closed_p22,
                                crude_upper, derived_function, limit_study,
-                               monomial_integral, nikolskii_upper,
+                               exchange_lp, monomial_integral,
+                               nikolskii_upper, optimize_ascent,
                                optimize_full, symbol_sq_integral)
 from bnsharp.trigpoly import CosineGrid, DifferentialOperator, SamplingGrid, \
     default_grid
@@ -213,21 +216,41 @@ def test_cosine_orbit_reduction_applies_where_it_is_lossless():
     d1 = DifferentialOperator.monomial((1,))
 
     def group(p, q, op, body, a):
-        spectrum = body.lattice_points(a)
-        d = op.symbol_at_ik(spectrum.as_array().astype(float))
-        found = _cosine_orbits(p, q, op, spectrum, d)
-        return None if found is None else found[2]
-    assert group(1.0, math.inf, ident, sq, 4.0) == 8
-    assert group(3.0, math.inf, lap, ConvexBody.ball(1.0, 2), 4.0) == 8
+        found = _cosine_orbits(p, q, op, body.lattice_points(a))
+        return None if found is None else found[2:]
+    even1, even2 = (False,), (False, False)
+    assert group(1.0, math.inf, ident, sq, 4.0) == (8, even2)
+    assert group(3.0, math.inf, lap, ConvexBody.ball(1.0, 2), 4.0) == \
+        (8, even2)
     assert group(1.0, math.inf, lap, ConvexBody.parallelepiped([1, 2]),
-                 4.0) == 4
-    assert group(math.inf, math.inf, ident, sq, 4.0) == 8
-    assert group(math.inf, math.inf, lap, ConvexBody.ball(1.0, 2), 4.0) == 8
-    # p < 1, finite q, an odd symbol and a symbol without single-axis
-    # reflections keep the full complex path
-    for p, q, op, body in ((0.5, math.inf, ident, sq), (1.0, 2.0, ident, sq),
-                           (1.0, math.inf, d1, seg),
-                           (1.0, math.inf, mixed, sq)):
+                 4.0) == (4, even2)
+    assert group(math.inf, math.inf, ident, sq, 4.0) == (8, even2)
+    assert group(math.inf, math.inf, lap, ConvexBody.ball(1.0, 2), 4.0) == \
+        (8, even2)
+    assert group(1.0, math.inf, DifferentialOperator.identity(1), seg,
+                 4.0) == (2, even1)
+    # odd symbols reduce through the sign character of the reflections:
+    # d/dx by {1, -1}, d^2/dx dy by all eight signed permutations, and
+    # d^3/dx dy^2 by the four reflections alone (no swap maps its odd axis
+    # to its even one)
+    assert group(1.0, math.inf, d1, seg, 4.0) == (2, (True,))
+    assert group(math.inf, math.inf, mixed, sq, 4.0) == (8, (True, True))
+    assert group(math.inf, math.inf, DifferentialOperator.monomial((1, 2)),
+                 ConvexBody.ball(1.0, 2), 4.0) == (4, (True, False))
+    # s = 7 k1^3 k2^2 + 2 k1 k2^4 has s(|k|) symmetric on this disk's
+    # lattice (60 at (1, 2) and (2, 1)), but the swap maps its odd axis to
+    # its even one and is no symmetry: s(2, -1) = 60 = -s(-1, 2)
+    assert group(math.inf, math.inf,
+                 DifferentialOperator(2, 5, {(3, 2): 7.0, (1, 4): 2.0}),
+                 ConvexBody.ball(1.0, 2), 2.3) == (4, (True, False))
+    # p < 1, finite q, a symbol of neither parity on an axis and a complex
+    # coefficient keep the full complex path
+    for p, q, op, body in (
+            (0.5, math.inf, ident, sq), (1.0, 2.0, ident, sq),
+            (math.inf, math.inf, DifferentialOperator(
+                2, 1, {(1, 0): 1.0, (0, 1): 1.0}), sq),
+            (math.inf, math.inf, DifferentialOperator(
+                2, 2, {(2, 0): 1.0, (0, 2): 1j}), sq)):
         assert group(p, q, op, body, 4.0) is None
     cfg = OptimizerConfig(restarts=1, iterations=30, seed=1)
     out = optimize_full(1.0, math.inf, ident, 2.0, sq, cfg)
@@ -237,6 +260,7 @@ def test_cosine_orbit_reduction_applies_where_it_is_lossless():
     assert len(out.best_coefficients) == 25
     assert all(v.imag == 0 and v == out.best_coefficients[(k[1], -k[0])]
                for k, v in out.best_coefficients.items())
+    # the ascent runs odd symbols on the full complex coefficients
     out = optimize_full(1.0, math.inf, mixed, 2.0, sq, cfg)
     assert out.unknowns == (25, 25, 1)
     assert "cosine-orbit" not in out.estimate.notes
@@ -252,7 +276,7 @@ def test_symmetrizing_never_lowers_the_grid_ratio(p):
                         ("pi:1,2", 2.0, DifferentialOperator.laplacian(2))):
         spectrum = parse_body(spec, 2).lattice_points(a)
         d = op.symbol_at_ik(spectrum.as_array().astype(float))
-        index, sizes, _ = _cosine_orbits(p, math.inf, op, spectrum, d)
+        index, sizes, _, _ = _cosine_orbits(p, math.inf, op, spectrum)
         full = _grid(spectrum, 4)
         cos = CosineGrid(spectrum.as_array(), index, full.shape)
         s = (d * (-1j) ** op.order).real
@@ -280,7 +304,7 @@ def test_cosine_objective_gradient_is_the_projected_full_gradient(p, t):
     spectrum = parse_body("ball:1", 2).lattice_points(6.0)
     op = DifferentialOperator.laplacian(2)
     d = op.symbol_at_ik(spectrum.as_array().astype(float))
-    index, sizes, _ = _cosine_orbits(p, math.inf, op, spectrum, d)
+    index, sizes, _, _ = _cosine_orbits(p, math.inf, op, spectrum)
     full = _grid(spectrum, 4)
     cos = CosineGrid(spectrum.as_array(), index, full.shape)
     root = np.sqrt(sizes)
@@ -307,7 +331,7 @@ def test_quarter_grid_certifies_the_full_grid_sup():
         spectrum = parse_body(spec, 2).lattice_points(a)
         keys = spectrum.as_array()
         d = op.symbol_at_ik(keys.astype(float))
-        index, sizes, _ = _cosine_orbits(math.inf, math.inf, op, spectrum, d)
+        index, sizes, _, _ = _cosine_orbits(math.inf, math.inf, op, spectrum)
         full = _grid(spectrum, 8)
         quarter = _certificate_grid(CosineGrid(keys, index, full.shape))
         full = _certificate_grid(full)
@@ -335,8 +359,7 @@ def test_certificate_synth_holds_little_beyond_its_values():
     op = DifferentialOperator.laplacian(2)
     spectrum = ConvexBody.ball(1.0, 2).lattice_points(32.0)
     keys = spectrum.as_array()
-    d = op.symbol_at_ik(keys.astype(float))
-    index, sizes, _ = _cosine_orbits(math.inf, math.inf, op, spectrum, d)
+    index, sizes, _, _ = _cosine_orbits(math.inf, math.inf, op, spectrum)
     fine = _certificate_grid(CosineGrid(keys, index, _grid(spectrum, 8).shape))
     u = np.random.default_rng(3).standard_normal(len(sizes))
     tracemalloc.start()
@@ -347,6 +370,168 @@ def test_certificate_synth_holds_little_beyond_its_values():
         tracemalloc.stop()
     assert v.shape == (2249, 2249)
     assert peak < 1.25 * v.nbytes
+
+
+def _parity_cases():
+    yield ("cube:1", 1, 5.0, DifferentialOperator.monomial((1,)))
+    yield ("cube:1", 2, 3.0, DifferentialOperator.monomial((1, 1)))
+    yield ("ball:1", 2, 4.0, DifferentialOperator.laplacian(2))
+    yield ("ball:1", 2, 4.0, DifferentialOperator.monomial((1, 2)))
+
+
+def _expanded(keys, index, sizes, odd, u):
+    """The full coefficients c_k = i^-n sgn(k) u_o / sqrt(|o|) of u."""
+    sign = np.prod(np.sign(keys[:, list(odd)]), axis=1)
+    c = np.where(index >= 0, (u / np.sqrt(sizes))[index] * sign, 0.0)
+    return c * (1j) ** -sum(odd)
+
+
+def test_parity_grid_samples_the_expanded_polynomial():
+    # on every kept node, the sine-cosine synthesis is the full grid's
+    # synthesis of the expanded coefficients, which are those of a real T;
+    # rows() gives the same values node by node
+    rng = np.random.default_rng(5)
+    for spec, m, a, op in _parity_cases():
+        spectrum = parse_body(spec, m).lattice_points(a)
+        keys = spectrum.as_array()
+        index, sizes, _, odd = _cosine_orbits(math.inf, math.inf, op,
+                                              spectrum)
+        for shape in ((11,) * m, (14,) * m):
+            full = SamplingGrid(keys, shape)
+            par = CosineGrid(keys, index, shape, odd)
+            assert par.n == len(sizes)
+            u = rng.standard_normal(par.n)
+            c = _expanded(keys, index, sizes, odd, u)
+            assert np.abs(par.coefficients(u) - c).max() <= 1e-15
+            assert np.linalg.norm(c) == pytest.approx(np.linalg.norm(u))
+            want = full.synth(c)[tuple(slice(0, L // 2 + 1) for L in shape)]
+            got = par.synth(u)
+            assert np.abs(want.imag).max() <= 1e-12 * np.abs(want).max()
+            assert np.abs(got - want.real).max() <= \
+                1e-12 * np.abs(want).max()
+            nodes = np.argwhere(np.ones(got.shape, dtype=bool))
+            assert np.abs(par.rows(nodes) @ u - got[tuple(nodes.T)]).max() \
+                <= 1e-12 * np.abs(got).max()
+            # |D T(0)| is |d . u| with the orbit symbol
+            d = op.symbol_at_ik(keys.astype(float))
+            assert abs(np.dot(_orbit_symbol(op, keys, index, sizes), u)) == \
+                pytest.approx(abs(np.dot(d, c)), rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+def test_sign_character_symmetrizing_never_lowers_the_grid_ratio(p):
+    # averaging over G with the sign character and taking the real part
+    # after a phase rotation keeps |D T(0)| and does not raise the grid's
+    # L_p norm, for odd symbols as for even ones
+    rng = np.random.default_rng(7)
+    for spec, m, a, op in _parity_cases():
+        spectrum = parse_body(spec, m).lattice_points(a)
+        keys = spectrum.as_array()
+        index, sizes, _, odd = _cosine_orbits(p, math.inf, op, spectrum)
+        full = _grid(spectrum, 4)
+        par = CosineGrid(keys, index, full.shape, odd)
+        d = op.symbol_at_ik(keys.astype(float))
+        d_orbit = _orbit_symbol(op, keys, index, sizes)
+        basis = _expanded(keys, index, sizes, odd, np.ones(len(sizes))) * \
+            np.sqrt(sizes)[index]      # entries i^-n sgn(k), 0 where dead
+        live = index >= 0
+        for _ in range(10):
+            z = rng.standard_normal((full.n, 2))
+            c = z[:, 0] + 1j * z[:, 1]
+            before = abs(np.dot(d, c)) / full.norm(full.synth(c), p)
+            proj = np.bincount(index[live], weights=(np.conj(basis) * c)[
+                live].real, minlength=len(sizes)) + 1j * np.bincount(
+                index[live], weights=(np.conj(basis) * c)[live].imag,
+                minlength=len(sizes))
+            proj /= np.sqrt(sizes)
+            w = np.dot(d_orbit, proj)
+            u = (proj * np.conj(w) / abs(w)).real
+            after = abs(np.dot(d_orbit, u)) / par.norm(par.synth(u), p)
+            assert after >= before * (1.0 - 1e-12)
+
+
+def test_peaks_are_the_full_grid_local_maxima():
+    # the quarter grid's mirrored neighbours find the local maxima of |T|
+    # over the full grid, for grids of even and of odd size, on the edge
+    # nodes too
+    spectrum = ConvexBody.ball(1.0, 2).lattice_points(3.0)
+    keys = spectrum.as_array()
+    rng = np.random.default_rng(9)
+    for op in (DifferentialOperator.monomial((1, 2)),
+               DifferentialOperator.laplacian(2)):
+        index, sizes, _, odd = _cosine_orbits(math.inf, math.inf, op,
+                                              spectrum)
+        u = rng.standard_normal(len(sizes))
+        for L in (40, 41):
+            full = np.abs(SamplingGrid(keys, (L, L)).synth(
+                _expanded(keys, index, sizes, odd, u)))
+            level = 1e-9 * full.max()
+            peak = full > level
+            for di in (-1, 0, 1):
+                for dj in (-1, 0, 1):
+                    peak &= full >= np.roll(full, (di, dj), axis=(0, 1))
+            H = L // 2 + 1
+            want = np.argwhere(peak[:H, :H])
+            got = _peaks_above(np.abs(CosineGrid(keys, index, (L, L), odd)
+                                      .synth(u)), (L, L), level)
+            assert np.isin(want, [0, H - 1]).any()
+            assert np.array_equal(got, want)
+
+
+def test_exchange_lp_brackets_the_segment_derivative():
+    # Bernstein: P(a) = floor(a)/a for d/dx on the segment at p = q = inf
+    seg = ConvexBody.cube(1.0, 1)
+    op = DifferentialOperator.monomial((1,))
+    for a in (3.5, 8.0, 16.0):
+        out = optimize_full(math.inf, math.inf, op, a, seg)
+        exact = math.floor(a) / a
+        assert out.estimate.kind == "lower-bound-optimizer"
+        assert out.upper.kind == "upper-bound-dual"
+        assert out.estimate.value <= exact <= out.upper.value
+        assert out.upper.value - out.estimate.value <= 2e-3 * exact
+        assert out.unknowns == (math.floor(a), 2 * math.floor(a) + 1, 2)
+        check_order_consistency([out.estimate, out.upper])
+
+
+def test_exchange_lp_brackets_the_disk_laplacian():
+    disk, lap = ConvexBody.ball(1.0, 2), DifferentialOperator.laplacian(2)
+    out = optimize_full(math.inf, math.inf, lap, 4.0, disk,
+                        OptimizerConfig(restarts=3, seed=1))
+    lower, upper = out.estimate.value, out.upper.value
+    assert lower <= upper < 1.002 * lower
+    assert out.unknowns == (10, 49, 8)
+    lps, active, residual = out.lp
+    assert lps >= 1 and active >= out.unknowns[0]
+    assert 0.0 <= residual < 1e-9
+    assert out.ascent_stops == () and out.restart_values == (lower,)
+    # the reported coefficients are the expanded LP solution, and the
+    # lower bound is their certified sup ratio on the certificate grid
+    keys = disk.lattice_points(4.0).as_array()
+    c = np.array([out.best_coefficients[tuple(int(v) for v in k)]
+                  for k in keys])
+    fine = _certificate_grid(_grid(disk.lattice_points(4.0), 8))
+    assert _final_value(fine, lap.symbol_at_ik(keys.astype(float)), c,
+                        math.inf, math.inf, 4.0 ** -2)[0] == \
+        pytest.approx(lower, rel=1e-12)
+
+
+def test_exchange_lp_routing():
+    disk, lap = ConvexBody.ball(1.0, 2), DifferentialOperator.laplacian(2)
+    # the disk at a = 32 has 429 orbits, above the cut: the ladder runs it
+    assert exchange_lp(lap, 32.0, disk) is None
+    # test 12's largest problem, a = 16, has 114: the LP runs it
+    assert len(_cosine_orbits(math.inf, math.inf, lap,
+                              disk.lattice_points(16.0))[1]) == 114 <= \
+        _LP_MAX_UNKNOWNS < 429
+    # a symbol of neither parity, and P(a) = 0, keep the ascent
+    sq = ConvexBody.cube(1.0, 2)
+    assert exchange_lp(DifferentialOperator(2, 1, {(1, 0): 1.0,
+                                                   (0, 1): 1.0}),
+                       2.0, sq) is None
+    out = optimize_full(math.inf, math.inf, DifferentialOperator.monomial(
+        (1,)), 0.5, ConvexBody.cube(1.0, 1),
+        OptimizerConfig(restarts=1, iterations=5))
+    assert out.upper is None and out.estimate.value == 0.0
 
 
 def test_reduced_two_inf_optimum_is_the_closed_form():
@@ -405,10 +590,12 @@ def test_pruned_transforms_equal_dense_transforms():
 
 
 def test_optimizer_segment_sup_sup_pinned():
+    # the ladder, which optimize_full now runs at p = q = inf only above
+    # the LP's cut or for symbols of neither parity
     seg = ConvexBody.cube(1.0, 1)
     op = DifferentialOperator.monomial((1,))
     cfg = OptimizerConfig(restarts=2, iterations=500, seed=12)
-    out = optimize_full(math.inf, math.inf, op, 8.0, seg, cfg)
+    out = optimize_ascent(math.inf, math.inf, op, 8.0, seg, cfg)
     assert out.estimate.value == 0.9955241822115639  # bitwise
     # one record per restart and temperature rung, in that order; both
     # ladders stop at t = 1000, whose certified value is below t = 316's
@@ -438,7 +625,7 @@ def test_ladder_stops_once_the_certified_value_falls(monkeypatch):
     early = 0
     for body, op, a in ladder_runs:
         scored.clear()
-        out = optimize_full(math.inf, math.inf, op, a, body, cfg)
+        out = optimize_ascent(math.inf, math.inf, op, a, body, cfg)
         for i in range(cfg.restarts):
             stops = [s for s in out.ascent_stops if s.restart == i]
             certified = [s.certified for s in stops]
@@ -458,11 +645,11 @@ def test_ladder_stops_once_the_certified_value_falls(monkeypatch):
         c = np.array([out.best_coefficients[tuple(int(v) for v in k)]
                       for k in keys])
         d = op.symbol_at_ik(keys.astype(float))
-        orbits = _cosine_orbits(math.inf, math.inf, op, spectrum, d)
-        if orbits is None:      # d/dx is odd: the full complex path
+        orbits = _cosine_orbits(math.inf, math.inf, op, spectrum)
+        if any(orbits[3]):      # d/dx is odd: the full complex path
             fine = _certificate_grid(SamplingGrid(keys, shape))
         else:   # the Laplacian: the quarter grid, on one unknown per orbit
-            index, sizes, _ = orbits
+            index, sizes, _, _ = orbits
             fine = _certificate_grid(CosineGrid(keys, index, shape))
             root = np.sqrt(sizes)
             first = np.unique(index, return_index=True)[1]
@@ -475,7 +662,7 @@ def test_ladder_stops_once_the_certified_value_falls(monkeypatch):
             (out.estimate.value, out.estimate.tolerance)
     assert early == 4
     # finite p has no ladder: one record per restart, which it reports
-    out = optimize_full(1.0, math.inf, DifferentialOperator.identity(1), 8.0,
+    out = optimize_ascent(1.0, math.inf, DifferentialOperator.identity(1), 8.0,
                         ConvexBody.cube(1.0, 1),
                         OptimizerConfig(restarts=2, iterations=300, seed=3))
     assert [(s.restart, s.temperature) for s in out.ascent_stops] == \
@@ -518,8 +705,8 @@ def test_ascent_stops_on_gtol_for_one_frequency():
     seg = ConvexBody.cube(1.0, 1)
     cfg = OptimizerConfig(restarts=1, iterations=50, seed=0)
     for p in (1.0, math.inf):
-        out = optimize_full(p, math.inf, DifferentialOperator.identity(1),
-                            0.5, seg, cfg)
+        out = optimize_ascent(p, math.inf, DifferentialOperator.identity(1),
+                              0.5, seg, cfg)
         assert {(s.reason, s.steps, s.evaluations)
                 for s in out.ascent_stops} == {("gtol", 0, 1)}
 
@@ -534,7 +721,7 @@ def test_ascent_stops_record_value_and_gradient_norm():
     stops = []
     for p, q, op, a in ((1.0, math.inf, ident, 0.5), (1.0, 2.0, d1, 8.0),
                         (math.inf, math.inf, d1, 4.0)):
-        stops += optimize_full(p, q, op, a, seg, cfg).ascent_stops
+        stops += optimize_ascent(p, q, op, a, seg, cfg).ascent_stops
     assert {s.reason for s in stops} == {"gtol", "no-ascent", "cap"}
     for s in stops:
         assert math.isfinite(s.value) and s.value > 0
@@ -719,11 +906,19 @@ def test_order_consistency_checker():
     ests = [closed_e2_inf(seg, ident), nikolskii_upper(2.0, math.inf, seg),
             crude_upper(2.0, math.inf, ident, seg)]
     check_order_consistency(ests)
-    from bnsharp.constants import SharpConstantEstimate
     bogus = SharpConstantEstimate(10.0, "lower-bound-candidate", 2.0,
                                   math.inf, "identity", seg.label, None, 0.0)
     with pytest.raises(AssertionError):
         check_order_consistency(ests + [bogus])
+    # an LP dual certificate is an upper bound like any "upper-bound*" kind
+    lower = SharpConstantEstimate(1.2, "lower-bound-optimizer", math.inf,
+                                  math.inf, "laplacian:2", "ball:1", 4.0,
+                                  1e-3)
+    dual = SharpConstantEstimate(1.1, "upper-bound-dual", math.inf, math.inf,
+                                 "laplacian:2", "ball:1", 4.0, 0.0)
+    with pytest.raises(AssertionError, match="upper-bound-dual"):
+        check_order_consistency([lower, dual])
+    check_order_consistency([replace(lower, value=1.05), dual])
 
 
 def test_riemann_sum_convergence_diagnostic(capsys):
