@@ -343,7 +343,12 @@ class OptimizerConfig:
     seed: int = 0
     iterations: int = 400
     gtol: float = 1e-13
-    warm_starts: tuple = ()           # coefficient maps used as extra starts
+
+    def __post_init__(self):
+        for name, least in (("restarts", 1), ("iterations", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got "
+                                 f"{getattr(self, name)}")
 
 
 def _grad_norm_p(prob: SamplingGrid, v: np.ndarray, p: float, norm: float,
@@ -863,16 +868,9 @@ def optimize_ascent(p: float, q: float, op: DifferentialOperator,
         else prob
 
     def run_restart(idx: int) -> tuple[tuple, list[AscentStop]]:
-        if idx < len(config.warm_starts):
-            c0 = reduce(np.array([
-                complex(config.warm_starts[idx].get(tuple(k), 0.0))
-                for k in keys]))
-            if not np.any(c0):
-                c0 = np.ones(prob.n, dtype=c0.dtype)
-        else:
-            rng = np.random.default_rng([config.seed, idx])
-            z = rng.standard_normal((len(keys), 2))
-            c0 = reduce((z[:, 0] + 1j * z[:, 1]) / math.sqrt(2.0))
+        rng = np.random.default_rng([config.seed, idx])
+        z = rng.standard_normal((len(keys), 2))
+        c0 = reduce((z[:, 0] + 1j * z[:, 1]) / math.sqrt(2.0))
         c, stops = c0, []
         best = (-math.inf, 0.0), c0, None      # (value, tol), iterate, rung
         for t in _TEMP_LADDER if math.isinf(p) else (None,):
@@ -887,15 +885,14 @@ def optimize_ascent(p: float, q: float, op: DifferentialOperator,
                 best = final, c, t
         return best, stops
 
-    n_runs = max(config.restarts, len(config.warm_starts))
-    results = [run_restart(i) for i in range(n_runs)]
+    results = [run_restart(i) for i in range(config.restarts)]
 
     finals = [final for (final, _, _), _ in results]
-    best_idx = max(range(n_runs), key=lambda i: (finals[i][0], -i))
+    best_idx = max(range(config.restarts), key=lambda i: (finals[i][0], -i))
     c_best = results[best_idx][0][1]
     value, tol = finals[best_idx]
 
-    notes = f"multistart ascent, {n_runs} restarts"
+    notes = f"multistart ascent, {config.restarts} restarts"
     if value == 0.0 and any(abs(x) != 0 for x in d):
         notes += "; all restarts diverged"
     if orbits is not None:
@@ -957,8 +954,7 @@ class LimitStudy:
 
 def limit_study(p: float, q: float, op: DifferentialOperator,
                 body: ConvexBody, a_list: Sequence[float],
-                config: OptimizerConfig = OptimizerConfig(),
-                chain_warm_start: bool = True) -> LimitStudy:
+                config: OptimizerConfig = OptimizerConfig()) -> LimitStudy:
     """Periodic constants along an increasing scale sweep, with the continuum
     reference where a closed form exists.
 
@@ -969,18 +965,11 @@ def limit_study(p: float, q: float, op: DifferentialOperator,
     if any(b <= a for a, b in zip(a_list, a_list[1:])):
         raise ValueError("scale sweep must be strictly increasing")
     rows, runtime_ms = [], []
-    warm: tuple = ()
     for a in a_list:
         t0 = time.perf_counter()
         est = closed_form(p, q, body, op, a)
         if est is None:
-            cfg = replace(config, warm_starts=warm)
-            out = optimize_full(p, q, op, a, body, cfg)
-            est = out.estimate
-            if chain_warm_start:
-                # lattices are nested along an increasing sweep, so the best
-                # coefficient pattern seeds one restart at the next scale
-                warm = (out.best_coefficients,)
+            est = optimize_full(p, q, op, a, body, config).estimate
         rows.append(est)
         runtime_ms.append((time.perf_counter() - t0) * 1000.0)
     reference = closed_form(p, q, body, op)

@@ -241,10 +241,8 @@ class SamplingGrid:
 
     ``keys`` is an (n, m) integer array of distinct frequencies and
     ``shape`` an alias-free grid for them.  ``synth`` maps coefficients, in
-    key order, to the values at x_l = -pi + 2*pi*l/L (per axis); ``analyze``
-    is its adjoint.  The transforms are separable and pruned: on axis j the
-    spectrum occupies only the residues ``rows[j]``, so ``synth`` skips the
-    grid lines that are all zero and ``analyze`` skips those it never reads.
+    key order, to the values at x_l = -pi + 2*pi*l/L (per axis) by one
+    zero-padded inverse FFT; ``analyze`` is its adjoint.
     """
 
     def __init__(self, keys: np.ndarray, shape: tuple[int, ...]):
@@ -257,35 +255,14 @@ class SamplingGrid:
         self.idx = tuple(self.keys[:, j] % shape[j] for j in range(self.m))
         self.phase = (-1.0) ** (self.keys.sum(axis=1) % 2)
         self.weight = float(np.prod([2.0 * math.pi / L for L in shape]))
-        # rows[j]: sorted distinct residues on axis j; cidx: positions in rows
-        found = [np.unique(r, return_inverse=True) for r in self.idx]
-        self.rows = tuple(rows for rows, _ in found)
-        self.cidx = tuple(pos for _, pos in found)
-
-    # numpy's ifftn/fftn run 1-D transforms from the last axis to the first
-    # and normalise per axis.  Both methods keep that order, so every line
-    # they transform sees the same input and gives the same bits; they only
-    # leave out lines that are exactly zero or never read.
 
     def synth(self, c: np.ndarray) -> np.ndarray:
-        m = self.m
-        B = np.zeros(tuple(len(r) for r in self.rows[:-1]) + self.shape[-1:],
-                     dtype=complex)
-        B[self.cidx[:-1] + self.idx[-1:]] = c * self.phase
-        u = np.fft.ifft(B, axis=m - 1)
-        for j in range(m - 2, -1, -1):
-            full = np.zeros(u.shape[:j] + (self.shape[j],) + u.shape[j + 1:],
-                            dtype=complex)
-            full[(slice(None),) * j + (self.rows[j],)] = u
-            u = np.fft.ifft(full, axis=j)
-        u *= self.size
-        return u
+        B = np.zeros(self.shape, dtype=complex)
+        B[self.idx] = c * self.phase
+        return np.fft.ifftn(B) * self.size
 
     def analyze(self, u: np.ndarray) -> np.ndarray:
-        for j in range(self.m - 1, 0, -1):
-            u = np.fft.fft(u, axis=j)[(slice(None),) * j + (self.rows[j],)]
-        return self.phase * np.fft.fft(u, axis=0)[self.idx[:1] +
-                                                  self.cidx[1:]]
+        return self.phase * np.fft.fftn(u)[self.idx]
 
     #: how many grid nodes each sampled value stands for
     node_weight = 1.0

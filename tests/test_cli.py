@@ -277,7 +277,7 @@ def test_manifest_replays_its_run(tmp_path):
                  "--out", str(again)]) == 2
 
 
-def test_usage_errors_exit_two(tmp_path):
+def test_usage_errors_exit_two(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert main(["converge", "--body", "egg:1", "--m", "1",
                  "--out", str(out)]) == 2
@@ -299,6 +299,16 @@ def test_usage_errors_exit_two(tmp_path):
     stale = tmp_path / "stale.json"
     stale.write_text(json.dumps({"body": "cube:1", "oversample": 4}))
     assert main(["optimize", "--config", str(stale), "--out", str(out)]) == 2
+    # no restart leaves nothing to report, and a negative count would lift
+    # the iteration cap
+    for kind in ("optimize", "converge"):
+        for flag, value in (("--restarts", "0"), ("--iterations", "-1")):
+            capsys.readouterr()
+            assert main([kind, "--body", "cube:1", "--m", "1", "--p", "1",
+                         "--q", "inf", "--a", "4", flag, value,
+                         "--out", str(out)]) == 2
+            assert f"usage error: {flag[2:]} must be at least" in \
+                capsys.readouterr().err
     assert not out.exists()
 
 

@@ -21,7 +21,7 @@ from bnsharp.constants import (OptimizerConfig, SharpConstantEstimate,
                                nikolskii_upper, optimize_ascent,
                                optimize_full, symbol_sq_integral)
 from bnsharp.trigpoly import CosineGrid, DifferentialOperator, SamplingGrid, \
-    default_grid
+    TrigPolynomial, default_grid
 
 
 def test_monomial_integral_oracle():
@@ -550,16 +550,6 @@ def test_optimizer_validation():
         optimize_full(3.0, 2.0, ident, 1.0, seg)
 
 
-def _dense_synth(prob, c):
-    B = np.zeros(prob.shape, dtype=complex)
-    B[prob.idx] = c * prob.phase
-    return np.fft.ifftn(B) * prob.size
-
-
-def _dense_analyze(prob, u):
-    return prob.phase * np.fft.fftn(u)[prob.idx]
-
-
 def _grid(spectrum, oversample):
     """The optimizer's sampling grid for a lattice set."""
     keys = spectrum.as_array()
@@ -579,14 +569,25 @@ def _transform_cases():
     yield parse_body("ball:1", 2).lattice_points(4.0).as_array(), (563, 563)
 
 
-def test_pruned_transforms_equal_dense_transforms():
+def test_sampling_grid_synth_and_adjoint():
+    # synth against the direct sum T(x) = sum_k c_k e^{ik.x} at the nodes
+    # x_l = -pi + 2*pi*l/L (all of them on small grids, 256 drawn at random
+    # on the others), and analyze against synth through the inner products
     rng = np.random.default_rng(4)
     for spectrum, shape in _transform_cases():
         prob = SamplingGrid(spectrum, shape)
         c = rng.standard_normal(prob.n) + 1j * rng.standard_normal(prob.n)
         u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        assert np.array_equal(prob.synth(c), _dense_synth(prob, c))
-        assert np.array_equal(prob.analyze(u), _dense_analyze(prob, u))
+        v = prob.synth(c)
+        flat = np.arange(prob.size) if prob.size <= 256 else \
+            rng.choice(prob.size, 256, replace=False)
+        nodes = np.array(np.unravel_index(flat, shape)).T
+        T = TrigPolynomial(prob.m, dict(zip(map(tuple, spectrum.tolist()), c)))
+        direct = T.evaluate_points(-np.pi + 2 * np.pi * nodes / shape)
+        err = np.abs(v[tuple(nodes.T)] - direct).max()
+        assert err <= 1e-12 * np.abs(direct).max()
+        lhs, rhs = np.vdot(v, u), np.vdot(c, prob.analyze(u))
+        assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(v) * np.linalg.norm(u)
 
 
 def test_optimizer_segment_sup_sup_pinned():
