@@ -345,10 +345,11 @@ def run_optimize(cfg: ExperimentConfig) -> tuple[list[str], dict]:
                 Counter(s.reason for s in out.ascent_stops))
             extra[f"best_rung_a={a:g}"] = list(out.best_rungs)
         else:
-            lps, active, residual = out.lp
+            lps, active, residual, iterations = out.lp
             extra[f"upper_bound_a={a:g}"] = out.upper.value
             extra[f"lp_a={a:g}"] = {"lps": lps, "active_nodes": active,
-                                    "residual": residual}
+                                    "residual": residual,
+                                    "simplex_iterations": iterations}
     return rows, extra
 
 

@@ -26,7 +26,9 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import linprog, minimize_scalar, minimize
+from scipy.optimize import minimize_scalar, minimize
+from scipy.optimize._highspy._core import (HighsModelStatus, _Highs,
+                                           kHighsInf)
 
 from .bandlimited import BandLimitedFunction, derived_function, \
     norm_lp_truncated
@@ -551,9 +553,10 @@ class OptimizerOutcome:
     # the group is trivial, order 1, unless the ascent ran on cosine orbits
     unknowns: tuple[int, int, int] = ()
     # the exchange LP's "upper-bound-dual" estimate, and (LPs solved, active
-    # nodes of the last LP, its dual residual term); set only on that path
+    # nodes of the last LP, its dual residual term, HiGHS simplex iterations
+    # over all LPs); set only on that path
     upper: SharpConstantEstimate | None = None
-    lp: tuple[int, int, float] = ()
+    lp: tuple[int, int, float, int] = ()
 
 
 def _certificate_grid(prob: SamplingGrid) -> SamplingGrid:
@@ -623,7 +626,10 @@ def _abs_symbol(op: DifferentialOperator, keys: np.ndarray) -> np.ndarray:
             (-1j) ** op.order).real
 
 
-_LP_MAX_UNKNOWNS = 200  # largest orbit count that goes to the exchange LP
+# The largest orbit count that goes to the exchange LP: on the disk
+# Laplacian the LP costs less than the ladder's 8 restarts up to 331 orbits
+# (a = 28) and more from 354 (a = 29).
+_LP_MAX_UNKNOWNS = 340
 _LP_SLACK = 1e-6        # the exchange stops once max |T| <= 1 + _LP_SLACK
 _LP_MAX_ROUNDS = 200    # a bound on the LPs of one problem
 
@@ -712,11 +718,12 @@ def exchange_lp(op: DifferentialOperator, a: float,
     imposes the constraint on an active set of nodes of the certificate
     grid (a quarter grid, since |T| is even in every coordinate).  It
     starts as the nodes of the factor-2 quarter grid, moved to the nearest
-    certificate nodes.  Each round solves the LP (HiGHS), synthesizes its
-    solution on the certificate grid, adds the local maxima of |T| above
+    certificate nodes.  Each round solves the LP, synthesizes its solution
+    on the certificate grid, adds the local maxima of |T| above
     1 + ``_LP_SLACK`` and drops the rows whose dual is zero; it stops once
     no node is above.  This is the exchange (cutting-plane) method for
-    semi-infinite LPs.
+    semi-infinite LPs.  One HiGHS model carries the rounds: each deletes
+    and adds rows and re-solves from the last basis.
 
     - The lower bound is ``_final_value`` of the last solution: the
       certified sup ratio, as for the ascent.
@@ -744,26 +751,37 @@ def exchange_lp(op: DifferentialOperator, a: float,
             for L, Lc in zip(coarse, cert.shape)]
     active = np.unique(np.stack([g.ravel() for g in np.meshgrid(
         *axes, indexing="ij")], axis=-1).astype(np.int64), axis=0)
-    upper = (math.inf, 0.0)
+    # one model, columns u with cost -d and a ranged row -1 <= R_l u <= 1
+    # per active node; each round re-solves it from the last basis
+    model = _Highs()
+    model.setOptionValue("output_flag", False)
+    n = len(d)
+    model.addVars(n, np.full(n, -kHighsInf), np.full(n, kHighsInf))
+    model.changeColsCost(n, np.arange(n, dtype=np.int32), -d)
+    R, y, new = np.empty((0, n)), np.empty(0), cert.rows(active)
+    upper, iterations = (math.inf, 0.0), 0
     for lps in range(1, _LP_MAX_ROUNDS + 1):
-        R = cert.rows(active)
-        res = linprog(-d, A_ub=np.vstack([R, -R]),
-                      b_ub=np.ones(2 * len(R)), bounds=(None, None),
-                      method="highs")
-        if res.status != 0:
-            raise RuntimeError(f"exchange LP at a = {a:g}: {res.message}")
-        # the rows R u <= 1 and -R u <= 1 of min -d.u have marginals
-        # -y+ <= 0 and -y- <= 0, and y = y+ - y- solves R^T y = d
-        u, dual = res.x, res.ineqlin.marginals.reshape(2, -1)
-        y = dual[1] - dual[0]
+        # drop the last LP's rows whose dual is zero, add the new peaks
+        drop = np.flatnonzero(y == 0).astype(np.int32)
+        model.deleteRows(len(drop), drop)
+        _add_rows(model, new)
+        R = np.vstack([R[y != 0], new])
+        model.run()
+        status = model.getModelStatus()
+        if status != HighsModelStatus.kOptimal:
+            raise RuntimeError(f"exchange LP at a = {a:g}: "
+                               f"{model.modelStatusToString(status)}")
+        iterations += model.getInfo().simplex_iteration_count
+        # min -d.u has row duals -y with R^T y = d
+        solution = model.getSolution()
+        u, y = np.array(solution.col_value), -np.array(solution.row_dual)
         residual = float(np.linalg.norm(R.T @ y - d))
         upper = min(upper, (float(np.abs(y).sum()) + residual, residual))
         peaks = _peaks_above(np.abs(cert.synth(u)), cert.shape,
                              1.0 + _LP_SLACK)
         if len(peaks) == 0:
             break
-        active = np.unique(np.vstack([active[(dual != 0).any(axis=0)],
-                                      peaks]), axis=0)
+        new = cert.rows(peaks)
     value, tol = _final_value(cert, d, u, math.inf, math.inf, pref)
     notes = (f"exchange LP: {lps} LPs, {len(R)} active nodes; orbit "
              f"reduction: {len(sizes)} real unknowns for {len(keys)} "
@@ -778,7 +796,15 @@ def exchange_lp(op: DifferentialOperator, a: float,
     return OptimizerOutcome(est, (value,), coeffs,
                             unknowns=(len(sizes), len(keys), group),
                             upper=bound,
-                            lp=(lps, len(R), pref * upper[1]))
+                            lp=(lps, len(R), pref * upper[1], iterations))
+
+
+def _add_rows(model: _Highs, rows: np.ndarray) -> None:
+    """Append the ranged rows -1 <= rows @ u <= 1 to model."""
+    r, col = np.nonzero(rows)
+    starts = np.searchsorted(r, np.arange(len(rows))).astype(np.int32)
+    model.addRows(len(rows), np.full(len(rows), -1.0), np.ones(len(rows)),
+                  len(col), starts, col.astype(np.int32), rows[r, col])
 
 
 def _peaks_above(av: np.ndarray, shape: tuple[int, ...],

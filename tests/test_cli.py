@@ -130,7 +130,8 @@ def test_optimize_manifest_counts_ascent_stops(tmp_path):
     value = float(read_rows(out)[1][6])
     assert len(read_rows(out)) == 2
     assert value <= 1.0 <= results["upper_bound_a=8"] < 1.002 * value
-    assert set(results["lp_a=8"]) == {"lps", "active_nodes", "residual"}
+    assert set(results["lp_a=8"]) == {"lps", "active_nodes", "residual",
+                                      "simplex_iterations"}
     assert "best_rung_a=8" not in results
     # the disk Laplacian at p = inf runs on the cosine orbits of the
     # group of order 8 that the square's symmetries form
@@ -141,6 +142,18 @@ def test_optimize_manifest_counts_ascent_stops(tmp_path):
     results = json.loads((tmp_path / "o.csv.manifest.json").read_text())[
         "results"]
     assert results["unknowns_a=8"] == [32, 197, 8]
+
+
+def test_optimize_manifest_counts_simplex_iterations(tmp_path):
+    out = tmp_path / "o.csv"
+    assert main(["optimize", "--body", "ball:1", "--m", "2", "--p", "inf",
+                 "--q", "inf", "--operator", "laplacian:2", "--a", "4",
+                 "--out", str(out)]) == 0
+    lp = json.loads((tmp_path / "o.csv.manifest.json").read_text())[
+        "results"]["lp_a=4"]
+    # the sum of HiGHS's simplex iterations over the exchange rounds
+    assert type(lp["simplex_iterations"]) is int
+    assert lp["simplex_iterations"] > 0
 
 
 def test_reproducible_output_modulo_runtime(tmp_path):

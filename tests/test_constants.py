@@ -500,7 +500,7 @@ def test_exchange_lp_brackets_the_disk_laplacian():
     lower, upper = out.estimate.value, out.upper.value
     assert lower <= upper < 1.002 * lower
     assert out.unknowns == (10, 49, 8)
-    lps, active, residual = out.lp
+    lps, active, residual, _ = out.lp
     assert lps >= 1 and active >= out.unknowns[0]
     assert 0.0 <= residual < 1e-9
     assert out.ascent_stops == () and out.restart_values == (lower,)
@@ -513,6 +513,26 @@ def test_exchange_lp_brackets_the_disk_laplacian():
     assert _final_value(fine, lap.symbol_at_ik(keys.astype(float)), c,
                         math.inf, math.inf, 4.0 ** -2)[0] == \
         pytest.approx(lower, rel=1e-12)
+
+
+@pytest.mark.parametrize("op, a, body, lower, upper", [
+    (DifferentialOperator.laplacian(2), 4.0, ConvexBody.ball(1.0, 2),
+     1.4115725631381666, 1.412980454318502),
+    (DifferentialOperator.laplacian(2), 8.0, ConvexBody.ball(1.0, 2),
+     1.6671334825926432, 1.6687992285212985),
+    (DifferentialOperator.laplacian(2), 16.0, ConvexBody.ball(1.0, 2),
+     1.8258873269915517, 1.8277133189990786),
+    (DifferentialOperator.monomial((1,)), 16.0, ConvexBody.cube(1.0, 1),
+     0.9990871795598707, 1.0000854351999362),
+])
+def test_exchange_lp_brackets_pinned(op, a, body, lower, upper):
+    # the brackets of the cold-started exchange LP, which each round's
+    # re-solve from the last basis must keep
+    out = exchange_lp(op, a, body)
+    assert out.estimate.value == pytest.approx(lower, rel=1e-10)
+    assert out.upper.value == pytest.approx(upper, rel=1e-10)
+    # the residual term stays tiny only while the model's rows are R's
+    assert 0.0 <= out.lp[2] <= 1e-9 * out.estimate.value
 
 
 def test_exchange_lp_routing():
