@@ -118,11 +118,15 @@ class DecayModel:
                     "(need d*p > 1 per axis)")
             fulls.append(2.0 * Cj ** p / (dj * p - 1.0))
             outs.append(2.0 * Cj ** p * (1.0 + R) ** (1.0 - dj * p) / (dj * p - 1.0))
-        total = 0.0
-        for j in range(len(self.axes)):
-            total += outs[j] * math.prod(fulls[i] for i in range(len(self.axes))
-                                         if i != j)
-        return total
+        return union_tail(outs, fulls)
+
+
+def union_tail(tails, totals):
+    """sum_j tails[j] * prod_{i != j} totals[i], on floats or arrays: what a
+    product of per-axis sums, each at most totals[j], loses outside a box
+    whose axis j drops tails[j] (a point outside is outside on some axis)."""
+    return sum(t * math.prod(T for i, T in enumerate(totals) if i != j)
+               for j, t in enumerate(tails))
 
 
 # ---------------------------------------------------------------------------
@@ -514,22 +518,10 @@ def poisson_window_sum(x, K: int) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[None, :]
-    m = x.shape[-1]
-    vals = []
-    tails = []
-    for j in range(m):
-        v, t = window_axis_sum(x[..., j] / 2.0, K)
-        vals.append(v)
-        tails.append(t)
+    vals, tails = zip(*(window_axis_sum(x[..., j] / 2.0, K)
+                        for j in range(x.shape[-1])))
     value = np.prod(np.stack(vals), axis=0)
-    bound = np.zeros_like(value)
-    for j in range(m):
-        others = np.ones_like(value)
-        for i in range(m):
-            if i != j:
-                others = others * (vals[i] + tails[i])
-        bound = bound + tails[j] * others
-    return value, bound
+    return value, union_tail(tails, [v + t for v, t in zip(vals, tails)])
 
 
 # ---------------------------------------------------------------------------

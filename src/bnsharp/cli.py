@@ -29,6 +29,7 @@ from collections import Counter
 from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .bandlimited import akhiezer_family, cs_extremal, separable_sum, \
@@ -163,9 +164,9 @@ class ExperimentConfig:
     p: str = "2"
     q: str = "inf"
     a: str = "1"
-    restarts: int = 8
-    iterations: int = 400
-    seed: int = 0
+    restarts: int = OptimizerConfig.restarts
+    iterations: int = OptimizerConfig.iterations
+    seed: int = OptimizerConfig.seed
     p_list: str = "0.5,1,2,inf"
     eps: float = 1e-8
     out: str = "results.csv"
@@ -286,13 +287,9 @@ def write_manifest(path: str, config: ExperimentConfig,
             "bnsharp": __version__,
             "python": sys.version.split()[0],
             "numpy": np.__version__,
+            "scipy": scipy.__version__,
         },
     }
-    try:
-        import scipy
-        manifest["versions"]["scipy"] = scipy.__version__
-    except ImportError:
-        pass
     if extra:
         manifest["results"] = extra
     write_atomic(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")

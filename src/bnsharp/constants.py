@@ -337,6 +337,7 @@ def crude_upper(p: float, q: float, op: DifferentialOperator,
 _TEMP_LADDER = tuple(10.0 * 10.0 ** (0.5 * i) for i in range(11))  # 10 .. 1e6
 _SUP_GAP = 1e-3         # target relative gap of the final sup certificate
 _STEP0 = 0.3            # first step of a rung or after a reset
+_GTOL = 1e-13           # stop once |tangent gradient| < _GTOL * (1 + |F|)
 
 
 @dataclass(frozen=True)
@@ -344,7 +345,6 @@ class OptimizerConfig:
     restarts: int = 8
     seed: int = 0
     iterations: int = 400
-    gtol: float = 1e-13
 
     def __post_init__(self):
         for name, least in (("restarts", 1), ("iterations", 0)):
@@ -509,7 +509,7 @@ def _ascend(at: Callable, c0: np.ndarray,
     steps, evals = 0, 1
     while True:
         gn = float(np.linalg.norm(g))
-        if gn < cfg.gtol * (1.0 + abs(F)):
+        if gn < _GTOL * (1.0 + abs(F)):
             reason = "gtol"
             break
         if steps == cfg.iterations:

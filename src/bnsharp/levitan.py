@@ -20,7 +20,8 @@ factorizes too, so its sum is sum_n W_n prod_j A_j(x_j, xi_{n,j}) with
 
 one matrix product of the window matrix with the shift phases per axis,
 contracted with W as the transform itself is.  ``levitan_coefficients``
-samples the sum on a tensor grid; ``levitan_evaluate`` sums pointwise at
+samples the sum on a tensor grid and reads the coefficients out through
+the spectrum's ``SamplingGrid``; ``levitan_evaluate`` sums pointwise at
 arbitrary points and backs ``LevitanResult.evaluate``, the independent
 check on the extracted polynomial.
 """
@@ -35,9 +36,10 @@ import numpy as np
 
 from .bandlimited import BandLimitedFunction, RealDomainNormEstimate, \
     NonIntegrableTailError, derived_function, fold_terms, \
-    norm_lp_truncated, transform_at_points, transform_on_axes, window_terms
+    norm_lp_truncated, transform_at_points, transform_on_axes, union_tail, \
+    window_terms
 from .body import ConvexBody
-from .trigpoly import DifferentialOperator, TrigPolynomial, \
+from .trigpoly import DifferentialOperator, SamplingGrid, TrigPolynomial, \
     apply_operator, default_grid, norm_lp
 
 K_CAP_1D = 10**7
@@ -113,18 +115,16 @@ def _terms(f: BandLimitedFunction):
 
 def _tail_for(f: BandLimitedFunction, a: float, K: int, t: float) -> float:
     terms = _terms(f)
-    if terms is not None:
-        # the periodization is linear: each term's per-axis union bound,
-        # weighted by |c_r|
-        total = 0.0
-        for c, atoms in terms:
-            sups = [g.sup_bound for g in atoms]
-            for j, g in enumerate(atoms):
-                C, d = g.decay.univariate()
-                others = math.prod(s for i, s in enumerate(sups) if i != j)
-                total += abs(c) * others * _axis_tail(C, d, sups[j], a, K, t)
-        return total
-    return _box_tail(f, a, K, t)
+    if terms is None:
+        return _box_tail(f, a, K, t)
+    # the periodization is linear: each term's per-axis union bound,
+    # weighted by |c_r|
+    total = 0.0
+    for c, atoms in terms:
+        tails = [_axis_tail(*g.decay.univariate(), g.sup_bound, a, K, t)
+                 for g in atoms]
+        total += abs(c) * union_tail(tails, [g.sup_bound for g in atoms])
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -216,39 +216,36 @@ def levitan_coefficients(f: BandLimitedFunction, a: float,
     """Extract the rescaled periodization as a trigonometric polynomial.
 
     Samples S_a(f, a*x) on an alias-free grid over Q_pi and reads the
-    coefficients off a discrete Fourier analysis.  The samples are formed
-    axis by axis from the grid's per-axis coordinates (``_grid_sum``), not
-    point by point; ``LevitanResult.evaluate`` remains the independent
-    pointwise lattice sum (``levitan_evaluate``).  Energy found outside the
-    admissible spectrum (a + c)V must stay below eps, else the truncation
-    failed and TruncationFailure is raised.
+    coefficients off a discrete Fourier analysis through the spectrum's
+    ``SamplingGrid``.  The samples are formed axis by axis from the grid's
+    per-axis coordinates (``_grid_sum``), not point by point;
+    ``LevitanResult.evaluate`` remains the independent pointwise lattice
+    sum (``levitan_evaluate``).  Energy found outside the admissible
+    spectrum (a + c)V must stay below eps, else the truncation failed and
+    TruncationFailure is raised.  Scales a < 1 raise ValueError.
     """
+    if a < 1:
+        raise ValueError("scale a must be >= 1")
     c = f.spectral_body.ell1_over_dual()
     enlarged = f.spectral_body.scaled(a + c)
     spectrum = enlarged.lattice_points(1.0).as_array()
     shape = default_grid(np.abs(spectrum).max(axis=0), oversample)
+    # the coefficients come out in the C order of their FFT grid indices
+    spectrum = spectrum[np.lexsort((spectrum % shape).T[::-1])]
+    grid = SamplingGrid(spectrum, shape)
 
     axes = [(-math.pi + 2.0 * math.pi * np.arange(L) / L) for L in shape]
     # the grid's largest |a*x| is a*pi, the plan's default
     K, bound = plan_truncation(f, a, eps)
     samples = _grid_sum(f, a, [a * x for x in axes], K)
 
-    spec = np.fft.fftn(samples) / math.prod(shape)
-    # signed frequency of every grid index: i <= L // 2 stays i, else i - L
-    signed = [np.arange(L) - L * (np.arange(L) > L // 2) for L in shape]
-    k = np.stack(np.meshgrid(*signed, indexing="ij"), axis=-1)
-    val = spec * (-1.0) ** (k.sum(axis=-1) % 2)
-    # the spectrum's points that have a grid index, marked at that index
-    on_grid = np.all((spectrum >= [s.min() for s in signed]) &
-                     (spectrum <= [s.max() for s in signed]), axis=1)
-    mask = np.zeros(shape, dtype=bool)
-    mask[tuple((spectrum[on_grid] % shape).T)] = True
-    # boolean indexing keeps grid (C) order, the order of np.ndindex(shape)
-    coeffs = dict(zip(map(tuple, k[mask].tolist()), val[mask].tolist()))
-    out = val[~mask]
+    spec = np.fft.fftn(samples) / grid.size
+    coeffs = dict(zip(map(tuple, spectrum.tolist()),
+                      (grid.phase * spec[grid.idx]).tolist()))
+    spec[grid.idx] = 0
     # hypot rounds as the scalar abs(complex) does; np.abs on an array
     # may not
-    out_max = float(np.hypot(out.real, out.imag).max(initial=0.0))
+    out_max = float(np.hypot(spec.real, spec.imag).max(initial=0.0))
     if out_max > 1.05 * eps + 1e-12:
         raise TruncationFailure(
             f"out-of-spectrum coefficient {out_max:.3e} exceeds eps={eps:.3e}")

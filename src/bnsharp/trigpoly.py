@@ -242,7 +242,9 @@ class SamplingGrid:
     ``keys`` is an (n, m) integer array of distinct frequencies and
     ``shape`` an alias-free grid for them.  ``synth`` maps coefficients, in
     key order, to the values at x_l = -pi + 2*pi*l/L (per axis) by one
-    zero-padded inverse FFT; ``analyze`` is its adjoint.
+    zero-padded inverse FFT; ``analyze`` is its adjoint.  Both go through
+    the keys' FFT indices ``idx`` and signs ``phase``, and so does
+    ``levitan_coefficients``' read-out.
     """
 
     def __init__(self, keys: np.ndarray, shape: tuple[int, ...]):
@@ -315,12 +317,7 @@ class CosineGrid(SamplingGrid):
 
     def __init__(self, keys: np.ndarray, orbit: np.ndarray,
                  shape: tuple[int, ...], odd: tuple[bool, ...] | None = None):
-        self.m = len(shape)
-        self.keys = np.asarray(keys, dtype=np.int64).reshape(-1, self.m)
-        self.shape = tuple(shape)
-        self.size = int(np.prod(shape))
-        self.degrees = tuple(np.abs(self.keys).max(axis=0, initial=0).tolist())
-        self.weight = float(np.prod([2.0 * math.pi / L for L in shape]))
+        super().__init__(keys, shape)
         self.orbit = np.asarray(orbit)
         self.odd = (False,) * self.m if odd is None else tuple(odd)
         sizes = np.bincount(self.orbit[self.orbit >= 0])

@@ -9,7 +9,8 @@ from bnsharp.bandlimited import (BandLimitedFunction, DecayModel,
                                  cos_product, cs_extremal, derived_function,
                                  norm_lp_truncated, poisson_window_sum,
                                  sinc_kernel, sinc_sq_half_kernel,
-                                 tensor_product, window_axis_sum, _moments)
+                                 tensor_product, union_tail,
+                                 window_axis_sum, _moments)
 from bnsharp.body import ConvexBody, parse_body
 from bnsharp.cli import operator_parse
 from bnsharp.trigpoly import DifferentialOperator, apply_operator, norm_lp
@@ -62,6 +63,26 @@ def test_poisson_window_sum_converges_to_one():
         if prev is not None:
             assert err < prev
         prev = err
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_union_tail_bounds_what_a_product_loses_outside_a_box(m):
+    # prod_j (in_j + out_j) - prod_j in_j <= sum_j out_j prod_{i!=j} total_i
+    rng = np.random.default_rng(m)
+    inside = rng.uniform(0.0, 2.0, (m, 200)) * (rng.random((m, 200)) > 0.1)
+    outside = rng.exponential(1.0, (m, 200)) * (rng.random((m, 200)) > 0.2)
+    total = inside + outside
+    lost = np.prod(total, axis=0) - np.prod(inside, axis=0)
+    as_floats = [union_tail([float(t) for t in outside[:, n]],
+                            [float(T) for T in total[:, n]])
+                 for n in range(200)]
+    as_array = union_tail(list(outside), list(total))
+    assert np.array_equal(as_array, as_floats)
+    assert np.all(lost <= as_array * (1.0 + 1e-12))
+    if m == 1:
+        assert np.array_equal(as_array, outside[0])
+        assert all(union_tail([t], [T]) == t
+                   for t, T in zip(outside[0], total[0]))
 
 
 def test_poisson_window_sum_multivariate():

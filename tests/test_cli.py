@@ -325,6 +325,16 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("scale", ["--a=0", "--a=-0.5"])
+def test_levitan_check_scale_below_one_is_a_usage_error(tmp_path, capsys,
+                                                        scale):
+    out = tmp_path / "l.csv"
+    assert main(["levitan-check", "--body", "cube:1", "--m", "1", scale,
+                 "--out", str(out)]) == 2
+    assert "usage error: scale a must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_uncertifiable_tail_is_an_error_record_not_a_usage_error(
         tmp_path, capsys):
     # every flag is valid, but the disk's candidate decays too slowly for an

@@ -347,6 +347,13 @@ def test_pointwise_error_quadratic_decay_rate():
     assert slope == pytest.approx(-2.0, abs=0.3)
 
 
+@pytest.mark.parametrize("a", [-0.5, 0.0, 0.5])
+def test_coefficients_reject_scales_below_one(a):
+    # as levitan_evaluate does; a = 0 would divide by zero further in
+    with pytest.raises(ValueError, match="scale a must be >= 1"):
+        levitan_coefficients(sinc_sq_half_kernel(1), a)
+
+
 def test_out_of_spectrum_guard_fires():
     # lie about the spectral body: claim a smaller band than the truth
     f = sinc_sq_half_kernel(1)
