@@ -4,7 +4,8 @@ Two families of constants are computed.  The periodic constant P compares
 ``||D T||_{L_q(Q_pi)}`` against ``||T||_{L_p(Q_pi)}`` over polynomials with
 spectrum in a*V (normalized by a^{-N-m/p+m/q}); the continuum constant E
 does the same over band-limited functions on R^m.  Closed forms exist for
-(p, q) = (2, inf) and (2, 2); everything else is bracketed by upper bounds
+(p, q) = (2, inf) and (2, 2), and for E of a monomial on a box at p = q;
+everything else is bracketed by upper bounds
 and certified lower bounds from a multistart L-BFGS ascent on the sphere,
 which samples on ``trigpoly.SamplingGrid`` as ``norm_lp`` does or, where
 that loses nothing, runs on one real unknown per symmetry orbit and
@@ -26,7 +27,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar, minimize
+from scipy.optimize import minimize
 from scipy.optimize._highspy._core import (HighsModelStatus, _Highs,
                                            kHighsInf)
 
@@ -167,8 +168,9 @@ def closed_e22(body: ConvexBody,
                op: DifferentialOperator) -> SharpConstantEstimate:
     """Continuum constant at (2, 2): the symbol maximum over the body.
 
-    Homogeneity puts the maximum on the boundary; a direction grid plus
-    local refinement finds it for m <= 3 (m = 1 is the exact endpoint).
+    Homogeneity puts the maximum on the boundary.  For m = 2 and 3 a scan
+    of directions in [0, pi]^(m-1) and a Nelder-Mead refinement from its
+    best node find it; m = 1 is the exact endpoint.
     """
     m = body.m
     if op.order == 0:
@@ -184,34 +186,18 @@ def closed_e22(body: ConvexBody,
         value = float(abs(op.symbol_at_ik([body.sigma[0]])[0]))
         return SharpConstantEstimate(value, "exact-closed-form", 2.0, 2.0,
                                      op.label, body.label, None, 1e-15)
-    if m == 2:
-        thetas = np.linspace(0.0, math.pi, 721)
-        vals = [neg_mod_sq([t]) for t in thetas]
-        t0 = thetas[int(np.argmin(vals))]
-        try:
-            res = minimize_scalar(lambda t: neg_mod_sq([t]),
-                                  bracket=(t0 - 0.01, t0, t0 + 0.01),
-                                  options={"xtol": _REFINE_TOL})
-        except ValueError:
-            # a maximum along a flat edge (boxes) leaves no strict bracket
-            res = minimize_scalar(lambda t: neg_mod_sq([t]),
-                                  bounds=(t0 - 0.01, t0 + 0.01),
-                                  method="bounded",
-                                  options={"xatol": _REFINE_TOL})
-        best = -res.fun
-    elif m == 3:
-        grid = [(t, ph) for t in np.linspace(0.0, math.pi, 61)
-                for ph in np.linspace(0.0, math.pi, 61)]
-        vals = [neg_mod_sq(g) for g in grid]
-        g0 = grid[int(np.argmin(vals))]
-        res = minimize(neg_mod_sq, x0=np.asarray(g0), method="Nelder-Mead",
-                       options={"xatol": _REFINE_TOL,
-                                "fatol": _REFINE_TOL ** 2})
-        if not res.success and res.fun > min(vals):
-            raise RuntimeError("boundary ascent failed to converge")
-        best = -min(res.fun, min(vals))
-    else:
+    if m > 3:
         raise ValueError("supported up to dimension 3")
+    grid = list(itertools.product(np.linspace(0.0, math.pi,
+                                              721 if m == 2 else 61),
+                                  repeat=m - 1))
+    vals = [neg_mod_sq(g) for g in grid]
+    g0 = grid[int(np.argmin(vals))]
+    res = minimize(neg_mod_sq, x0=np.asarray(g0), method="Nelder-Mead",
+                   options={"xatol": _REFINE_TOL, "fatol": _REFINE_TOL ** 2})
+    if not res.success and res.fun > min(vals):
+        raise RuntimeError("boundary ascent failed to converge")
+    best = -min(res.fun, min(vals))
     return SharpConstantEstimate(math.sqrt(best), "exact-closed-form",
                                  2.0, 2.0, op.label, body.label, None,
                                  _REFINE_TOL)
@@ -230,14 +216,22 @@ def _unit_from_angles(angles, m: int) -> np.ndarray:
 def closed_form(p: float, q: float, body: ConvexBody,
                 op: DifferentialOperator,
                 a: float | None = None) -> SharpConstantEstimate | None:
-    """The closed form at (p, q) = (2, inf) or (2, 2), else None.
+    """The closed form at (p, q) = (2, inf) or (2, 2), or of the continuum
+    constant for a monomial b D^alpha on a box at p = q; else None.
 
     Gives the periodic constant at scale ``a``, or the continuum constant
-    when ``a`` is None.
+    when ``a`` is None.  The box value |b| sigma^alpha is Bernstein's
+    inequality for entire functions of exponential type, exact for every q.
     """
     if (p, q) == (2.0, math.inf):
         return closed_e2_inf(body, op) if a is None else \
             closed_p2_inf(body, op, a)
+    if a is None and p == q and math.isinf(body.mu) and len(op.terms) == 1:
+        (alpha, b), = op.terms.items()
+        return SharpConstantEstimate(
+            abs(b) * math.prod(s ** al for s, al in zip(body.sigma, alpha)),
+            "exact-closed-form", q, q, op.label, body.label, None, 0.0,
+            "exact for every q")
     if p == q == 2.0:
         return closed_e22(body, op) if a is None else closed_p22(body, op, a)
     return None
@@ -251,7 +245,7 @@ def closed_form(p: float, q: float, body: ConvexBody,
 class BernsteinBracket:
     """Same-exponent constants for a monomial operator on a box."""
 
-    continuum: SharpConstantEstimate          # exact: sigma^alpha
+    continuum: SharpConstantEstimate          # closed_form: sigma^alpha
     periodic_lower: SharpConstantEstimate     # floor product
     periodic_upper: SharpConstantEstimate     # ceiling product
 
@@ -276,7 +270,6 @@ def bernstein_pq(body: ConvexBody, alpha: Sequence[int], a: float,
     ceils = [-exact_floor(-a, s) for s in body.sigma]
     if any(f < 1 for f, al in zip(floors, alpha) if al > 0):
         raise ValueError(f"a={a} too small: floor(a*sigma)={floors}")
-    e_val = math.prod(s ** al for s, al in zip(body.sigma, alpha))
     lo = a ** (-N) * math.prod(float(f) ** al
                                for f, al in zip(floors, alpha))
     hi = a ** (-N) * math.prod(float(c) ** al
@@ -287,7 +280,7 @@ def bernstein_pq(body: ConvexBody, alpha: Sequence[int], a: float,
                                      av, 0.0, note)
 
     return BernsteinBracket(
-        mk(e_val, "exact-closed-form", None, "exact for every q"),
+        closed_form(q, q, body, op),
         mk(lo, "lower-bound-candidate", a,
            "attained by the cosine product at floor frequencies"),
         mk(hi, "upper-bound", a, "ceiling-frequency upper bound"))
@@ -347,7 +340,8 @@ class OptimizerConfig:
     iterations: int = 400
 
     def __post_init__(self):
-        for name, least in (("restarts", 1), ("iterations", 0)):
+        for name, least in (("restarts", 1), ("iterations", 0),
+                            ("seed", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}, got "
                                  f"{getattr(self, name)}")
@@ -596,8 +590,10 @@ def _cosine_orbits(p: float, q: float, op: DifferentialOperator, spectrum):
     (``odd[j]``).  G is the signed permutations that map the spectrum onto
     itself, keep s(|k|) (|k| taken coordinatewise) and map odd axes to odd
     axes; it holds every coordinate reflection.  A key with a zero
-    coordinate on an odd axis carries no unknown and gets index -1.  The
-    reduction is proved in ``optimize_full``.
+    coordinate on an odd axis carries no unknown and gets index -1; when
+    every key has one, D T(0) = 0 for every T and the result is None.  The
+    reduction is proved in ``optimize_full``; both ``exchange_lp`` and
+    ``optimize_ascent`` run on it.
     """
     if not (p >= 1.0 and math.isinf(q)):
         return None
@@ -609,11 +605,13 @@ def _cosine_orbits(p: float, q: float, op: DifferentialOperator, spectrum):
     values = _abs_symbol(op, keys)
     if not any(odd):
         return (*spectrum.orbits(values), odd)
+    live = (keys[:, list(odd)] != 0).all(axis=1)
+    if not live.any():
+        return None     # D T(0) = 0 for every T: no unknown to run on
     # a second coordinate tells the odd axes from the even ones
     tag = (keys[:, list(odd)] ** 2).sum(axis=1)
     index, _, group = spectrum.orbits(
         values + 1j * max(np.abs(values).max(), 1.0) * tag)
-    live = (keys[:, list(odd)] != 0).all(axis=1)
     _, renumbered = np.unique(index[live], return_inverse=True)
     index = np.full(len(keys), -1)
     index[live] = renumbered
@@ -643,8 +641,8 @@ def optimize_full(p: float, q: float, op: DifferentialOperator,
 
     At p = q = inf a problem whose orbit unknowns (``_cosine_orbits``)
     number at most ``_LP_MAX_UNKNOWNS`` goes to ``exchange_lp``; every
-    other problem, and every symbol without a parity on each axis, goes to
-    ``optimize_ascent``.
+    other problem goes to ``optimize_ascent``.  Both run on the orbit
+    unknowns wherever ``_cosine_orbits`` applies.
 
     Orbit reduction.  Let 1 <= p <= inf, q = inf, and let the symbol be
     i^N s(k) with s real and of parity eps_j = +-1 in each coordinate
@@ -739,7 +737,7 @@ def exchange_lp(op: DifferentialOperator, a: float,
         return None
     index, sizes, group, odd = orbits
     keys = spectrum.as_array()
-    if not 0 < len(sizes) <= _LP_MAX_UNKNOWNS:
+    if len(sizes) > _LP_MAX_UNKNOWNS:
         return None
     d = _orbit_symbol(op, keys, index, sizes)
     if not np.any(d):
@@ -841,10 +839,10 @@ def optimize_ascent(p: float, q: float, op: DifferentialOperator,
     best-certified iterate, the first of equal ones.  p = q = 2 is the exact
     lattice maximum (no iteration).
 
-    Where ``_cosine_orbits`` applies and the symbol is even in every
-    coordinate, the ascent runs on the real cosine unknowns, one per orbit
-    (the reduction of ``optimize_full``); symbols with an odd axis keep the
-    full complex coefficients here.
+    Where ``_cosine_orbits`` applies, the ascent runs on its real unknowns,
+    one per orbit (the reduction of ``optimize_full``), even or odd axes
+    alike; each restart starts at the projection of its random complex
+    coefficients onto them.
 
     For p = inf the reduction covers the certified sup ratio, not each rung
     of the ladder.  The soft maximum at a fixed temperature is not
@@ -870,24 +868,15 @@ def optimize_ascent(p: float, q: float, op: DifferentialOperator,
     shape = default_grid(np.abs(keys).max(axis=0), 8 if math.isinf(p) else 4)
     d = op.symbol_at_ik(keys.astype(float))
     orbits = _cosine_orbits(p, q, op, spectrum)
-    if orbits is not None and any(orbits[3]):
-        orbits = None       # the ascent keeps odd symbols complex
     if orbits is None:
         prob = SamplingGrid(keys, shape)
         unknowns = (prob.n, prob.n, 1)
-        reduce = expand = lambda c: c
     else:
-        index, sizes, group, _ = orbits
-        prob = CosineGrid(keys, index, shape)
+        index, sizes, group, odd = orbits
+        prob = CosineGrid(keys, index, shape, odd)
         unknowns = (prob.n, len(keys), group)
-        root = np.sqrt(sizes)
-        # D T(0) = i^N sum_o s_o sqrt(|o|) u_o, and i^N drops out of |D T(0)|
+        # |D T(0)| = |sum_o s_o sqrt(|o|) u_o|
         d = _orbit_symbol(op, keys, index, sizes)
-
-        def reduce(c):
-            """u of the orthogonal projection of c onto the cosine sums."""
-            return np.bincount(index, weights=c.real) / root
-        expand = prob.coefficients
     # every rung's iterate is scored on this grid; at p = q = inf it is the
     # run's largest, so it is built once
     cert = _certificate_grid(prob) if math.isinf(p) and math.isinf(q) \
@@ -896,7 +885,7 @@ def optimize_ascent(p: float, q: float, op: DifferentialOperator,
     def run_restart(idx: int) -> tuple[tuple, list[AscentStop]]:
         rng = np.random.default_rng([config.seed, idx])
         z = rng.standard_normal((len(keys), 2))
-        c0 = reduce((z[:, 0] + 1j * z[:, 1]) / math.sqrt(2.0))
+        c0 = prob.project((z[:, 0] + 1j * z[:, 1]) / math.sqrt(2.0))
         c, stops = c0, []
         best = (-math.inf, 0.0), c0, None      # (value, tol), iterate, rung
         for t in _TEMP_LADDER if math.isinf(p) else (None,):
@@ -927,7 +916,7 @@ def optimize_ascent(p: float, q: float, op: DifferentialOperator,
     est = SharpConstantEstimate(value, "lower-bound-optimizer", p, q,
                                 op.label, body.label, a, tol, notes)
     coeffs = {tuple(int(c) for c in k): complex(v)
-              for k, v in zip(keys, expand(c_best))}
+              for k, v in zip(keys, prob.coefficients(c_best))}
     return OptimizerOutcome(est, tuple(f for f, _ in finals), coeffs,
                             tuple(s for _, stops in results for s in stops),
                             tuple(t for (_, _, t), _ in results), unknowns)
@@ -998,13 +987,5 @@ def limit_study(p: float, q: float, op: DifferentialOperator,
             est = optimize_full(p, q, op, a, body, config).estimate
         rows.append(est)
         runtime_ms.append((time.perf_counter() - t0) * 1000.0)
-    reference = closed_form(p, q, body, op)
-    if (reference is None and p == q and len(op.terms) == 1
-            and math.isinf(body.mu)):
-        (alpha, b), = op.terms.items()
-        if abs(b - 1.0) < 1e-15:
-            try:
-                reference = bernstein_pq(body, alpha, a_list[-1], q).continuum
-            except ValueError:
-                pass    # a * sigma_j < 1 on a differentiated axis
-    return LimitStudy(tuple(rows), reference, tuple(runtime_ms))
+    return LimitStudy(tuple(rows), closed_form(p, q, body, op),
+                      tuple(runtime_ms))

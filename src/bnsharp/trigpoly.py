@@ -269,6 +269,12 @@ class SamplingGrid:
     #: how many grid nodes each sampled value stands for
     node_weight = 1.0
 
+    def coefficients(self, u: np.ndarray) -> np.ndarray:
+        """The coefficient vector, in key order, of unknowns u: u here."""
+        return u
+
+    project = coefficients      # its adjoint and left inverse
+
     def resized(self, shape: tuple[int, ...]) -> "SamplingGrid":
         """The same spectrum sampled on a grid of another shape."""
         return SamplingGrid(self.keys, shape)
@@ -320,16 +326,20 @@ class CosineGrid(SamplingGrid):
         super().__init__(keys, shape)
         self.orbit = np.asarray(orbit)
         self.odd = (False,) * self.m if odd is None else tuple(odd)
-        sizes = np.bincount(self.orbit[self.orbit >= 0])
-        self.n = len(sizes)
+        self.live = self.orbit >= 0
+        # i^-n sgn(k) on each live key
+        self.basis = np.prod(np.sign(self.keys[self.live][:, list(
+            self.odd)]), axis=1) * (1j) ** -sum(self.odd)
+        self.root = np.sqrt(np.bincount(self.orbit[self.live]))
+        self.n = len(self.root)
         # each key with no negative coordinate stands for its 2^(nonzero
         # coordinates) mirror images; (-1)^(k_1+..+k_m) puts node 0 at -pi
-        nonneg = (self.keys >= 0).all(axis=1) & (self.orbit >= 0)
+        nonneg = (self.keys >= 0).all(axis=1) & self.live
         half = self.keys[nonneg]
         self.pos = tuple(half.T)
         self.half_orbit = self.orbit[nonneg]
         self.scale = ((-1.0) ** (half.sum(axis=1) % 2) /
-                      np.sqrt(sizes[self.half_orbit]))
+                      self.root[self.half_orbit])
         self.fold = self.scale * 2.0 ** (half != 0).sum(axis=1)
         self.half_shape = tuple(K + 1 for K in self.degrees)
         nodes = tuple(L // 2 + 1 for L in shape)
@@ -370,12 +380,16 @@ class CosineGrid(SamplingGrid):
 
     def coefficients(self, u: np.ndarray) -> np.ndarray:
         """The full coefficient vector of the polynomial, in key order."""
-        live = self.orbit >= 0
-        sign = np.prod(np.sign(self.keys[live][:, list(self.odd)]), axis=1)
         c = np.zeros(len(self.keys), dtype=complex)
-        c[live] = ((u / np.sqrt(np.bincount(self.orbit[live])))[
-            self.orbit[live]] * sign) * (1j) ** -sum(self.odd)
+        c[self.live] = (u / self.root)[self.orbit[self.live]] * self.basis
         return c
+
+    def project(self, c: np.ndarray) -> np.ndarray:
+        """u_o = |o|^{-1/2} sum_{k in o} Re(i^n sgn(k) c_k): the adjoint of
+        ``coefficients`` and its left inverse."""
+        w = (np.conj(self.basis) * c[self.live]).real
+        return np.bincount(self.orbit[self.live], weights=w,
+                           minlength=self.n) / self.root
 
     def rows(self, nodes: np.ndarray) -> np.ndarray:
         """The matrix R with R @ u = synth(u)[tuple(nodes.T)], for an (r, m)

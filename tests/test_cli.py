@@ -108,16 +108,16 @@ def test_optimize_manifest_counts_ascent_stops(tmp_path):
     # and {-2, 2} of the group {1, -1}
     assert results["unknowns_a=2"] == [3, 5, 2]
     # the segment's d/dx at p = inf on the ladder, which the CLI reaches
-    # only above the LP's cut: both ladders peak at t = 316 and stop one
+    # only above the LP's cut: both ladders peak at t = 10^5 and stop one
     # rung later
     out_ladder = optimize_ascent(
         math.inf, math.inf, DifferentialOperator.monomial((1,)), 8.0,
         ConvexBody.cube(1.0, 1),
         OptimizerConfig(restarts=2, iterations=500, seed=12))
-    assert list(out_ladder.best_rungs) == [_TEMP_LADDER[3]] * 2
-    assert len(out_ladder.ascent_stops) == 10
-    # d/dx is odd, so the ladder runs on every complex coefficient
-    assert out_ladder.unknowns == (17, 17, 1)
+    assert list(out_ladder.best_rungs) == [_TEMP_LADDER[8]] * 2
+    assert len(out_ladder.ascent_stops) == 20
+    # d/dx is odd, so the ladder runs on the sine orbits {-k, k}, k = 1..8
+    assert out_ladder.unknowns == (8, 17, 2)
     # the CLI brackets it by the exchange LP on the sine orbits {-k, k},
     # k = 1..8, and writes the dual bound and the LP's counts
     assert main(["optimize", "--body", "cube:1", "--m", "1", "--p", "inf",
@@ -194,6 +194,30 @@ def test_constant_subcommand_kamzolov_row(tmp_path):
     assert "exact-closed-form" not in kinds
     values = {r[5]: float(r[6]) for r in rows[1:]}
     assert values.get("upper-bound") == pytest.approx(2.0)
+
+
+def test_constant_prints_the_exact_monomial_box_row(tmp_path):
+    # at p = q the continuum constant of D^alpha on a box is sigma^alpha,
+    # here 1 * 2, next to the crude bound
+    out = tmp_path / "k.csv"
+    assert main(["constant", "--body", "pi:1,2", "--m", "2", "--operator",
+                 "1,1:1,0", "--p", "3", "--q", "3", "--a", "4",
+                 "--out", str(out)]) == 0
+    values = {r[5]: float(r[6]) for r in read_rows(out)[1:]}
+    assert values["exact-closed-form"] == 2.0
+    assert values["upper-bound"] == pytest.approx(5.0)
+
+
+def test_converge_writes_the_monomial_box_reference_below_one(tmp_path):
+    # the reference E = sigma = 0.1 does not need a sweep scale with
+    # a * sigma >= 1
+    out = tmp_path / "c.csv"
+    assert main(["converge", "--body", "cube:0.1", "--m", "1", "--operator",
+                 "1:1,0", "--p", "1", "--q", "1", "--a", "1,2,4",
+                 "--out", str(out)]) == 0
+    results = json.loads((tmp_path / "c.csv.manifest.json").read_text())[
+        "results"]
+    assert results["reference_E"] == 0.1
 
 
 def test_constant_rows_share_one_operator_label(tmp_path):
@@ -322,6 +346,16 @@ def test_usage_errors_exit_two(tmp_path, capsys):
                          "--out", str(out)]) == 2
             assert f"usage error: {flag[2:]} must be at least" in \
                 capsys.readouterr().err
+    # a negative seed, on the exchange LP, which draws no random numbers,
+    # and on a closed form alike
+    for argv in (["optimize", "--body", "ball:1", "--m", "2", "--operator",
+                  "laplacian:2", "--p", "inf", "--q", "inf", "--a", "4"],
+                 ["converge", "--body", "cube:1", "--m", "1", "--p", "2",
+                  "--q", "inf", "--a", "4"]):
+        capsys.readouterr()
+        assert main([*argv, "--seed", "-1", "--out", str(out)]) == 2
+        assert "usage error: seed must be at least 0, got -1" in \
+            capsys.readouterr().err
     assert not out.exists()
 
 
