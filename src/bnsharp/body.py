@@ -22,7 +22,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-#: Hard cap on the number of bounding-box points scanned during enumeration.
+#: Hard cap on the number of points in the bounding box prod_j [-r_j, r_j]
+#: of aV.  It bounds the box, not the work: a body other than a box is
+#: enumerated by fibers, which test only the (m-1)-dimensional head box.
 LATTICE_CAP = 10**7
 
 #: Desk-scale dimension limit.
@@ -237,6 +239,16 @@ class ConvexBody:
         decided exactly with rational arithmetic when the exponent is an
         integer or infinity; otherwise points within 1e-9 of the boundary
         fall back to the guarded floating-point test.
+
+        A box is its own bounding box.  Any other body is enumerated by
+        fibers along the last axis: for each point of the (m-1)-dimensional
+        head box, the kept last coordinates are -h..h.  h starts from the
+        float estimate floor(a sigma_m (1 - s)^(1/mu)), s the head's partial
+        gauge sum, and is settled by testing h and h + 1 with the membership
+        rule until it stops moving.  The rule is monotone in |k_m| (float
+        division, power and addition are monotone, and so is exact
+        membership), so each fiber's kept set is exactly |k_m| <= h and the
+        result equals the scan of the whole bounding box.
         """
         if a <= 0:
             raise ValueError("scale a must be positive")
@@ -250,18 +262,44 @@ class ConvexBody:
             raise OverflowError(
                 f"bounding box of {self.label} at a={a} holds {box} points "
                 f"(cap {LATTICE_CAP})")
-
-        # meshgrid(indexing="ij") over ascending ranges is lexicographic
-        grids = np.meshgrid(*[np.arange(-r, r + 1) for r in radii],
-                            indexing="ij")
-        k = np.stack([g.ravel() for g in grids], axis=-1)
         if math.isinf(self.mu):
-            return LatticeSet(self.m, k)
+            return LatticeSet(self.m, _box(radii))
+
+        head, r = _box(radii[:-1]), radii[-1]
+        sigma = np.asarray(self.sigma)
+        s = (np.abs(head / (a * sigma[:-1])) ** self.mu).sum(axis=-1)
+        est = a * sigma[-1] * np.maximum(1.0 - s, 0.0) ** (1.0 / self.mu)
+        h = np.where(s <= 1.0, np.minimum(np.floor(est), r), -1).astype(
+            np.int64)
+        fiber = np.empty((len(head), self.m), dtype=np.int64)
+        fiber[:, :-1] = head
+        while True:
+            fiber[:, -1] = h + 1
+            up = (h < r) & self._kept(fiber, a)
+            fiber[:, -1] = h
+            down = (h >= 0) & ~self._kept(fiber, a)
+            if not (up.any() or down.any()):
+                break
+            h += up
+            h -= down
+
+        counts = np.maximum(2 * h + 1, 0)
+        k = np.empty((int(counts.sum()), self.m), dtype=np.int64)
+        for j in range(self.m - 1):
+            k[:, j] = np.repeat(head[:, j], counts)
+        # row i of a fiber that starts at row `start` has k_m = i - start - h
+        k[:, -1] = np.arange(len(k)) - np.repeat(
+            np.cumsum(counts) - counts + h, counts)
+        return LatticeSet(self.m, k)
+
+    def _kept(self, k: np.ndarray, a: float) -> np.ndarray:
+        """The membership rule, row by row, for an (n, m) int64 array: the
+        float gauge sum against 1 -+ 1e-9, exact membership inside that band."""
         val = (np.abs(k / (a * np.asarray(self.sigma))) ** self.mu).sum(axis=-1)
         keep = val < 1.0 - 1e-9
         for i in np.flatnonzero(np.abs(val - 1.0) <= 1e-9):
             keep[i] = self._exact_member(tuple(k[i].tolist()), a)
-        return LatticeSet(self.m, k[keep])
+        return keep
 
     def _exact_member(self, k: tuple[int, ...], a: float) -> bool:
         mu_round = round(self.mu)
@@ -273,6 +311,18 @@ class ConvexBody:
         val = (np.abs(np.asarray(k, dtype=float) /
                       (a * np.asarray(self.sigma))) ** self.mu).sum()
         return bool(val <= 1.0 + MEMBERSHIP_GUARD)
+
+
+def _box(radii: Sequence[int]) -> np.ndarray:
+    """Z^d in the box prod_j [-r_j, r_j], as a lexicographically sorted
+    (n, d) int64 array; d = 0 gives the one empty point."""
+    axes = [np.arange(-r, r + 1) for r in radii]
+    out = np.empty((math.prod(map(len, axes)), len(axes)), dtype=np.int64)
+    grid = out.reshape(*map(len, axes), len(axes))
+    # sparse ij grids broadcast over the box in lexicographic order
+    for j, g in enumerate(np.meshgrid(*axes, indexing="ij", sparse=True)):
+        grid[..., j] = g
+    return out
 
 
 def exact_floor(a: float, s: float) -> int:

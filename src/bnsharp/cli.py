@@ -363,6 +363,7 @@ def run_converge(cfg: ExperimentConfig) -> tuple[list[str], dict]:
 
 
 def run_levitan_check(cfg: ExperimentConfig) -> tuple[list[str], dict]:
+    _opt_config(cfg)        # the seed bound (and the rest), before any work
     body = parse_body(cfg.body, cfg.m)
     if body.label != ConvexBody.cube(1.0, cfg.m).label:
         raise ValueError("levitan-check currently runs on the unit-cube "

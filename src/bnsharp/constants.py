@@ -135,6 +135,8 @@ def closed_p2_inf(body: ConvexBody, op: DifferentialOperator,
     of squared symbol values."""
     if a <= 0:
         raise ValueError("a must be positive")
+    # converted here, the int64 lattice is freed before symbol_at_ik runs;
+    # passed as is, it would stay alive beside symbol_at_ik's float copy
     pts = body.lattice_points(a).as_array().astype(float)
     s2 = float((np.abs(op.symbol_at_ik(pts)) ** 2).sum())
     value = (TWO_PI ** (-body.m / 2.0) *
@@ -155,7 +157,7 @@ def closed_p22(body: ConvexBody, op: DifferentialOperator,
                a: float) -> SharpConstantEstimate:
     """Exact periodic constant at (2, 2): normalized lattice maximum of the
     symbol modulus (ties collapse; no extremal uniqueness is implied)."""
-    pts = body.lattice_points(a).as_array().astype(float)
+    pts = body.lattice_points(a).as_array().astype(float)    # as above
     value = a ** (-op.order) * float(np.abs(op.symbol_at_ik(pts)).max())
     return SharpConstantEstimate(value, "exact-closed-form", 2.0, 2.0,
                                  op.label, body.label, a, 1e-14)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -167,6 +168,12 @@ LATTICE_CASES = [
     (ConvexBody.ball(1.0, 3), (3.0, 9.0)),          # (2,2,1): 4+4+1 = 9
     (ConvexBody.lp_ellipsoid([1.0, 2.0], 3.0), (2.0, 3.0, 4.6)),
     (ConvexBody.lp_ellipsoid([1.0, 2.0], 1.5), (2.0, 4.0, 5.5)),
+    # fibers: m = 1 has an empty head; (1,1,1,1) lies on the boundary at
+    # a = 2; mu = 1 has corners on the axes; unequal axes in m = 3
+    (ConvexBody.ball(1.0, 1), (3.0, 3.5)),
+    (ConvexBody.ball(1.0, 4), (2.0, 3.0)),
+    (ConvexBody.lp_ellipsoid([1.0, 2.0], 1.0), (3.0, 4.5)),
+    (ConvexBody.lp_ellipsoid([1.0, 0.7, 1.3], 4.0), (3.7,)),
 ]
 
 
@@ -273,8 +280,25 @@ def test_ell1_over_dual_maximization_oracle():
 
 
 def test_lattice_cap_guard():
-    with pytest.raises(OverflowError):
-        ConvexBody.cube(1.0, 4).lattice_points(1000.0)
+    # the cap bounds the bounding box, whatever the body's shape
+    for body in (ConvexBody.cube(1.0, 4), ConvexBody.ball(1.0, 4)):
+        with pytest.raises(OverflowError):
+            body.lattice_points(1000.0)
+
+
+@pytest.mark.parametrize("m, a", [(3, 60.0), (2, 400.0)])
+def test_lattice_enumeration_memory_stays_near_its_output(m, a):
+    # enumeration holds the output and a few per-point temporaries, never
+    # arrays over the bounding box, which is about twice the ball in m = 3
+    body = ConvexBody.ball(1.0, m)
+    body.lattice_points(2.0)
+    tracemalloc.start()
+    try:
+        pts = body.lattice_points(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * pts.as_array().nbytes
 
 
 def test_membership_central_symmetry():

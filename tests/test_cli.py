@@ -369,6 +369,20 @@ def test_levitan_check_scale_below_one_is_a_usage_error(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_levitan_check_rejects_a_negative_seed_before_any_work(
+        tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a check ran before the seed was validated")
+
+    monkeypatch.setattr("bnsharp.cli.levitan_coefficients", no_work)
+    out = tmp_path / "l.csv"
+    assert main(["levitan-check", "--body", "cube:1", "--m", "2", "--a",
+                 "4,8", "--seed", "-1", "--out", str(out)]) == 2
+    assert "usage error: seed must be at least 0, got -1" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_uncertifiable_tail_is_an_error_record_not_a_usage_error(
         tmp_path, capsys):
     # every flag is valid, but the disk's candidate decays too slowly for an

@@ -49,6 +49,23 @@ def test_closed_p2_inf_small_cases():
         pytest.approx(3 / (2 * math.pi), rel=1e-13)
 
 
+@pytest.mark.parametrize("closed", [closed_p2_inf, closed_p22])
+def test_lattice_closed_forms_free_the_int_lattice_first(closed):
+    # the int64 lattice is converted to floats before the symbol is
+    # evaluated, so it is not held beside symbol_at_ik's own float copy
+    # (that would peak at 4.5 times the lattice, not 3.5)
+    disk, op = ConvexBody.ball(1.0, 2), DifferentialOperator.laplacian(2)
+    nbytes = disk.lattice_points(400.0).as_array().nbytes
+    closed(disk, op, 2.0)
+    tracemalloc.start()
+    try:
+        closed(disk, op, 400.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * nbytes
+
+
 def test_closed_e2_inf_small_cases():
     seg = ConvexBody.cube(1.0, 1)
     assert closed_e2_inf(seg, DifferentialOperator.identity(1)).value == \
