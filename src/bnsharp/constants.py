@@ -27,9 +27,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.optimize._highspy._core import (HighsModelStatus, _Highs,
-                                           kHighsInf)
 
 from .bandlimited import BandLimitedFunction, derived_function, \
     norm_lp_truncated
@@ -195,6 +192,7 @@ def closed_e22(body: ConvexBody,
                                   repeat=m - 1))
     vals = [neg_mod_sq(g) for g in grid]
     g0 = grid[int(np.argmin(vals))]
+    from scipy.optimize import minimize     # loaded on first use
     res = minimize(neg_mod_sq, x0=np.asarray(g0), method="Nelder-Mead",
                    options={"xatol": _REFINE_TOL, "fatol": _REFINE_TOL ** 2})
     if not res.success and res.fun > min(vals):
@@ -353,7 +351,13 @@ def _grad_norm_p(prob: SamplingGrid, v: np.ndarray, p: float, norm: float,
                  mult: np.ndarray | None) -> np.ndarray:
     av = np.abs(v)
     tiny = 1e-300 + 1e-14 * av.max()
-    g = prob.analyze((np.maximum(av, tiny) ** (p - 2.0)) * v)
+    np.maximum(av, tiny, out=av)
+    av **= p - 2.0      # in place: the same bits as av ** (p - 2)
+    if np.iscomplexobj(v):
+        av = av * v
+    else:
+        av *= v
+    g = prob.analyze(av)
     g = norm ** (1.0 - p) * prob.weight * g
     return g if mult is None else np.conj(mult) * g
 
@@ -388,7 +392,9 @@ def _make_objective(prob: SamplingGrid, d: np.ndarray, p: float, q: float,
     The result ``at(c)`` returns the ratio at coefficients c and a callable
     for the gradient of its logarithm, so a line search pays for the
     gradient only at the points it accepts.  Call the gradient at most
-    once: it reuses the value's buffers.  The log-ratio gradient is scale
+    once, and before the next value: it reuses the value's buffers, and
+    on a ``CosineGrid`` every value is written to the objective's one
+    buffer, not to a fresh array per call.  The log-ratio gradient is scale
     free, which keeps the line search well conditioned across very
     different magnitudes of numerator and denominator.
 
@@ -396,6 +402,9 @@ def _make_objective(prob: SamplingGrid, d: np.ndarray, p: float, q: float,
     uses a soft maximum at the given temperature (``_final_value`` scores
     the unsmoothed ratio).
     """
+    out = np.empty(prob.node_weight.shape) if isinstance(prob, CosineGrid) \
+        else None
+
     def at(c):
         if math.isinf(q):
             z = np.dot(d, c).item()     # a float for real d and c
@@ -405,7 +414,7 @@ def _make_objective(prob: SamplingGrid, d: np.ndarray, p: float, q: float,
             vD = prob.synth(d * c)
             num = prob.norm(vD, q)
             gz = lambda: _grad_norm_p(prob, vD, q, num, d)
-        v = prob.synth(c)
+        v = prob.synth(c) if out is None else prob.synth(c, out)
         if math.isinf(p):
             den, gd = _lse(prob, v, temperature)
         else:
@@ -722,8 +731,9 @@ def exchange_lp(op: DifferentialOperator, a: float,
     on the certificate grid, adds the local maxima of |T| above
     1 + ``_LP_SLACK`` and drops the rows whose dual is zero; it stops once
     no node is above.  This is the exchange (cutting-plane) method for
-    semi-infinite LPs.  One HiGHS model carries the rounds: each deletes
-    and adds rows and re-solves from the last basis.
+    semi-infinite LPs.  One HiGHS model carries the rounds: the first LP
+    runs primal simplex from scratch, and each later round deletes and adds
+    rows and re-solves by dual simplex from the last basis.
 
     - The lower bound is ``_final_value`` of the last solution: the
       certified sup ratio, as for the ascent.
@@ -733,6 +743,10 @@ def exchange_lp(op: DifferentialOperator, a: float,
       ||T||_inf (Parseval).  So it holds whatever the solver's accuracy;
       the least over the rounds is reported.
     """
+    # scipy's HiGHS binding is loaded here, on first use, not with bnsharp
+    from scipy.optimize._highspy._core import (HighsModelStatus, _Highs,
+                                               kHighsInf)
+
     spectrum, pref = _spectrum(math.inf, math.inf, op, a, body)
     orbits = _cosine_orbits(math.inf, math.inf, op, spectrum)
     if orbits is None:
@@ -755,6 +769,7 @@ def exchange_lp(op: DifferentialOperator, a: float,
     # per active node; each round re-solves it from the last basis
     model = _Highs()
     model.setOptionValue("output_flag", False)
+    model.setOptionValue("simplex_strategy", 4)     # primal, for the first LP
     n = len(d)
     model.addVars(n, np.full(n, -kHighsInf), np.full(n, kHighsInf))
     model.changeColsCost(n, np.arange(n, dtype=np.int32), -d)
@@ -767,6 +782,7 @@ def exchange_lp(op: DifferentialOperator, a: float,
         _add_rows(model, new)
         R = np.vstack([R[y != 0], new])
         model.run()
+        model.setOptionValue("simplex_strategy", 1)     # dual, warm
         status = model.getModelStatus()
         if status != HighsModelStatus.kOptimal:
             raise RuntimeError(f"exchange LP at a = {a:g}: "
@@ -799,7 +815,7 @@ def exchange_lp(op: DifferentialOperator, a: float,
                             lp=(lps, len(R), pref * upper[1], iterations))
 
 
-def _add_rows(model: _Highs, rows: np.ndarray) -> None:
+def _add_rows(model, rows: np.ndarray) -> None:
     """Append the ranged rows -1 <= rows @ u <= 1 to model."""
     r, col = np.nonzero(rows)
     starts = np.searchsorted(r, np.arange(len(rows))).astype(np.int32)

@@ -281,10 +281,12 @@ class SamplingGrid:
 
     def norm(self, v: np.ndarray, p: float) -> float:
         """Rectangle-rule L_p(Q_pi) quasi-norm of values v; max for p = inf."""
+        av = np.abs(v)
         if math.isinf(p):
-            return float(np.abs(v).max())
-        return float((self.weight * (self.node_weight * np.abs(v) ** p).sum())
-                     ** (1.0 / p))
+            return float(av.max())
+        av **= p        # in place: the same bits as av ** p, no new array
+        av *= self.node_weight
+        return float((self.weight * av.sum()) ** (1.0 / p))
 
     def sup_gap(self) -> float:
         """``bernstein_gap`` of s = sum_j pi*deg_j/L_j, between the grid
@@ -363,13 +365,23 @@ class CosineGrid(SamplingGrid):
     def resized(self, shape: tuple[int, ...]) -> "CosineGrid":
         return CosineGrid(self.keys, self.orbit, shape, self.odd)
 
-    def synth(self, u: np.ndarray) -> np.ndarray:
+    def synth(self, u: np.ndarray, out: np.ndarray | None = None
+              ) -> np.ndarray:
+        """The values on the kept nodes, written to ``out`` (a C-contiguous
+        float array of the quarter grid's shape) when it is given."""
         A = np.zeros(self.half_shape)
         A[self.pos] = u[self.half_orbit] * self.scale
-        for j in range(self.m - 1, -1, -1):
+        for j in range(self.m - 1, 0, -1):
             A = np.moveaxis(np.tensordot(self.synth_mats[j], A, axes=(1, j)),
                             0, j)
-        return A
+        # axis 0 last, as tensordot would: the same operands, so the same
+        # BLAS call and bits, but into out
+        mat = self.synth_mats[0]
+        if out is None:
+            out = np.empty((len(mat),) + A.shape[1:])
+        np.dot(mat, A.reshape(A.shape[0], -1),
+               out=out.reshape(len(mat), -1))
+        return out
 
     def analyze(self, v: np.ndarray) -> np.ndarray:
         for j in range(self.m):

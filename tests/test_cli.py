@@ -2,9 +2,13 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bnsharp
 from bnsharp.cli import (OperatorSpecError, main, operator_parse,
                          parse_exponent, parse_sweep)
 from bnsharp.body import ConvexBody
@@ -406,3 +410,55 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
                  "--q", "inf", "--a", "1", "--out", str(out)]) == 0
     leftovers = [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
     assert leftovers == []
+
+
+_IMPORT_PROBE = """
+import json, os, sys
+
+def loaded():
+    return "scipy.optimize" in sys.modules
+
+def run(line, name):
+    return bnsharp.cli.main(line.split() +
+                            ["--out", os.path.join(sys.argv[1], name)])
+
+seen = {}
+import bnsharp
+seen["import bnsharp"] = loaded()
+import bnsharp.cli
+bnsharp.cli.build_parser()
+seen["build_parser"] = loaded()
+rc = run("optimize --body cube:1 --m 2 --operator identity --p 1 --q inf "
+         "--a 4,8 --restarts 1 --seed 11", "sq.csv")
+seen["square (1, inf)"] = (rc, loaded())
+rc = run("converge --body ball:1 --m 2 --operator laplacian:2 --p 2 --q inf "
+         "--a 1,2,4", "cv.csv")
+seen["disk converge (2, inf)"] = (rc, loaded())
+rc = run("optimize --body ball:1 --m 2 --operator laplacian:2 --p inf "
+         "--q inf --a 4", "lp.csv")
+seen["disk (inf, inf)"] = (rc, loaded())
+print(json.dumps(seen))
+"""
+
+
+def test_scipy_optimize_loads_only_where_it_is_used(tmp_path):
+    # a fresh interpreter: importing bnsharp, building the parser and the
+    # finite-p and lattice-sum runs leave scipy.optimize unloaded; the
+    # exchange LP at p = q = inf loads it and still prints its bound
+    env = dict(os.environ)
+    src = str(Path(bnsharp.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE,
+                           str(tmp_path)], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen == {"import bnsharp": False, "build_parser": False,
+                    "square (1, inf)": [0, False],
+                    "disk converge (2, inf)": [0, False],
+                    "disk (inf, inf)": [0, True]}
+    results = json.loads((tmp_path / "lp.csv.manifest.json").read_text())[
+        "results"]
+    value = float(read_rows(tmp_path / "lp.csv")[1][6])
+    assert value <= results["upper_bound_a=4"] <= 1.002 * value

@@ -758,12 +758,17 @@ def test_ladder_stops_once_the_certified_value_falls(monkeypatch):
 
 
 def test_optimizer_values_pinned():
-    # bitwise, for the L-BFGS ascent; the square runs on cosine orbits
+    # bitwise, for the L-BFGS ascent; the square runs on cosine orbits, and
+    # at a = 32 on a quarter grid whose values fill one 131^2 buffer
+    # (bnsharp optimize --body cube:1 --m 2 --operator identity --p 1
+    # --q inf --a 16,32 --restarts 2 --seed 11)
     sq = ConvexBody.cube(1.0, 2)
     cfg = OptimizerConfig(restarts=2, seed=11)
-    est = optimize_full(1.0, math.inf, DifferentialOperator.identity(2),
-                        16.0, sq, cfg).estimate
-    assert est.value == 0.03297081777400847
+    for a, value in ((16.0, 0.03297081777400847),
+                     (32.0, 0.02997424175813175)):
+        est = optimize_full(1.0, math.inf, DifferentialOperator.identity(2),
+                            a, sq, cfg).estimate
+        assert est.value == value
     seg = ConvexBody.cube(1.0, 1)
     cfg = OptimizerConfig(restarts=2, iterations=300, seed=3)
     out = optimize_full(1.0, 2.0, DifferentialOperator.monomial((1,)), 8.0,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bnsharp.body import ConvexBody, parse_body
+from bnsharp.constants import _cosine_orbits
 from bnsharp.trigpoly import (AliasingError, CosineGrid,
                               DifferentialOperator, SamplingGrid,
                               TrigPolynomial, apply_operator, default_grid,
@@ -237,3 +238,23 @@ def test_cosine_grid_matches_the_full_grid(spec, m, a, shape):
     want = np.bincount(index, weights=g) / np.sqrt(sizes)
     assert np.abs(cos.analyze(w) - want).max() <= \
         1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("spec, alpha, a, shape", [
+    ("cube:1", (0,), 8.0, (68,)), ("cube:1", (1,), 5.0, (23,)),
+    ("ball:1", (2, 0), 5.0, (22, 23)), ("cube:1", (1, 1), 3.0, (14, 11)),
+    ("ball:1", (1, 2), 4.0, (19, 20)), ("ball:1", (0, 0, 0), 3.0, (9, 8, 7)),
+    ("ball:1", (1, 0, 2), 3.0, (13, 14, 15))])
+def test_cosine_synth_into_a_buffer_gives_the_same_bits(spec, alpha, a,
+                                                        shape):
+    # even and odd axes: synth(u, out) writes every kept node into out and
+    # returns it, bit for bit as synth(u) does
+    op = DifferentialOperator.monomial(alpha)
+    spectrum = parse_body(spec, len(alpha)).lattice_points(a)
+    index, _, _, odd = _cosine_orbits(1.0, math.inf, op, spectrum)
+    assert odd == tuple(c % 2 == 1 for c in alpha)
+    cos = CosineGrid(spectrum.as_array(), index, shape, odd)
+    u = np.random.default_rng(2).standard_normal(cos.n)
+    buf = np.full(tuple(L // 2 + 1 for L in shape), np.nan)
+    assert cos.synth(u, buf) is buf
+    assert np.array_equal(buf, cos.synth(u))
