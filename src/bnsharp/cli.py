@@ -12,7 +12,10 @@ candidates     continuum lower-bound candidates vs closed forms
 Results go to a CSV written atomically (temp file + rename) with a JSON
 run manifest alongside recording the config hash, seed, and versions.
 Re-running a manifest reproduces the CSV byte for byte except for the
-trailing runtime_ms column.
+trailing runtime_ms column, under the same BLAS thread setting: the
+manifest records the thread variables the run saw, since OpenBLAS may round
+small matrix products differently at another thread count and the
+optimizer's iterates can follow that.
 """
 
 from __future__ import annotations
@@ -289,6 +292,9 @@ def write_manifest(path: str, config: ExperimentConfig,
             "numpy": np.__version__,
             "scipy": scipy.__version__,
         },
+        # as the run saw them; None where unset
+        "blas_threads": {var: os.environ.get(var) for var in (
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
     }
     if extra:
         manifest["results"] = extra

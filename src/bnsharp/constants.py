@@ -576,11 +576,14 @@ def _certificate_grid(prob: SamplingGrid) -> SamplingGrid:
     return prob.resized((L,) * prob.m)
 
 
-def _final_value(grid: SamplingGrid, d, c, p, q, pref):
+def _final_value(grid: SamplingGrid, d, c, p, q, pref, v=None):
     """Unsmoothed normalized ratio of coefficients c on ``grid`` and its
     tolerance.  For p = q = inf, ``grid`` is the fine grid and its Bernstein
-    sup gap keeps the value a certified lower bound."""
-    v = grid.synth(c)
+    sup gap keeps the value a certified lower bound.  v is c's values on
+    ``grid``, or their moduli at p = q = inf; they are synthesized when it
+    is None."""
+    if v is None:
+        v = grid.synth(c)
     if math.isinf(q):
         num = abs(complex(np.dot(d, c)))
         if math.isinf(p):
@@ -727,16 +730,16 @@ def exchange_lp(op: DifferentialOperator, a: float,
     imposes the constraint on an active set of nodes of the certificate
     grid (a quarter grid, since |T| is even in every coordinate).  It
     starts as the nodes of the factor-2 quarter grid, moved to the nearest
-    certificate nodes.  Each round solves the LP, synthesizes its solution
-    on the certificate grid, adds the local maxima of |T| above
-    1 + ``_LP_SLACK`` and drops the rows whose dual is zero; it stops once
-    no node is above.  This is the exchange (cutting-plane) method for
+    certificate nodes.  Each round solves the LP, synthesizes |T| of its
+    solution on the certificate grid (into one array, which every round
+    refills), adds the local maxima of |T| above 1 + ``_LP_SLACK`` and
+    drops the rows whose dual is zero; it stops once no node is above.  This is the exchange (cutting-plane) method for
     semi-infinite LPs.  One HiGHS model carries the rounds: the first LP
     runs primal simplex from scratch, and each later round deletes and adds
     rows and re-solves by dual simplex from the last basis.
 
-    - The lower bound is ``_final_value`` of the last solution: the
-      certified sup ratio, as for the ascent.
+    - The lower bound is ``_final_value`` of the last solution, on the
+      last round's |T|: the certified sup ratio, as for the ascent.
     - The upper bound comes from the duals y of each LP's rows R: for every
       T, d.u = y.(R u) + (d - R^T y).u <= (sum |y_l| + ||R^T y - d||_2)
       ||T||_inf, because |T(x_l)| <= ||T||_inf and ||u||_2 = ||c||_2 <=
@@ -773,7 +776,7 @@ def exchange_lp(op: DifferentialOperator, a: float,
     n = len(d)
     model.addVars(n, np.full(n, -kHighsInf), np.full(n, kHighsInf))
     model.changeColsCost(n, np.arange(n, dtype=np.int32), -d)
-    R, y, new = np.empty((0, n)), np.empty(0), cert.rows(active)
+    R, y, new, av = np.empty((0, n)), np.empty(0), cert.rows(active), None
     upper, iterations = (math.inf, 0.0), 0
     for lps in range(1, _LP_MAX_ROUNDS + 1):
         # drop the last LP's rows whose dual is zero, add the new peaks
@@ -793,12 +796,14 @@ def exchange_lp(op: DifferentialOperator, a: float,
         u, y = np.array(solution.col_value), -np.array(solution.row_dual)
         residual = float(np.linalg.norm(R.T @ y - d))
         upper = min(upper, (float(np.abs(y).sum()) + residual, residual))
-        peaks = _peaks_above(np.abs(cert.synth(u)), cert.shape,
-                             1.0 + _LP_SLACK)
+        # |T| on the certificate grid, in the array of the first round
+        av = cert.synth(u, av)
+        np.abs(av, out=av)
+        peaks = _peaks_above(av, 1.0 + _LP_SLACK)
         if len(peaks) == 0:
             break
         new = cert.rows(peaks)
-    value, tol = _final_value(cert, d, u, math.inf, math.inf, pref)
+    value, tol = _final_value(cert, d, u, math.inf, math.inf, pref, av)
     notes = (f"exchange LP: {lps} LPs, {len(R)} active nodes; orbit "
              f"reduction: {len(sizes)} real unknowns for {len(keys)} "
              f"frequencies, |G| = {group}")
@@ -823,21 +828,37 @@ def _add_rows(model, rows: np.ndarray) -> None:
                   len(col), starts, col.astype(np.int32), rows[r, col])
 
 
-def _peaks_above(av: np.ndarray, shape: tuple[int, ...],
-                 level: float) -> np.ndarray:
-    """The (r, m) quarter-grid nodes where av > level and av is at least
-    each neighbour's value.  |T| is even about node 0 and node L//2 of
-    each axis, so a neighbour past the kept nodes 0..L//2 mirrors one
-    inside that is compared anyway; clipping the offsets to the kept nodes
-    loses no comparison."""
-    nodes = np.argwhere(av > level)
-    top = av[tuple(nodes.T)]
-    peak = np.ones(len(nodes), dtype=bool)
-    last = [L // 2 for L in shape]
+def _peaks_above(av: np.ndarray, level: float) -> np.ndarray:
+    """The (r, m) quarter-grid nodes, in C order, where av > level and av
+    is at least each neighbour's value.  |T| is even about node 0 and node
+    L//2 of each axis, so a neighbour past the kept nodes 0..L//2 mirrors
+    one inside that is compared anyway; clipping the offsets to the kept
+    nodes (av's shape less one) loses no comparison.
+
+    The level and the two neighbours on the last axis are boolean masks
+    over the flat grid; the other 3^m - 3 neighbours are read by flat index
+    at the nodes that pass them only, so that cost follows the nodes above
+    the level."""
+    values, n = av.ravel(), av.shape[-1]
+    keep = (av > level).ravel()
+    # flat pairs (j, j + 1) with j + 1 a multiple of n span two rows: there
+    # the clipped neighbour is the node itself
+    ahead = np.greater_equal(values[1:], values[:-1])
+    ahead[n - 1::n] = True
+    keep[1:] &= ahead
+    np.greater_equal(values[:-1], values[1:], out=ahead)
+    ahead[n - 1::n] = True
+    keep[:-1] &= ahead
+    flat = np.flatnonzero(keep)
+    nodes = np.unravel_index(flat, av.shape)
+    top = values[flat]
+    peak = np.ones(len(flat), dtype=bool)
     for offset in itertools.product((-1, 0, 1), repeat=av.ndim):
-        near = np.clip(nodes + offset, 0, last)
-        peak &= top >= av[tuple(near.T)]
-    return nodes[peak]
+        if any(offset[:-1]):
+            near = np.ravel_multi_index([i + o for i, o in zip(nodes, offset)],
+                                        av.shape, mode="clip")
+            peak &= top >= values[near]
+    return np.stack(nodes, axis=-1)[peak].astype(np.int64, copy=False)
 
 
 def optimize_ascent(p: float, q: float, op: DifferentialOperator,

@@ -280,7 +280,10 @@ class SamplingGrid:
         return SamplingGrid(self.keys, shape)
 
     def norm(self, v: np.ndarray, p: float) -> float:
-        """Rectangle-rule L_p(Q_pi) quasi-norm of values v; max for p = inf."""
+        """Rectangle-rule L_p(Q_pi) quasi-norm of values v; max for p = inf,
+        taken without a new array when v is real."""
+        if math.isinf(p) and not np.iscomplexobj(v):
+            return float(max(v.max(), -v.min()))
         av = np.abs(v)
         if math.isinf(p):
             return float(av.max())

@@ -77,6 +77,10 @@ def test_converge_csv_and_manifest(tmp_path):
     manifest = json.loads((tmp_path / "c.csv.manifest.json").read_text())
     assert manifest["versions"]["bnsharp"]
     assert manifest["config_sha256"]
+    # the BLAS thread setting the rows were computed under (conftest.py's)
+    assert manifest["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1",
+                                        "OMP_NUM_THREADS": "1",
+                                        "MKL_NUM_THREADS": "1"}
     assert manifest["results"]["reference_E"] == \
         pytest.approx(1 / math.sqrt(math.pi))
     # the rows and the exact reference are all a sweep reports

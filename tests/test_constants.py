@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -518,9 +519,91 @@ def test_peaks_are_the_full_grid_local_maxima():
             H = L // 2 + 1
             want = np.argwhere(peak[:H, :H])
             got = _peaks_above(np.abs(CosineGrid(keys, index, (L, L), odd)
-                                      .synth(u)), (L, L), level)
+                                      .synth(u)), level)
             assert np.isin(want, [0, H - 1]).any()
             assert np.array_equal(got, want)
+
+
+def _peaks_by_grid_scan(av, level):
+    """The peak search as a scan of the whole grid: every node above the
+    level against each of its 3^m - 1 clipped neighbours."""
+    nodes = np.argwhere(av > level)
+    top = av[tuple(nodes.T)]
+    peak = np.ones(len(nodes), dtype=bool)
+    for offset in itertools.product((-1, 0, 1), repeat=av.ndim):
+        near = np.clip(nodes + offset, 0, np.array(av.shape) - 1)
+        peak &= top >= av[tuple(near.T)]
+    return nodes[peak]
+
+
+def _assert_same_peaks(av, level):
+    got, want = _peaks_above(av, level), _peaks_by_grid_scan(av, level)
+    assert got.dtype == want.dtype == np.int64
+    assert got.shape == want.shape == (len(want), av.ndim)
+    assert np.array_equal(got, want)    # the same nodes, in the same order
+
+
+@pytest.mark.parametrize("op, a, body", [
+    (DifferentialOperator.laplacian(2), 4.0, ConvexBody.ball(1.0, 2)),
+    (DifferentialOperator.laplacian(2), 8.0, ConvexBody.ball(1.0, 2)),
+    (DifferentialOperator.laplacian(2), 16.0, ConvexBody.ball(1.0, 2)),
+    (DifferentialOperator.monomial((1,)), 16.0, ConvexBody.cube(1.0, 1)),
+])
+def test_peak_search_matches_the_grid_scan_on_every_lp_round(
+        monkeypatch, op, a, body):
+    # each round's |T| is checked as the round sees it, so the rounds need
+    # not follow any one sequence of HiGHS pivots
+    rounds = []
+
+    def checked(av, level):
+        _assert_same_peaks(av, level)
+        peaks = _peaks_above(av, level)
+        rounds.append(len(peaks))
+        return peaks
+
+    monkeypatch.setattr(constants, "_peaks_above", checked)
+    out = exchange_lp(op, a, body)
+    assert len(rounds) == out.lp[0] and rounds[-1] == 0
+
+
+def test_peak_search_matches_the_grid_scan_on_ties():
+    # small integer values tie with their neighbours often; even and odd
+    # sizes put the clipped edges on both parities
+    rng = np.random.default_rng(28)
+    for shape in ((1,), (2,), (7,), (8,), (1, 5), (6, 1), (5, 6), (9, 9),
+                  (4, 5, 6), (3, 3, 3), (2, 7, 1)):
+        for _ in range(20):
+            av = rng.integers(0, 4, size=shape).astype(float)
+            for level in (-1.0, 0.5, 1.5, 2.5):
+                _assert_same_peaks(av, level)
+        flat = np.full(shape, 2.0)
+        _assert_same_peaks(flat, 1.0)      # all equal: every node a peak
+        assert len(_peaks_above(flat, 1.0)) == flat.size
+        # nothing above the level
+        assert _peaks_above(flat, 2.0).shape == (0, len(shape))
+        _assert_same_peaks(flat, 2.0)
+
+
+@pytest.mark.parametrize("a", [8.0, 16.0])
+def test_exchange_lp_rounds_allocate_no_grid_sized_array(a):
+    # one quarter-grid buffer holds every round's |T|; the peak search and
+    # the certificate add boolean masks and arrays of the nodes above the
+    # level only
+    disk, lap = ConvexBody.ball(1.0, 2), DifferentialOperator.laplacian(2)
+    exchange_lp(lap, 2.0, disk)     # loads the LP solver before tracing
+    spectrum = disk.lattice_points(a)
+    keys = spectrum.as_array()
+    index, _, _, odd = _cosine_orbits(math.inf, math.inf, lap, spectrum)
+    cert = _certificate_grid(CosineGrid(keys, index, _grid(spectrum, 8).shape,
+                                        odd))
+    grid_bytes = 8 * math.prod(L // 2 + 1 for L in cert.shape)
+    tracemalloc.start()
+    try:
+        exchange_lp(lap, a, disk)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.0 * grid_bytes
 
 
 def test_exchange_lp_brackets_the_segment_derivative():
@@ -758,14 +841,15 @@ def test_ladder_stops_once_the_certified_value_falls(monkeypatch):
 
 
 def test_optimizer_values_pinned():
-    # bitwise, for the L-BFGS ascent; the square runs on cosine orbits, and
-    # at a = 32 on a quarter grid whose values fill one 131^2 buffer
-    # (bnsharp optimize --body cube:1 --m 2 --operator identity --p 1
-    # --q inf --a 16,32 --restarts 2 --seed 11)
+    # bitwise, for the L-BFGS ascent at one BLAS thread (conftest.py); the
+    # square runs on cosine orbits, and at a = 32 on a quarter grid whose
+    # values fill one 131^2 buffer (OPENBLAS_NUM_THREADS=1 bnsharp optimize
+    # --body cube:1 --m 2 --operator identity --p 1 --q inf --a 16,32
+    # --restarts 2 --seed 11)
     sq = ConvexBody.cube(1.0, 2)
     cfg = OptimizerConfig(restarts=2, seed=11)
     for a, value in ((16.0, 0.03297081777400847),
-                     (32.0, 0.02997424175813175)):
+                     (32.0, 0.029767746710726704)):
         est = optimize_full(1.0, math.inf, DifferentialOperator.identity(2),
                             a, sq, cfg).estimate
         assert est.value == value
