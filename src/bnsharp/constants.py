@@ -24,6 +24,7 @@ import math
 import time
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -364,14 +365,15 @@ def _grad_norm_p(prob: SamplingGrid, v: np.ndarray, p: float, norm: float,
 
 def _lse(prob: SamplingGrid, v: np.ndarray, t: float):
     """The soft maximum M + log(mean_x e^{t(|T(x)| - M)}) / t over the full
-    grid, each sampled value counted ``node_weight`` times, and a callable
-    for its gradient (``analyze`` applies the same node weights)."""
+    grid, each sampled value counted as the grid nodes it stands for
+    (``weigh``), and a callable for its gradient (``analyze`` applies the
+    same node weights)."""
     av = np.abs(v)
     M = av.max()
     e = np.subtract(av, M)
     e *= t
     np.exp(e, out=e)
-    total = (e * prob.node_weight).sum()
+    total = prob.weigh(e.copy()).sum()
     val = M + math.log(total / prob.size) / t
 
     def grad():
@@ -402,8 +404,7 @@ def _make_objective(prob: SamplingGrid, d: np.ndarray, p: float, q: float,
     uses a soft maximum at the given temperature (``_final_value`` scores
     the unsmoothed ratio).
     """
-    out = np.empty(prob.node_weight.shape) if isinstance(prob, CosineGrid) \
-        else None
+    out = np.empty(prob.kept_shape) if isinstance(prob, CosineGrid) else None
 
     def at(c):
         if math.isinf(q):
@@ -653,10 +654,45 @@ def optimize_full(p: float, q: float, op: DifferentialOperator,
     """The normalized ratio's supremum: a certified lower bound, and at
     p = q = inf for small problems an upper bound too.
 
-    At p = q = inf a problem whose orbit unknowns (``_cosine_orbits``)
-    number at most ``_LP_MAX_UNKNOWNS`` goes to ``exchange_lp``; every
-    other problem goes to ``optimize_ascent``.  Both run on the orbit
-    unknowns wherever ``_cosine_orbits`` applies.
+    A box with a monomial symbol b D^alpha, m >= 2, q = inf and
+    1 <= p <= inf goes to ``_product_rule``: one 1-D solve per distinct
+    axis (sigma_j, alpha_j).  Otherwise, at p = q = inf a problem whose
+    orbit unknowns (``_cosine_orbits``) number at most
+    ``_LP_MAX_UNKNOWNS`` goes to ``exchange_lp``; every other problem goes
+    to ``optimize_ascent``.  Both run on the orbit unknowns wherever
+    ``_cosine_orbits`` applies.
+
+    Product rule.  Let V = prod_j [-sigma_j, sigma_j], D = b D^alpha,
+    q = inf and 1 <= p <= inf, and let P_j be the 1-D constant of
+    [-sigma_j, sigma_j] and d^{alpha_j}/dx^{alpha_j} at the same a.  Then
+    P(a) = |b| prod_j P_j.  Everything factorizes along the axes:
+    aV ∩ Z^m = prod_j ([-a sigma_j, a sigma_j] ∩ Z), (ik)^alpha =
+    prod_j (ik_j)^{alpha_j}, and pref = a^{-N-m/p} = prod_j
+    a^{-alpha_j-1/p}.
+
+    - Lower half: the tensor T = T_1 x ... x T_m of 1-D polynomials has
+      its spectrum in aV, D^alpha T(0) = prod_j T_j^{(alpha_j)}(0) and
+      ||T||_p = prod_j ||T_j||_p (Fubini; the sup of a product of moduli
+      in separate variables for p = inf).  So the tensor of the 1-D
+      winners attains |b| times the product of their ratios.  The
+      rectangle rule on a product grid factorizes the same way, so the
+      grid ratio does too.  A continuum tensor's norms factorize as well,
+      so a certified 1-D lower bound (the sup gap at p = inf; at finite p
+      a bound on the continuum L_p norm, where one exists) certifies the
+      m-D one factor by factor.
+    - Upper half: by Hahn-Banach and Riesz, T_j -> T_j^{(alpha_j)}(0) on
+      the 1-D polynomials normed in L_p(Q_pi) is T_j -> int T_j g_j with
+      ||g_j||_{p'} = P_j / pref_j (a measure of that total variation at
+      p = inf).  g = g_1 x ... x g_m gives D^alpha T(0) = int T g on each
+      e^{ik.x} with k in aV, hence on every T with spectrum in aV, and
+      ||g||_{p'} = prod_j ||g_j||_{p'}.  Hoelder gives
+      |D T(0)| <= |b| prod_j (P_j / pref_j) ||T||_p, so P(a) <=
+      |b| prod_j P_j, and an upper bound on each P_j (``exchange_lp``'s
+      dual) bounds P(a) by their product.
+
+    Equal (sigma_j, alpha_j) give equal P_j, so each is solved once.  p < 1
+    has no such duality, finite q no translation to x = 0, and other
+    symbols no product; they keep the m-D path.
 
     Orbit reduction.  Let 1 <= p <= inf, q = inf, and let the symbol be
     i^N s(k) with s real and of parity eps_j = +-1 in each coordinate
@@ -691,11 +727,84 @@ def optimize_full(p: float, q: float, op: DifferentialOperator,
     the full complex coefficients, as do symbols of neither parity in some
     coordinate.
     """
+    out = _product_rule(p, q, op, a, body, config)
+    if out is not None:
+        return out
     if math.isinf(p) and math.isinf(q):
         out = exchange_lp(op, a, body)
         if out is not None:
             return out
     return optimize_ascent(p, q, op, a, body, config)
+
+
+def _product_rule(p: float, q: float, op: DifferentialOperator, a: float,
+                  body: ConvexBody, config: OptimizerConfig
+                  ) -> OptimizerOutcome | None:
+    """``optimize_full``'s product rule; None unless the body is a box,
+    m >= 2, the symbol one term b D^alpha, q = inf and 1 <= p <= inf.
+
+    Each distinct (sigma_j, alpha_j) is one 1-D ``optimize_full`` run with
+    ``config``.  The value is |b| times the product of the axes' values,
+    its tolerance the product of their (1 + tolerance) less 1, and the
+    coefficients the tensor of their winners.  The upper bound is |b|
+    times the product of the axes' upper bounds, when every axis has one.
+    ``restart_values``, ``ascent_stops`` and ``best_rungs`` run over the
+    distinct solves in axis order, each stop renumbered to its restart's
+    place in ``restart_values``; ``unknowns`` is (the distinct solves'
+    unknowns, the m-D lattice size, the product of every axis's |G|), and
+    ``lp`` sums the LPs, active nodes and simplex iterations and gives the
+    residual term of the product bound.
+    """
+    if not (math.isinf(body.mu) and body.m >= 2 and len(op.terms) == 1
+            and math.isinf(q) and p >= 1.0):
+        return None
+    (alpha, b), = op.terms.items()
+    axes = list(zip(body.sigma, alpha))
+    solved = {}
+    for s, al in axes:
+        if (s, al) not in solved:
+            solved[s, al] = optimize_full(
+                p, q, DifferentialOperator.monomial((al,)), a,
+                ConvexBody.parallelepiped([s]), config)
+    outs = [solved[axis] for axis in axes]
+    distinct = list(solved.values())
+
+    notes = "product rule: tensor of 1-D winners; " + "; ".join(
+        f"sigma = {s:g}, alpha = {al}: {o.estimate.notes}"
+        for (s, al), o in solved.items())
+    est = SharpConstantEstimate(
+        abs(b) * math.prod(o.estimate.value for o in outs),
+        "lower-bound-optimizer", p, q, op.label, body.label, a,
+        math.prod(1.0 + o.estimate.tolerance for o in outs) - 1.0, notes)
+    upper, lp = None, ()
+    if all(o.upper is not None for o in outs):
+        bounds = [o.upper.value for o in outs]
+        upper = SharpConstantEstimate(
+            abs(b) * math.prod(bounds), "upper-bound-dual", p, q, op.label,
+            body.label, a, 0.0, notes)
+        # the part of the product bound that the residual terms make up
+        residual = abs(b) * (math.prod(bounds) - math.prod(
+            u - o.lp[2] for u, o in zip(bounds, outs)))
+        lp = (sum(o.lp[0] for o in distinct), sum(o.lp[1] for o in distinct),
+              residual, sum(o.lp[3] for o in distinct))
+
+    stops, values = [], []
+    for o in distinct:
+        stops += [replace(st, restart=st.restart + len(values))
+                  for st in o.ascent_stops]
+        values += o.restart_values
+    values_1d = [np.array(list(o.best_coefficients.values())) for o in outs]
+    coeffs = dict(zip(
+        itertools.product(*[[k for (k,) in o.best_coefficients]
+                            for o in outs]),
+        reduce(np.multiply.outer, values_1d).ravel().tolist()))
+    return OptimizerOutcome(
+        est, tuple(values), coeffs, tuple(stops),
+        tuple(r for o in distinct for r in o.best_rungs),
+        (sum(o.unknowns[0] for o in distinct),
+         math.prod(o.unknowns[1] for o in outs),
+         math.prod(o.unknowns[2] for o in outs)),
+        upper, lp)
 
 
 def _spectrum(p: float, q: float, op: DifferentialOperator, a: float,

@@ -266,8 +266,16 @@ class SamplingGrid:
     def analyze(self, u: np.ndarray) -> np.ndarray:
         return self.phase * np.fft.fftn(u)[self.idx]
 
-    #: how many grid nodes each sampled value stands for
-    node_weight = 1.0
+    #: per-axis node weights, each shaped to broadcast along its axis; a
+    #: sampled value stands for the product of its axes' weights in grid
+    #: nodes (none: one node each)
+    axis_weights: tuple[np.ndarray, ...] = ()
+
+    def weigh(self, v: np.ndarray) -> np.ndarray:
+        """v times each value's node weight, in place, axis by axis."""
+        for w in self.axis_weights:
+            v *= w
+        return v
 
     def coefficients(self, u: np.ndarray) -> np.ndarray:
         """The coefficient vector, in key order, of unknowns u: u here."""
@@ -288,7 +296,7 @@ class SamplingGrid:
         if math.isinf(p):
             return float(av.max())
         av **= p        # in place: the same bits as av ** p, no new array
-        av *= self.node_weight
+        self.weigh(av)
         return float((self.weight * av.sum()) ** (1.0 / p))
 
     def sup_gap(self) -> float:
@@ -315,8 +323,9 @@ class CosineGrid(SamplingGrid):
     each coordinate of an even axis and odd in each coordinate of an odd
     one; the keys with sgn(k) = 0 must carry orbit -1.  So |T| is even in
     every coordinate, and its values at the nodes l_j = 0..L_j//2 of each
-    axis, weighted 1 (l_j = 0 or 2 l_j = L_j, the nodes that are their own
-    mirror images) or 2 per axis, give the full grid's L_p sums.  ``synth``
+    axis (``kept_shape``), weighted 1 (l_j = 0 or 2 l_j = L_j, the nodes
+    that are their own mirror images) or 2 per axis (``axis_weights``),
+    give the full grid's L_p sums.  ``synth``
     applies one dense real matrix per axis, built once: entry (l, k) is
     w_k cos(2 pi l k / L_j) on an even axis and 2 sin(2 pi l k / L_j) on
     an odd one, for the kept nodes l <= L_j // 2 and the degrees k <= K_j,
@@ -347,13 +356,14 @@ class CosineGrid(SamplingGrid):
                       self.root[self.half_orbit])
         self.fold = self.scale * 2.0 ** (half != 0).sum(axis=1)
         self.half_shape = tuple(K + 1 for K in self.degrees)
-        nodes = tuple(L // 2 + 1 for L in shape)
+        self.kept_shape = tuple(L // 2 + 1 for L in shape)
         per_axis = [np.where((2 * np.arange(H) % L) == 0, 1.0, 2.0)
-                    for H, L in zip(nodes, shape)]
-        self.node_weight = math.prod(np.ix_(*per_axis))
+                    for H, L in zip(self.kept_shape, shape)]
+        # the weights are 1 and 2, so weighing axis by axis is exact
+        self.axis_weights = tuple(np.ix_(*per_axis))
         self.synth_mats, self.analyze_mats = [], []
-        for K, H, L, w, odd_j in zip(self.degrees, nodes, shape, per_axis,
-                                     self.odd):
+        for K, H, L, w, odd_j in zip(self.degrees, self.kept_shape, shape,
+                                     per_axis, self.odd):
             angle = 2.0 * np.pi * (np.outer(np.arange(H),
                                             np.arange(K + 1)) % L) / L
             if odd_j:

@@ -272,8 +272,10 @@ def test_cosine_orbit_reduction_applies_where_it_is_lossless():
             (math.inf, math.inf, DifferentialOperator(
                 2, 2, {(2, 0): 1.0, (0, 2): 1j}), sq)):
         assert group(p, q, op, body, 4.0) is None
+    # the m-D ascent itself: optimize_full sends these box monomials to
+    # the product rule
     cfg = OptimizerConfig(restarts=1, iterations=30, seed=1)
-    out = optimize_full(1.0, math.inf, ident, 2.0, sq, cfg)
+    out = optimize_ascent(1.0, math.inf, ident, 2.0, sq, cfg)
     assert out.unknowns == (6, 25, 8)
     assert "cosine-orbit reduction" in out.estimate.notes
     # the reported coefficients are the full, real, G-invariant key map
@@ -283,7 +285,7 @@ def test_cosine_orbit_reduction_applies_where_it_is_lossless():
     # the ascent runs odd symbols on their parity orbits too: d^2/dx dy on
     # the keys with no zero coordinate, {(1, 1)} and {(2, 2)} and the eight
     # signed permutations of (1, 2)
-    out = optimize_full(1.0, math.inf, mixed, 2.0, sq, cfg)
+    out = optimize_ascent(1.0, math.inf, mixed, 2.0, sq, cfg)
     assert out.unknowns == (3, 25, 8)
     assert "cosine-orbit reduction" in out.estimate.notes
 
@@ -392,6 +394,25 @@ def test_certificate_synth_holds_little_beyond_its_values():
         tracemalloc.stop()
     assert v.shape == (2249, 2249)
     assert peak < 1.25 * v.nbytes
+
+
+def test_certificate_grid_holds_no_quarter_grid_array():
+    # the node weights stay per axis, so building the p = q = inf
+    # certificate grid of the a = 16 disk (1125^2 kept nodes) allocates
+    # nothing of the quarter grid's size
+    disk, lap = ConvexBody.ball(1.0, 2), DifferentialOperator.laplacian(2)
+    spectrum = disk.lattice_points(16.0)
+    keys = spectrum.as_array()
+    index, _, _, odd = _cosine_orbits(math.inf, math.inf, lap, spectrum)
+    prob = CosineGrid(keys, index, _grid(spectrum, 8).shape, odd)
+    tracemalloc.start()
+    try:
+        cert = _certificate_grid(prob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.kept_shape == (1125, 1125)
+    assert peak < 0.25 * 8 * math.prod(cert.kept_shape)
 
 
 def _parity_cases():
@@ -716,6 +737,124 @@ def test_odd_symbol_ascent_on_parity_orbits_loses_nothing():
         assert out.estimate.value >= complex_value
 
 
+def test_product_rule_square_is_the_segment_squared():
+    # the square's (1, inf) identity row is the tensor of the segment's
+    # winner: its value is the segment row squared, bitwise, from one 1-D
+    # solve shared by both axes
+    sq, seg = ConvexBody.cube(1.0, 2), ConvexBody.cube(1.0, 1)
+    cfg = OptimizerConfig(restarts=2, iterations=150, seed=11)
+    out = optimize_full(1.0, math.inf, DifferentialOperator.identity(2), 8.0,
+                        sq, cfg)
+    axis = optimize_full(1.0, math.inf, DifferentialOperator.identity(1),
+                         8.0, seg, cfg)
+    assert out.estimate.value == axis.estimate.value ** 2
+    assert out.estimate.kind == "lower-bound-optimizer"
+    assert out.estimate.notes.startswith("product rule: tensor of 1-D winners")
+    assert out.unknowns == (9, 289, 4)
+    assert out.restart_values == axis.restart_values
+    assert out.restart_values == \
+        tuple(s.certified for s in out.ascent_stops)
+    assert out.upper is None and out.lp == ()
+    c = axis.best_coefficients
+    assert out.best_coefficients == {
+        (k, j): c[k,] * c[j,] for (k,), (j,) in itertools.product(c, c)}
+
+
+def test_product_rule_mixed_derivative_is_the_derivative_squared():
+    sq, seg = ConvexBody.cube(1.0, 2), ConvexBody.cube(1.0, 1)
+    cfg = OptimizerConfig(restarts=2, iterations=150, seed=3)
+    out = optimize_full(1.0, math.inf, DifferentialOperator.monomial((1, 1)),
+                        8.0, sq, cfg)
+    axis = optimize_full(1.0, math.inf, DifferentialOperator.monomial((1,)),
+                         8.0, seg, cfg)
+    assert out.estimate.value == axis.estimate.value ** 2
+    assert out.unknowns == (8, 289, 4)
+
+
+def test_product_rule_solves_each_distinct_axis_once():
+    # pi:1,2 with 3 D^(1,0): d/dx on [-1, 1] and the identity on [-2, 2],
+    # both solved, their lists concatenated in axis order
+    body = ConvexBody.parallelepiped([1.0, 2.0])
+    cfg = OptimizerConfig(restarts=2, iterations=150, seed=5)
+    out = optimize_full(1.0, math.inf,
+                        DifferentialOperator.monomial((1, 0), 3.0), 4.0,
+                        body, cfg)
+    first = optimize_full(1.0, math.inf, DifferentialOperator.monomial((1,)),
+                          4.0, ConvexBody.parallelepiped([1.0]), cfg)
+    second = optimize_full(1.0, math.inf, DifferentialOperator.identity(1),
+                           4.0, ConvexBody.parallelepiped([2.0]), cfg)
+    assert out.estimate.value == \
+        3.0 * (first.estimate.value * second.estimate.value)
+    assert out.restart_values == first.restart_values + second.restart_values
+    assert [s.restart for s in out.ascent_stops] == [0, 1, 2, 3]
+    assert out.unknowns == (first.unknowns[0] + second.unknowns[0],
+                            9 * 17, 4)
+    assert len(out.best_coefficients) == 9 * 17
+
+
+def test_box_lattice_is_the_product_of_the_axis_lattices():
+    for sigma, a in (([1.0, 2.0], 4.0), ([0.7, 1.3], 5.5),
+                     ([1.0, 0.5, 2.5], 3.0)):
+        box = ConvexBody.parallelepiped(sigma).lattice_points(a).as_array()
+        axes = [[k for (k,) in ConvexBody.parallelepiped([s]).lattice_points(
+            a)] for s in sigma]
+        assert np.array_equal(box, np.array(list(itertools.product(*axes))))
+
+
+def test_product_rule_witness_scores_its_value_on_the_box_grid():
+    # the tensor of the 1-D winners, scored on the m-D problem's own
+    # rectangle-rule grid, has the reported value
+    sq, ident, a = ConvexBody.cube(1.0, 2), DifferentialOperator.identity(2), \
+        16.0
+    out = optimize_full(1.0, math.inf, ident, a, sq,
+                        OptimizerConfig(restarts=2, seed=11))
+    spectrum = sq.lattice_points(a)
+    keys = spectrum.as_array()
+    c = np.array([out.best_coefficients[tuple(int(v) for v in k)]
+                  for k in keys])
+    value, _ = _final_value(_grid(spectrum, 4),
+                            ident.symbol_at_ik(keys.astype(float)), c, 1.0,
+                            math.inf, a ** -2)
+    assert value == pytest.approx(out.estimate.value, rel=1e-12)
+
+
+def test_product_rule_brackets_sup_sup():
+    # at p = q = inf both axes go to the exchange LP; the product of their
+    # duals bounds the product of their certified values
+    sq, op, a = ConvexBody.cube(1.0, 2), \
+        DifferentialOperator.monomial((1, 0)), 8.0
+    out = optimize_full(math.inf, math.inf, op, a, sq)
+    seg = ConvexBody.parallelepiped([1.0])
+    axes = [exchange_lp(DifferentialOperator.monomial((al,)), a, seg)
+            for al in (1, 0)]
+    assert out.estimate.value <= out.upper.value
+    assert out.upper.kind == "upper-bound-dual"
+    assert out.upper.value == axes[0].upper.value * axes[1].upper.value
+    assert out.estimate.value == \
+        axes[0].estimate.value * axes[1].estimate.value
+    check_order_consistency([out.estimate, out.upper])
+    assert out.lp[0] == axes[0].lp[0] + axes[1].lp[0]
+    assert out.lp[3] == axes[0].lp[3] + axes[1].lp[3]
+    assert 0.0 <= out.lp[2] <= 1e-9 * out.estimate.value
+
+
+def test_product_rule_routing_guards():
+    # p < 1, finite q, a symbol of several terms and a body other than a
+    # box keep the m-D path and its unknowns
+    sq, disk = ConvexBody.cube(1.0, 2), ConvexBody.ball(1.0, 2)
+    ident = DifferentialOperator.identity(2)
+    cfg = OptimizerConfig(restarts=1, iterations=10, seed=1)
+    for p, q, op, body, unknowns in (
+            (0.5, math.inf, ident, sq, (25, 25, 1)),
+            (1.0, 2.0, ident, sq, (25, 25, 1)),
+            (1.0, math.inf, DifferentialOperator.laplacian(2), sq,
+             (6, 25, 8)),
+            (1.0, math.inf, ident, disk, (4, 13, 8))):
+        out = optimize_full(p, q, op, 2.0, body, cfg)
+        assert out.unknowns == unknowns
+        assert not out.estimate.notes.startswith("product rule")
+
+
 def _grid(spectrum, oversample):
     """The optimizer's sampling grid for a lattice set."""
     keys = spectrum.as_array()
@@ -842,17 +981,21 @@ def test_ladder_stops_once_the_certified_value_falls(monkeypatch):
 
 def test_optimizer_values_pinned():
     # bitwise, for the L-BFGS ascent at one BLAS thread (conftest.py); the
-    # square runs on cosine orbits, and at a = 32 on a quarter grid whose
-    # values fill one 131^2 buffer (OPENBLAS_NUM_THREADS=1 bnsharp optimize
-    # --body cube:1 --m 2 --operator identity --p 1 --q inf --a 16,32
-    # --restarts 2 --seed 11)
-    sq = ConvexBody.cube(1.0, 2)
+    # square goes by the product rule, the square of the segment's cosine
+    # orbit ascent (OPENBLAS_NUM_THREADS=1 bnsharp optimize --body cube:1
+    # --m 2 --operator identity --p 1 --q inf --a 16,32 --restarts 2
+    # --seed 11), and lies above the values of the 2-D ascent on cosine
+    # orbits, which the product rule bypasses and the disk still runs
+    sq, ident = ConvexBody.cube(1.0, 2), DifferentialOperator.identity(2)
     cfg = OptimizerConfig(restarts=2, seed=11)
-    for a, value in ((16.0, 0.03297081777400847),
-                     (32.0, 0.029767746710726704)):
-        est = optimize_full(1.0, math.inf, DifferentialOperator.identity(2),
-                            a, sq, cfg).estimate
-        assert est.value == value
+    for a, value, ascent_2d in ((16.0, 0.033170880073060675,
+                                 0.03297081777400847),
+                                (32.0, 0.031247591021807984,
+                                 0.029767746710726704)):
+        assert optimize_full(1.0, math.inf, ident, a, sq,
+                             cfg).estimate.value == value
+        assert optimize_ascent(1.0, math.inf, ident, a, sq,
+                               cfg).estimate.value == ascent_2d < value
     seg = ConvexBody.cube(1.0, 1)
     cfg = OptimizerConfig(restarts=2, iterations=300, seed=3)
     out = optimize_full(1.0, 2.0, DifferentialOperator.monomial((1,)), 8.0,
@@ -867,11 +1010,11 @@ def test_optimizer_reaches_fejer_kernel_on_the_square():
     # ((floor(a) + 1) / (2 pi a))^2 for ||T||_inf / ||T||_1 on the square;
     # finite-p values are still scored on the coarse grid (ROADMAP Open
     # item 1), so they carry its overshoot
-    a = 32.0
-    est = optimize_full(1.0, math.inf, DifferentialOperator.identity(2), a,
-                        ConvexBody.cube(1.0, 2),
-                        OptimizerConfig(restarts=2, seed=11)).estimate
-    assert est.value >= ((math.floor(a) + 1) / (2 * math.pi * a)) ** 2
+    for a in (32.0, 64.0):
+        est = optimize_full(1.0, math.inf, DifferentialOperator.identity(2),
+                            a, ConvexBody.cube(1.0, 2),
+                            OptimizerConfig(restarts=2, seed=11)).estimate
+        assert est.value >= ((math.floor(a) + 1) / (2 * math.pi * a)) ** 2
 
 
 def test_ascent_stops_on_gtol_for_one_frequency():
