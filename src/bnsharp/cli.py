@@ -3,8 +3,10 @@
 Subcommands
 -----------
 constant       closed forms and bounds for one parameter set
-optimize       certified lower bound from the optimizer (and at p = q = inf
-               for small problems an LP dual upper bound, in the manifest)
+optimize       the exact value where a closed form holds at p = q (2 on any
+               body, every q for a monomial on a box), else a certified
+               lower bound from the optimizer (and at p = q = inf for small
+               problems an LP dual upper bound, in the manifest)
 converge       periodic constant along a scale sweep (limit experiments)
 levitan-check  periodization property checks, one CSV row per property
 candidates     continuum lower-bound candidates vs closed forms

@@ -4,8 +4,8 @@ Two families of constants are computed.  The periodic constant P compares
 ``||D T||_{L_q(Q_pi)}`` against ``||T||_{L_p(Q_pi)}`` over polynomials with
 spectrum in a*V (normalized by a^{-N-m/p+m/q}); the continuum constant E
 does the same over band-limited functions on R^m.  Closed forms exist for
-(p, q) = (2, inf) and (2, 2), and for E of a monomial on a box at p = q;
-everything else is bracketed by upper bounds
+(p, q) = (2, inf) and (2, 2), and for P and E of a monomial on a box at
+p = q; everything else is bracketed by upper bounds
 and certified lower bounds from a multistart L-BFGS ascent on the sphere,
 which samples on ``trigpoly.SamplingGrid`` as ``norm_lp`` does or, where
 that loses nothing, runs on one real unknown per symmetry orbit and
@@ -217,25 +217,32 @@ def _unit_from_angles(angles, m: int) -> np.ndarray:
 def closed_form(p: float, q: float, body: ConvexBody,
                 op: DifferentialOperator,
                 a: float | None = None) -> SharpConstantEstimate | None:
-    """The closed form at (p, q) = (2, inf) or (2, 2), or of the continuum
-    constant for a monomial b D^alpha on a box at p = q; else None.
+    """The closed form at (p, q) = (2, inf) or (2, 2), or at p = q for a
+    monomial b D^alpha on a box; else None.
 
     Gives the periodic constant at scale ``a``, or the continuum constant
-    when ``a`` is None.  The box value |b| sigma^alpha is Bernstein's
-    inequality for entire functions of exponential type, exact for every q.
+    when ``a`` is None.  On a box monomial both are Bernstein's inequality,
+    exact for every q: the continuum value is |b| sigma^alpha (entire
+    functions of exponential type), and, per axis and by Fubini, P(a) is
+    ``closed_p22``'s lattice maximum |b| a^{-N} prod_j floor(a
+    sigma_j)^{alpha_j} (Zygmund, Trigonometric Series, ch. X, for q >= 1;
+    Arestov 1981 for q < 1), attained by one exponential at that corner.
     """
     if (p, q) == (2.0, math.inf):
         return closed_e2_inf(body, op) if a is None else \
             closed_p2_inf(body, op, a)
-    if a is None and p == q and math.isinf(body.mu) and len(op.terms) == 1:
+    if p != q:
+        return None
+    box_monomial = math.isinf(body.mu) and len(op.terms) == 1
+    if a is not None and (q == 2.0 or box_monomial):
+        return replace(closed_p22(body, op, a), p=float(q), q=float(q))
+    if box_monomial:
         (alpha, b), = op.terms.items()
         return SharpConstantEstimate(
             abs(b) * math.prod(s ** al for s, al in zip(body.sigma, alpha)),
             "exact-closed-form", q, q, op.label, body.label, None, 0.0,
             "exact for every q")
-    if p == q == 2.0:
-        return closed_e22(body, op) if a is None else closed_p22(body, op, a)
-    return None
+    return closed_e22(body, op) if q == 2.0 else None
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +254,7 @@ class BernsteinBracket:
     """Same-exponent constants for a monomial operator on a box."""
 
     continuum: SharpConstantEstimate          # closed_form: sigma^alpha
-    periodic_lower: SharpConstantEstimate     # floor product
+    periodic_lower: SharpConstantEstimate     # closed_form: floor product
     periodic_upper: SharpConstantEstimate     # ceiling product
 
     @property
@@ -255,36 +262,29 @@ class BernsteinBracket:
         return self.periodic_upper.value - self.periodic_lower.value
 
 
-def bernstein_pq(body: ConvexBody, alpha: Sequence[int], a: float,
-                 q: float = 2.0) -> BernsteinBracket:
+def bernstein_pq(body: ConvexBody, alpha: Sequence[int],
+                 a: float) -> BernsteinBracket:
     """Same-exponent (p = q) constants for D^alpha on a box body.
 
-    The continuum value is exactly sigma^alpha for every q; the periodic
-    constant is bracketed between the floor and ceiling frequency products.
+    Both ``closed_form`` values hold for every q: the continuum sigma^alpha
+    and the periodic floor-frequency product.  The ceiling-frequency
+    product bounds the latter from above.  The rows are labelled q = 2.
     """
     if not math.isinf(body.mu):
         raise ValueError("same-exponent brackets require a box body")
     alpha = tuple(int(v) for v in alpha)
     op = DifferentialOperator.monomial(alpha)
-    N = sum(alpha)
     floors = [exact_floor(a, s) for s in body.sigma]
     ceils = [-exact_floor(-a, s) for s in body.sigma]
     if any(f < 1 for f, al in zip(floors, alpha) if al > 0):
         raise ValueError(f"a={a} too small: floor(a*sigma)={floors}")
-    lo = a ** (-N) * math.prod(float(f) ** al
-                               for f, al in zip(floors, alpha))
-    hi = a ** (-N) * math.prod(float(c) ** al
-                               for c, al in zip(ceils, alpha))
-
-    def mk(v, kind, av, note):
-        return SharpConstantEstimate(v, kind, q, q, op.label, body.label,
-                                     av, 0.0, note)
-
+    hi = a ** (-sum(alpha)) * math.prod(float(c) ** al
+                                        for c, al in zip(ceils, alpha))
     return BernsteinBracket(
-        closed_form(q, q, body, op),
-        mk(lo, "lower-bound-candidate", a,
-           "attained by the cosine product at floor frequencies"),
-        mk(hi, "upper-bound", a, "ceiling-frequency upper bound"))
+        closed_form(2.0, 2.0, body, op), closed_form(2.0, 2.0, body, op, a),
+        SharpConstantEstimate(hi, "upper-bound", 2.0, 2.0, op.label,
+                              body.label, a, 0.0,
+                              "ceiling-frequency upper bound"))
 
 
 def nikolskii_upper(p: float, q: float,
@@ -651,19 +651,23 @@ def optimize_full(p: float, q: float, op: DifferentialOperator,
                   a: float, body: ConvexBody,
                   config: OptimizerConfig = OptimizerConfig(),
                   ) -> OptimizerOutcome:
-    """The normalized ratio's supremum: a certified lower bound, and at
+    """The normalized ratio's supremum: the exact value where
+    ``closed_form`` has one at p = q, else a certified lower bound, and at
     p = q = inf for small problems an upper bound too.
 
-    A box with a monomial symbol b D^alpha, m >= 2, q = inf and
-    1 <= p <= inf goes to ``_product_rule``: one 1-D solve per distinct
-    axis (sigma_j, alpha_j).  Otherwise, at p = q = inf a problem whose
-    orbit unknowns (``_cosine_orbits``) number at most
-    ``_LP_MAX_UNKNOWNS`` goes to ``exchange_lp``; every other problem goes
-    to ``optimize_ascent``.  Both run on the orbit unknowns wherever
-    ``_cosine_orbits`` applies.
+    At p = q, ``closed_form`` answers p = q = 2 on any body (Parseval) and
+    every q on a box with a monomial symbol (Bernstein).  Either value is
+    a^{-N} max_k |symbol(k)| over the lattice, and the exponential at the
+    argmax attains it for every q; no iteration runs.  Otherwise a box with
+    a monomial symbol b D^alpha, m >= 2, q = inf and 1 <= p < inf goes to
+    ``_product_rule``: one 1-D solve per distinct axis (sigma_j, alpha_j).
+    At p = q = inf a problem whose orbit unknowns (``_cosine_orbits``)
+    number at most ``_LP_MAX_UNKNOWNS`` goes to ``exchange_lp``; every
+    other problem goes to ``optimize_ascent``.  Both run on the orbit
+    unknowns wherever ``_cosine_orbits`` applies.
 
     Product rule.  Let V = prod_j [-sigma_j, sigma_j], D = b D^alpha,
-    q = inf and 1 <= p <= inf, and let P_j be the 1-D constant of
+    q = inf and 1 <= p < inf, and let P_j be the 1-D constant of
     [-sigma_j, sigma_j] and d^{alpha_j}/dx^{alpha_j} at the same a.  Then
     P(a) = |b| prod_j P_j.  Everything factorizes along the axes:
     aV ∩ Z^m = prod_j ([-a sigma_j, a sigma_j] ∩ Z), (ik)^alpha =
@@ -672,23 +676,19 @@ def optimize_full(p: float, q: float, op: DifferentialOperator,
 
     - Lower half: the tensor T = T_1 x ... x T_m of 1-D polynomials has
       its spectrum in aV, D^alpha T(0) = prod_j T_j^{(alpha_j)}(0) and
-      ||T||_p = prod_j ||T_j||_p (Fubini; the sup of a product of moduli
-      in separate variables for p = inf).  So the tensor of the 1-D
+      ||T||_p = prod_j ||T_j||_p (Fubini).  So the tensor of the 1-D
       winners attains |b| times the product of their ratios.  The
       rectangle rule on a product grid factorizes the same way, so the
       grid ratio does too.  A continuum tensor's norms factorize as well,
-      so a certified 1-D lower bound (the sup gap at p = inf; at finite p
-      a bound on the continuum L_p norm, where one exists) certifies the
-      m-D one factor by factor.
+      so a certified 1-D lower bound (a bound on the continuum L_p norm,
+      where one exists) certifies the m-D one factor by factor.
     - Upper half: by Hahn-Banach and Riesz, T_j -> T_j^{(alpha_j)}(0) on
       the 1-D polynomials normed in L_p(Q_pi) is T_j -> int T_j g_j with
-      ||g_j||_{p'} = P_j / pref_j (a measure of that total variation at
-      p = inf).  g = g_1 x ... x g_m gives D^alpha T(0) = int T g on each
-      e^{ik.x} with k in aV, hence on every T with spectrum in aV, and
-      ||g||_{p'} = prod_j ||g_j||_{p'}.  Hoelder gives
-      |D T(0)| <= |b| prod_j (P_j / pref_j) ||T||_p, so P(a) <=
-      |b| prod_j P_j, and an upper bound on each P_j (``exchange_lp``'s
-      dual) bounds P(a) by their product.
+      ||g_j||_{p'} = P_j / pref_j.  g = g_1 x ... x g_m gives
+      D^alpha T(0) = int T g on each e^{ik.x} with k in aV, hence on every
+      T with spectrum in aV, and ||g||_{p'} = prod_j ||g_j||_{p'}.
+      Hoelder gives |D T(0)| <= |b| prod_j (P_j / pref_j) ||T||_p, so
+      P(a) <= |b| prod_j P_j.
 
     Equal (sigma_j, alpha_j) give equal P_j, so each is solved once.  p < 1
     has no such duality, finite q no translation to x = 0, and other
@@ -727,6 +727,17 @@ def optimize_full(p: float, q: float, op: DifferentialOperator,
     the full complex coefficients, as do symbols of neither parity in some
     coordinate.
     """
+    exact = closed_form(p, q, body, op, a) if p == q > 0 else None
+    if exact is not None:
+        keys = body.lattice_points(a).as_array()
+        k = keys[int(np.argmax(np.abs(op.symbol_at_ik(keys.astype(float)))))]
+        est = replace(exact, notes="ratio maximized exactly over the lattice "
+                                   "(Parseval at q = 2, Bernstein on a box "
+                                   "monomial); no iteration needed")
+        return OptimizerOutcome(est, (est.value,),
+                                {tuple(int(c) for c in k): 1.0 + 0j},
+                                best_rungs=(None,),
+                                unknowns=(0, len(keys), 1))
     out = _product_rule(p, q, op, a, body, config)
     if out is not None:
         return out
@@ -741,22 +752,19 @@ def _product_rule(p: float, q: float, op: DifferentialOperator, a: float,
                   body: ConvexBody, config: OptimizerConfig
                   ) -> OptimizerOutcome | None:
     """``optimize_full``'s product rule; None unless the body is a box,
-    m >= 2, the symbol one term b D^alpha, q = inf and 1 <= p <= inf.
+    m >= 2, the symbol one term b D^alpha, q = inf and 1 <= p < inf.
 
     Each distinct (sigma_j, alpha_j) is one 1-D ``optimize_full`` run with
     ``config``.  The value is |b| times the product of the axes' values,
     its tolerance the product of their (1 + tolerance) less 1, and the
-    coefficients the tensor of their winners.  The upper bound is |b|
-    times the product of the axes' upper bounds, when every axis has one.
-    ``restart_values``, ``ascent_stops`` and ``best_rungs`` run over the
-    distinct solves in axis order, each stop renumbered to its restart's
-    place in ``restart_values``; ``unknowns`` is (the distinct solves'
-    unknowns, the m-D lattice size, the product of every axis's |G|), and
-    ``lp`` sums the LPs, active nodes and simplex iterations and gives the
-    residual term of the product bound.
+    coefficients the tensor of their winners.  ``restart_values``,
+    ``ascent_stops`` and ``best_rungs`` run over the distinct solves in
+    axis order, each stop renumbered to its restart's place in
+    ``restart_values``; ``unknowns`` is (the distinct solves' unknowns,
+    the m-D lattice size, the product of every axis's |G|).
     """
     if not (math.isinf(body.mu) and body.m >= 2 and len(op.terms) == 1
-            and math.isinf(q) and p >= 1.0):
+            and math.isinf(q) and 1.0 <= p < q):
         return None
     (alpha, b), = op.terms.items()
     axes = list(zip(body.sigma, alpha))
@@ -776,18 +784,6 @@ def _product_rule(p: float, q: float, op: DifferentialOperator, a: float,
         abs(b) * math.prod(o.estimate.value for o in outs),
         "lower-bound-optimizer", p, q, op.label, body.label, a,
         math.prod(1.0 + o.estimate.tolerance for o in outs) - 1.0, notes)
-    upper, lp = None, ()
-    if all(o.upper is not None for o in outs):
-        bounds = [o.upper.value for o in outs]
-        upper = SharpConstantEstimate(
-            abs(b) * math.prod(bounds), "upper-bound-dual", p, q, op.label,
-            body.label, a, 0.0, notes)
-        # the part of the product bound that the residual terms make up
-        residual = abs(b) * (math.prod(bounds) - math.prod(
-            u - o.lp[2] for u, o in zip(bounds, outs)))
-        lp = (sum(o.lp[0] for o in distinct), sum(o.lp[1] for o in distinct),
-              residual, sum(o.lp[3] for o in distinct))
-
     stops, values = [], []
     for o in distinct:
         stops += [replace(st, restart=st.restart + len(values))
@@ -803,8 +799,7 @@ def _product_rule(p: float, q: float, op: DifferentialOperator, a: float,
         tuple(r for o in distinct for r in o.best_rungs),
         (sum(o.unknowns[0] for o in distinct),
          math.prod(o.unknowns[1] for o in outs),
-         math.prod(o.unknowns[2] for o in outs)),
-        upper, lp)
+         math.prod(o.unknowns[2] for o in outs)))
 
 
 def _spectrum(p: float, q: float, op: DifferentialOperator, a: float,
@@ -984,8 +979,9 @@ def optimize_ascent(p: float, q: float, op: DifferentialOperator,
     bound).  A restart's ladder stops at the first rung whose certified value
     is strictly below its best so far: hotter rungs only sharpen peaks
     between the coarse grid's nodes.  Each restart reports its
-    best-certified iterate, the first of equal ones.  p = q = 2 is the exact
-    lattice maximum (no iteration).
+    best-certified iterate, the first of equal ones.  ``optimize_full``
+    answers the p = q problems that ``closed_form`` holds before any
+    ascent runs.
 
     Where ``_cosine_orbits`` applies, the ascent runs on its real unknowns,
     one per orbit (the reduction of ``optimize_full``), even or odd axes
@@ -999,17 +995,6 @@ def optimize_ascent(p: float, q: float, op: DifferentialOperator,
     and the reported value, may lie on either side of the full path's.
     """
     spectrum, pref = _spectrum(p, q, op, a, body)
-
-    if p == 2.0 and q == 2.0:
-        est = closed_p22(body, op, a)
-        keys = spectrum.as_array().astype(float)
-        mods = np.abs(op.symbol_at_ik(keys))
-        kbest = tuple(int(c) for c in spectrum.as_array()[int(np.argmax(mods))])
-        est = replace(est, notes="ratio maximized exactly over the lattice "
-                                 "(Parseval); no iteration needed")
-        return OptimizerOutcome(est, (est.value,), {kbest: 1.0 + 0j},
-                                best_rungs=(None,),
-                                unknowns=(0, len(spectrum), 1))
 
     # soft-max landscapes need a denser grid than integral norms
     keys = spectrum.as_array()

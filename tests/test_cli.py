@@ -115,9 +115,9 @@ def test_optimize_manifest_counts_ascent_stops(tmp_path):
     # the identity at p = 1, q = inf runs on the cosine orbits {0}, {-1, 1}
     # and {-2, 2} of the group {1, -1}
     assert results["unknowns_a=2"] == [3, 5, 2]
-    # the segment's d/dx at p = inf on the ladder, which the CLI reaches
-    # only above the LP's cut: both ladders peak at t = 10^5 and stop one
-    # rung later
+    # the segment's d/dx at p = inf on the ladder, which the CLI does not
+    # reach (its closed form answers the segment): both ladders peak at
+    # t = 10^5 and stop one rung later
     out_ladder = optimize_ascent(
         math.inf, math.inf, DifferentialOperator.monomial((1,)), 8.0,
         ConvexBody.cube(1.0, 1),
@@ -126,21 +126,20 @@ def test_optimize_manifest_counts_ascent_stops(tmp_path):
     assert len(out_ladder.ascent_stops) == 20
     # d/dx is odd, so the ladder runs on the sine orbits {-k, k}, k = 1..8
     assert out_ladder.unknowns == (8, 17, 2)
-    # the CLI brackets it by the exchange LP on the sine orbits {-k, k},
-    # k = 1..8, and writes the dual bound and the LP's counts
-    assert main(["optimize", "--body", "cube:1", "--m", "1", "--p", "inf",
-                 "--q", "inf", "--operator", "1:1,0", "--a", "8",
-                 "--restarts", "2", "--iterations", "500", "--seed", "12",
+    # the CLI brackets the disk Laplacian at p = q = inf by the exchange LP
+    # on its 10 cosine orbits, and writes the dual bound and the LP's counts
+    assert main(["optimize", "--body", "ball:1", "--m", "2", "--p", "inf",
+                 "--q", "inf", "--operator", "laplacian:2", "--a", "4",
                  "--out", str(out)]) == 0
     results = json.loads((tmp_path / "o.csv.manifest.json").read_text())[
         "results"]
-    assert results["unknowns_a=8"] == [8, 17, 2]
+    assert results["unknowns_a=4"] == [10, 49, 8]
     value = float(read_rows(out)[1][6])
     assert len(read_rows(out)) == 2
-    assert value <= 1.0 <= results["upper_bound_a=8"] < 1.002 * value
-    assert set(results["lp_a=8"]) == {"lps", "active_nodes", "residual",
+    assert value <= results["upper_bound_a=4"] < 1.002 * value
+    assert set(results["lp_a=4"]) == {"lps", "active_nodes", "residual",
                                       "simplex_iterations"}
-    assert "best_rung_a=8" not in results
+    assert "best_rung_a=4" not in results
     # the disk Laplacian at p = inf runs on the cosine orbits of the
     # group of order 8 that the square's symmetries form
     assert main(["optimize", "--body", "ball:1", "--m", "2", "--p", "inf",
@@ -150,6 +149,29 @@ def test_optimize_manifest_counts_ascent_stops(tmp_path):
     results = json.loads((tmp_path / "o.csv.manifest.json").read_text())[
         "results"]
     assert results["unknowns_a=8"] == [32, 197, 8]
+
+
+@pytest.mark.parametrize("flags, exact", [
+    # the ascent reported 0.9401258 and 1.7780137 for these two
+    ("--body cube:1 --m 1 --operator 1:1,0 --p 1 --q 1 --a 7.5", 7 / 7.5),
+    ("--body pi:1,2 --m 2 --operator 1,1:1,0 --p 3 --q 3 --a 4.5",
+     36 / 20.25),
+])
+def test_box_monomial_at_p_equal_q_prints_its_closed_form(tmp_path, flags,
+                                                          exact):
+    out = tmp_path / "r.csv"
+    # constant prints the continuum row and the composition bound after it
+    for kind in ("constant", "converge", "optimize"):
+        assert main([kind, *flags.split(), "--out", str(out)]) == 0
+        row = read_rows(out)[1]
+        assert row[5] == "exact-closed-form"
+        assert float(row[6]) == pytest.approx(exact, rel=1e-15)
+    results = json.loads((tmp_path / "r.csv.manifest.json").read_text())[
+        "results"]
+    a = flags.split()[-1]
+    assert results[f"restart_values_a={a}"] == [float(row[6])]
+    assert results[f"best_rung_a={a}"] == [None]
+    assert results[f"ascent_stops_a={a}"] == {}
 
 
 def test_optimize_manifest_counts_simplex_iterations(tmp_path):

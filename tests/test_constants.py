@@ -22,7 +22,7 @@ from bnsharp.constants import (OptimizerConfig, SharpConstantEstimate,
                                nikolskii_upper, optimize_ascent,
                                optimize_full, symbol_sq_integral)
 from bnsharp.trigpoly import CosineGrid, DifferentialOperator, SamplingGrid, \
-    TrigPolynomial, default_grid
+    TrigPolynomial, apply_operator, default_grid, norm_lp
 
 
 def test_monomial_integral_oracle():
@@ -224,6 +224,54 @@ def test_optimizer_two_two_exact_path():
     op = DifferentialOperator.monomial((1, 1))
     est = optimize_full(2.0, 2.0, op, 3.0, body).estimate
     assert est.value == closed_p22(body, op, 3.0).value
+
+
+@pytest.mark.parametrize("spec, m, op", [
+    ("cube:1", 1, DifferentialOperator.monomial((1,))),
+    ("cube:1", 2, DifferentialOperator.identity(2)),
+    ("pi:1,2", 2, DifferentialOperator.monomial((1, 1), 3.0)),
+    ("cube:1", 3, DifferentialOperator.monomial((2, 0, 1))),
+])
+@pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.0, math.inf])
+def test_box_monomial_at_p_equal_q_is_exact(spec, m, op, p):
+    # Bernstein per axis and Fubini: P(a) = |b| a^-N prod floor(a
+    # sigma_j)^alpha_j for every p = q, attained by one exponential; at
+    # a = 0.5 some a sigma_j < 1 and P(a) = 0 unless alpha is 0
+    body = parse_body(spec, m)
+    (alpha, b), = op.terms.items()
+    for a in (0.5, 3.0, 4.5, 7.5):
+        out = optimize_full(p, p, op, a, body)
+        est = out.estimate
+        assert (est.kind, est.p, est.q, est.a) == \
+            ("exact-closed-form", p, p, a)
+        assert est.value == closed_p22(body, op, a).value     # bitwise
+        exact = abs(b) * a ** -op.order * math.prod(
+            math.floor(a * s) ** al for s, al in zip(body.sigma, alpha))
+        assert abs(est.value - exact) <= 1e-15 * exact
+        assert out.upper is None and out.restart_values == (est.value,)
+        assert out.best_rungs == (None,) and out.ascent_stops == ()
+        assert out.unknowns == (0, len(body.lattice_points(a)), 1)
+        # the witness, one exponential, attains the value
+        T = TrigPolynomial(m, out.best_coefficients)
+        ratio = a ** -op.order * norm_lp(apply_operator(op, T), p).value / \
+            norm_lp(T, p).value
+        assert ratio == pytest.approx(est.value, rel=1e-12, abs=1e-12)
+
+
+def test_limit_study_at_p_equal_q_stays_below_the_box_value():
+    # P(a) <= E = |b| sigma^alpha, with equality where every a sigma_j is
+    # an integer (a = 1, 2, 3, 6, 12 on pi:1,2)
+    body, op = parse_body("pi:1,2", 2), DifferentialOperator.monomial((1, 1),
+                                                                      3.0)
+    scales = (0.5, 1.0, 1.5, 2.0, 3.0, 4.5, 6.0, 7.5, 12.0)
+    for p in (0.5, 1.0, 3.0, math.inf):
+        study = limit_study(p, p, op, body, scales)
+        assert study.reference.value == 6.0
+        for a, row in zip(scales, study.rows):
+            assert row.kind == "exact-closed-form"
+            assert row.value <= study.reference.value
+            assert (row.value == study.reference.value) == \
+                all((a * s).is_integer() for s in body.sigma)
 
 
 def test_cosine_orbit_reduction_applies_where_it_is_lossless():
@@ -632,7 +680,7 @@ def test_exchange_lp_brackets_the_segment_derivative():
     seg = ConvexBody.cube(1.0, 1)
     op = DifferentialOperator.monomial((1,))
     for a in (3.5, 8.0, 16.0):
-        out = optimize_full(math.inf, math.inf, op, a, seg)
+        out = exchange_lp(op, a, seg)
         exact = math.floor(a) / a
         assert out.estimate.kind == "lower-bound-optimizer"
         assert out.upper.kind == "upper-bound-dual"
@@ -692,15 +740,14 @@ def test_exchange_lp_routing():
     assert len(_cosine_orbits(math.inf, math.inf, lap,
                               disk.lattice_points(16.0))[1]) == 114 <= \
         _LP_MAX_UNKNOWNS < 429
-    # a symbol of neither parity, and P(a) = 0, keep the ascent
+    # the LP declines a symbol of neither parity, and P(a) = 0: d/dx on the
+    # segment at a < 1, which optimize_full answers by its closed form
     sq = ConvexBody.cube(1.0, 2)
     assert exchange_lp(DifferentialOperator(2, 1, {(1, 0): 1.0,
                                                    (0, 1): 1.0}),
                        2.0, sq) is None
-    out = optimize_full(math.inf, math.inf, DifferentialOperator.monomial(
-        (1,)), 0.5, ConvexBody.cube(1.0, 1),
-        OptimizerConfig(restarts=1, iterations=5))
-    assert out.upper is None and out.estimate.value == 0.0
+    assert exchange_lp(DifferentialOperator.monomial((1,)), 0.5,
+                       ConvexBody.cube(1.0, 1)) is None
 
 
 def test_reduced_two_inf_optimum_is_the_closed_form():
@@ -818,26 +865,6 @@ def test_product_rule_witness_scores_its_value_on_the_box_grid():
     assert value == pytest.approx(out.estimate.value, rel=1e-12)
 
 
-def test_product_rule_brackets_sup_sup():
-    # at p = q = inf both axes go to the exchange LP; the product of their
-    # duals bounds the product of their certified values
-    sq, op, a = ConvexBody.cube(1.0, 2), \
-        DifferentialOperator.monomial((1, 0)), 8.0
-    out = optimize_full(math.inf, math.inf, op, a, sq)
-    seg = ConvexBody.parallelepiped([1.0])
-    axes = [exchange_lp(DifferentialOperator.monomial((al,)), a, seg)
-            for al in (1, 0)]
-    assert out.estimate.value <= out.upper.value
-    assert out.upper.kind == "upper-bound-dual"
-    assert out.upper.value == axes[0].upper.value * axes[1].upper.value
-    assert out.estimate.value == \
-        axes[0].estimate.value * axes[1].estimate.value
-    check_order_consistency([out.estimate, out.upper])
-    assert out.lp[0] == axes[0].lp[0] + axes[1].lp[0]
-    assert out.lp[3] == axes[0].lp[3] + axes[1].lp[3]
-    assert 0.0 <= out.lp[2] <= 1e-9 * out.estimate.value
-
-
 def test_product_rule_routing_guards():
     # p < 1, finite q, a symbol of several terms and a body other than a
     # box keep the m-D path and its unknowns
@@ -896,8 +923,8 @@ def test_sampling_grid_synth_and_adjoint():
 
 
 def test_optimizer_segment_sup_sup_pinned():
-    # the ladder, which optimize_full now runs at p = q = inf only above
-    # the LP's cut or for symbols of neither parity
+    # the ladder, which optimize_full runs at p = q = inf only above the
+    # LP's cut or for symbols of neither parity, never on a box monomial
     seg = ConvexBody.cube(1.0, 1)
     op = DifferentialOperator.monomial((1,))
     cfg = OptimizerConfig(restarts=2, iterations=500, seed=12)
