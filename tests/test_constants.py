@@ -818,6 +818,26 @@ def test_product_rule_mixed_derivative_is_the_derivative_squared():
     assert out.unknowns == (8, 289, 4)
 
 
+def test_product_rule_brackets_sup_sup():
+    # at p = q = inf the square's exact value is the product of its axis
+    # values, and lies in the product of the axis exchange-LP brackets
+    sq, op, a = ConvexBody.cube(1.0, 2), \
+        DifferentialOperator.monomial((1, 0)), 8.0
+    out = optimize_full(math.inf, math.inf, op, a, sq)
+    seg = ConvexBody.parallelepiped([1.0])
+    axes = [DifferentialOperator.monomial((al,)) for al in (1, 0)]
+    exact = [optimize_full(math.inf, math.inf, ax, a, seg).estimate
+             for ax in axes]
+    lps = [exchange_lp(ax, a, seg) for ax in axes]
+    assert out.estimate.kind == "exact-closed-form"
+    assert all(e.kind == "exact-closed-form" for e in exact)
+    assert out.estimate.value == exact[0].value * exact[1].value
+    assert lps[0].estimate.value * lps[1].estimate.value <= \
+        out.estimate.value <= lps[0].upper.value * lps[1].upper.value
+    for lp in lps:
+        check_order_consistency([lp.estimate, lp.upper])
+
+
 def test_product_rule_solves_each_distinct_axis_once():
     # pi:1,2 with 3 D^(1,0): d/dx on [-1, 1] and the identity on [-2, 2],
     # both solved, their lists concatenated in axis order
