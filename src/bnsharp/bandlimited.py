@@ -688,9 +688,9 @@ def cs_extremal(body: ConvexBody, op: DifferentialOperator,
     This attains equality in the Cauchy-Schwarz step of the L2 -> sup sharp
     constant: |D f(0)| / ||f||_2 equals the closed form for (p, q) = (2, inf).
 
-    Box bodies (and every 1-D body, which is an interval) give a separable
+    Box bodies (every 1-D body is one) give a separable
     sum with one term per operator term, whose atoms are exact
-    semi-analytic moment integrals.  Other bodies in m >= 2 give a weight
+    semi-analytic moment integrals.  Other bodies give a weight
     transform on a tensor Gauss-Legendre grid with a membership indicator,
     accurate for frequencies up to ``freq_budget``.
     """
@@ -700,7 +700,7 @@ def cs_extremal(body: ConvexBody, op: DifferentialOperator,
         raise ValueError("supported up to dimension 3")
     m = body.m
 
-    if math.isinf(body.mu) or m == 1:
+    if math.isinf(body.mu):
         terms = [(complex(((-1j) ** op.order) * np.conj(b)),
                   [_moment_axis_factor(a[j], body.sigma[j]) for j in range(m)])
                  for a, b in op.terms.items()]

@@ -108,7 +108,7 @@ class ConvexBody:
     Attributes:
         m: dimension, 1 <= m <= 4.
         sigma: per-axis semi-axes, all positive.
-        mu: lp exponent in [1, inf] (math.inf for boxes).
+        mu: lp exponent in [1, inf] (math.inf for boxes and in m = 1).
         label: display name preserving the constructor used.
     """
 
@@ -126,6 +126,8 @@ class ConvexBody:
             raise ValueError("semi-axes must be positive")
         if not (self.mu >= 1):
             raise ValueError("exponent mu must lie in [1, inf]")
+        if self.m == 1:         # every 1-D body is the segment [-sigma, sigma]
+            object.__setattr__(self, "mu", math.inf)
 
     # ----- constructors -------------------------------------------------
 

@@ -161,57 +161,53 @@ def closed_p22(body: ConvexBody, op: DifferentialOperator,
                                  op.label, body.label, a, 1e-14)
 
 
-_REFINE_TOL = 1e-8      # closed_e22's boundary-ascent tolerance
+#: Unit directions from rows of m - 1 angles (given transposed), per m.
+_DIRECTIONS = {
+    1: lambda t: [np.ones(t.shape[1])],
+    2: lambda t: [np.cos(t[0]), np.sin(t[0])],
+    3: lambda t: [np.sin(t[0]) * np.cos(t[1]), np.sin(t[0]) * np.sin(t[1]),
+                  np.cos(t[0])],
+}
 
 
 def closed_e22(body: ConvexBody,
                op: DifferentialOperator) -> SharpConstantEstimate:
     """Continuum constant at (2, 2): the symbol maximum over the body.
 
-    Homogeneity puts the maximum on the boundary.  For m = 2 and 3 a scan
-    of directions in [0, pi]^(m-1) and a Nelder-Mead refinement from its
-    best node find it; m = 1 is the exact endpoint.
+    Homogeneity puts the maximum on the boundary, at u / gauge(u) for a
+    unit direction u, and makes the modulus even, so u is given by angles
+    in [0, pi]^(m-1) (none in m = 1: the endpoint).  A grid of 721 (m = 2)
+    or 61^2 (m = 3) angles is scored at once; then 25 rounds rescan the
+    9^(m-1) angles around the best point so far at a quarter of the last
+    spacing.  The value is the best modulus seen.  Nothing certifies that
+    it is the maximum, hence the tolerance of 1e-8.
     """
     m = body.m
     if op.order == 0:
         return SharpConstantEstimate(1.0, "exact-closed-form", 2.0, 2.0,
                                      op.label, body.label, None, 0.0)
-
-    def neg_mod_sq(angles) -> float:
-        u = _unit_from_angles(angles, m)
-        x = u / body.gauge(u)
-        return -abs(op.symbol_at_ik(x)[0]) ** 2
-
-    if m == 1:
-        value = float(abs(op.symbol_at_ik([body.sigma[0]])[0]))
-        return SharpConstantEstimate(value, "exact-closed-form", 2.0, 2.0,
-                                     op.label, body.label, None, 1e-15)
-    if m > 3:
+    if m not in _DIRECTIONS:
         raise ValueError("supported up to dimension 3")
-    grid = list(itertools.product(np.linspace(0.0, math.pi,
-                                              721 if m == 2 else 61),
-                                  repeat=m - 1))
-    vals = [neg_mod_sq(g) for g in grid]
-    g0 = grid[int(np.argmin(vals))]
-    from scipy.optimize import minimize     # loaded on first use
-    res = minimize(neg_mod_sq, x0=np.asarray(g0), method="Nelder-Mead",
-                   options={"xatol": _REFINE_TOL, "fatol": _REFINE_TOL ** 2})
-    if not res.success and res.fun > min(vals):
-        raise RuntimeError("boundary ascent failed to converge")
-    best = -min(res.fun, min(vals))
-    return SharpConstantEstimate(math.sqrt(best), "exact-closed-form",
-                                 2.0, 2.0, op.label, body.label, None,
-                                 _REFINE_TOL)
 
+    def modulus(angles: np.ndarray) -> np.ndarray:
+        u = np.stack(_DIRECTIONS[m](angles.T), axis=-1)
+        return np.abs(op.symbol_at_ik(u / body.gauge(u)[:, None]))
 
-def _unit_from_angles(angles, m: int) -> np.ndarray:
-    if m == 2:
-        (t,) = angles
-        return np.array([math.cos(t), math.sin(t)])
-    t, ph = angles
-    return np.array([math.sin(t) * math.cos(ph),
-                     math.sin(t) * math.sin(ph),
-                     math.cos(t)])
+    n = 721 if m == 2 else 61
+    grid = np.array(list(itertools.product(np.linspace(0.0, math.pi, n),
+                                           repeat=m - 1)))
+    offsets = np.array(list(itertools.product(range(-4, 5), repeat=m - 1)))
+    vals = modulus(grid)
+    i = vals.argmax()
+    best, value = grid[i], vals[i]
+    for r in range(1, 26):          # the spacing ends below 1e-16 rad
+        pts = best + math.pi / (n - 1) / 4.0 ** r * offsets
+        vals = modulus(pts)
+        i = vals.argmax()
+        if vals[i] > value:
+            best, value = pts[i], vals[i]
+    return SharpConstantEstimate(float(value), "exact-closed-form", 2.0, 2.0,
+                                 op.label, body.label, None, 1e-8)
 
 
 def closed_form(p: float, q: float, body: ConvexBody,

@@ -168,8 +168,9 @@ LATTICE_CASES = [
     (ConvexBody.ball(1.0, 3), (3.0, 9.0)),          # (2,2,1): 4+4+1 = 9
     (ConvexBody.lp_ellipsoid([1.0, 2.0], 3.0), (2.0, 3.0, 4.6)),
     (ConvexBody.lp_ellipsoid([1.0, 2.0], 1.5), (2.0, 4.0, 5.5)),
-    # fibers: m = 1 has an empty head; (1,1,1,1) lies on the boundary at
-    # a = 2; mu = 1 has corners on the axes; unequal axes in m = 3
+    # a 1-D ball is the segment, enumerated as a box; fibers: (1,1,1,1)
+    # lies on the boundary at a = 2; mu = 1 has corners on the axes;
+    # unequal axes in m = 3
     (ConvexBody.ball(1.0, 1), (3.0, 3.5)),
     (ConvexBody.ball(1.0, 4), (2.0, 3.0)),
     (ConvexBody.lp_ellipsoid([1.0, 2.0], 1.0), (3.0, 4.5)),

@@ -156,6 +156,10 @@ def test_optimize_manifest_counts_ascent_stops(tmp_path):
     ("--body cube:1 --m 1 --operator 1:1,0 --p 1 --q 1 --a 7.5", 7 / 7.5),
     ("--body pi:1,2 --m 2 --operator 1,1:1,0 --p 3 --q 3 --a 4.5",
      36 / 20.25),
+    # every 1-D body is the segment: the ascent reported 0.9423490 for the
+    # ball, and the exchange LP ran at p = q = inf
+    ("--body ball:1 --m 1 --operator 1:1,0 --p 1 --q 1 --a 7.5", 7 / 7.5),
+    ("--body lp:1:1.5 --m 1 --operator 1:1,0 --p inf --q inf --a 8", 1.0),
 ])
 def test_box_monomial_at_p_equal_q_prints_its_closed_form(tmp_path, flags,
                                                           exact):
@@ -460,6 +464,9 @@ seen["square (1, inf)"] = (rc, loaded())
 rc = run("converge --body ball:1 --m 2 --operator laplacian:2 --p 2 --q inf "
          "--a 1,2,4", "cv.csv")
 seen["disk converge (2, inf)"] = (rc, loaded())
+rc = run("converge --body lp:1,2:3 --m 2 --operator 1,1:1,0 --p 2 --q 2 "
+         "--a 1,2", "l3.csv")
+seen["lp converge (2, 2)"] = (rc, loaded())
 rc = run("optimize --body ball:1 --m 2 --operator laplacian:2 --p inf "
          "--q inf --a 4", "lp.csv")
 seen["disk (inf, inf)"] = (rc, loaded())
@@ -468,9 +475,10 @@ print(json.dumps(seen))
 
 
 def test_scipy_optimize_loads_only_where_it_is_used(tmp_path):
-    # a fresh interpreter: importing bnsharp, building the parser and the
-    # finite-p and lattice-sum runs leave scipy.optimize unloaded; the
-    # exchange LP at p = q = inf loads it and still prints its bound
+    # a fresh interpreter: importing bnsharp, building the parser, the
+    # finite-p and lattice-sum runs and the (2, 2) boundary search leave
+    # scipy.optimize unloaded; the exchange LP at p = q = inf loads it and
+    # still prints its bound
     env = dict(os.environ)
     src = str(Path(bnsharp.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
@@ -483,6 +491,7 @@ def test_scipy_optimize_loads_only_where_it_is_used(tmp_path):
     assert seen == {"import bnsharp": False, "build_parser": False,
                     "square (1, inf)": [0, False],
                     "disk converge (2, inf)": [0, False],
+                    "lp converge (2, 2)": [0, False],
                     "disk (inf, inf)": [0, True]}
     results = json.loads((tmp_path / "lp.csv.manifest.json").read_text())[
         "results"]

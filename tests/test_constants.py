@@ -130,10 +130,43 @@ def test_closed_e22_flat_box_edge():
     ("ball:1", 2, DifferentialOperator.identity(2), 1.0),       # order 0
 ])
 def test_closed_e22_branches(body, m, op, expected):
-    # the order-0 branch, the m = 1 endpoint and the Nelder-Mead boundary
-    # ascent each reach the known symbol maximum within their tolerance
+    # the order-0 branch, the m = 1 endpoint (no angles) and the boundary
+    # search in m = 2, 3 each reach the known symbol maximum within their
+    # tolerance
     est = closed_e22(parse_body(body, m), op)
     assert abs(est.value - expected) <= est.tolerance * expected
+
+
+def _dense_boundary_max(body, op):
+    """|symbol| on 4 001 boundary directions (m = 2) or 401 x 802 (m = 3)."""
+    if body.m == 2:
+        t = np.linspace(0.0, math.pi, 4001)
+        u = np.stack([np.cos(t), np.sin(t)], axis=-1)
+    else:
+        t, ph = np.meshgrid(np.linspace(0.0, math.pi, 401),
+                            np.linspace(0.0, 2.0 * math.pi, 802),
+                            indexing="ij")
+        u = np.stack([np.sin(t) * np.cos(ph), np.sin(t) * np.sin(ph),
+                      np.cos(t)], axis=-1).reshape(-1, 3)
+    return float(np.abs(op.symbol_at_ik(u / body.gauge(u)[:, None])).max())
+
+
+@pytest.mark.parametrize("body, m, op, expected", [
+    # max |x1 x2| on |x1|^3 + |x2/2|^3 = 1 is at |x1| = |x2|/2 = 2^(-1/3)
+    ("lp:1,2:3", 2, DifferentialOperator.monomial((1, 1)), 2 ** (1 / 3)),
+    # max x1^2 x3 on the unit sphere is at x1^2 = 2/3, x3 = 1/sqrt(3)
+    ("ball:1", 3, DifferentialOperator.monomial((2, 0, 1)),
+     2 / (3 * math.sqrt(3))),
+    # no closed form: the values the Nelder-Mead refinement gave
+    ("lp:1,2:3", 2, DifferentialOperator.laplacian(2), 4.020725758589058),
+    ("lp:1,0.7,1.3:2.5", 3, DifferentialOperator.laplacian(3),
+     1.7144903107830565),
+])
+def test_closed_e22_reaches_known_maxima(body, m, op, expected):
+    body = parse_body(body, m)
+    value = closed_e22(body, op).value
+    assert value == pytest.approx(expected, rel=1e-15, abs=0.0)
+    assert value >= _dense_boundary_max(body, op)
 
 
 def test_bernstein_bracket():
