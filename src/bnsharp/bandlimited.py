@@ -384,6 +384,13 @@ def _moments(n: int, sigma: float, u: np.ndarray) -> np.ndarray:
     (u*sigma)^t/t! grow to 9e5 at 16 before they cancel, while the
     recurrence holds to rounding from 4 on.  Each row rounds as a one-order
     evaluation would: the same series order over t, the same steps.
+
+    The series runs in float64.  (iu)^t/t! is real for even t and imaginary
+    for odd t, and row k takes the terms with k + t even, so even rows are
+    real and odd rows imaginary.  The series carries u^t/t! (stepped by
+    ``*= u`` and ``*= 1/(t+1)``: the bits complex multiplication by iu and
+    division by t+1 leave on the nonzero part) and puts i^t's sign on the
+    coefficient; the zero parts stay +0, as in complex arithmetic.
     """
     u = np.asarray(u, dtype=float)
     out = np.zeros((n + 1,) + u.shape, dtype=complex)
@@ -391,17 +398,18 @@ def _moments(n: int, sigma: float, u: np.ndarray) -> np.ndarray:
 
     if np.any(small):
         us = u[small]
-        acc = np.zeros((n + 1,) + us.shape, dtype=complex)
-        term = np.ones(us.shape, dtype=complex)  # (iu)^t / t!
-        step = 1j * us
+        acc = np.zeros((n + 1,) + us.shape)
+        term = np.ones(us.shape)  # u^t / t!, the modulus of (iu)^t / t!
         # c[k] = int_{-sigma}^{sigma} x^k dx for even k
         c = np.array([2.0 * sigma ** (k + 1) / (k + 1) for k in range(n + 72)])
         for t in range(0, 72):
             rows = slice(t % 2, n + 1, 2)         # the rows with k + t even
-            acc[rows] += term * c[t:t + n + 1][rows, None]
-            term *= step
-            term /= t + 1
-        out[:, small] = acc
+            sign = (1.0, 1.0, -1.0, -1.0)[t % 4]  # i^t = sign * i^(t mod 2)
+            acc[rows] += term * (sign * c[t:t + n + 1][rows, None])
+            term *= us
+            term *= 1.0 / (t + 1)
+        out.real[0::2, small] = acc[0::2]
+        out.imag[1::2, small] = acc[1::2]
 
     big = ~small
     if np.any(big):
@@ -475,13 +483,21 @@ def sinc_sq_half_kernel(m: int) -> BandLimitedFunction:
     return tensor_product([one] * m, label=f"sinc_sq_half^({m})")
 
 
-def window_terms(theta: np.ndarray, K: int) -> np.ndarray:
-    """The window terms (sin t/(t+l*pi))^2 for |l| <= K, one column per
-    shift l, for the points t of ``theta``."""
+def window_terms(theta: np.ndarray, K: int, shifts: range | None = None,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """The window terms (sin t/(t+l*pi))^2, one column per shift l, for the
+    points t of ``theta``: every |l| <= K, or only the l of ``shifts``.
+    ``out``, a C-contiguous array of shape theta.shape + (columns,), takes
+    the terms in place of a new array.
+
+    A column's bits do not depend on the range it is built in, so the
+    columns of consecutive ranges are the full array's, block by block."""
     theta = np.asarray(theta, dtype=float)
-    ls = np.arange(-K, K + 1)
+    if shifts is None:
+        shifts = range(-K, K + 1)
+    ls = np.arange(shifts.start, shifts.stop)
     # sin(t+l*pi)^2 == sin(t)^2, so one sin per point serves every term
-    total = theta[..., None] + math.pi * ls
+    total = np.add(theta[..., None], math.pi * ls, out=out)
     total *= total
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(np.sin(theta)[..., None] ** 2, total, out=total)
@@ -489,22 +505,59 @@ def window_terms(theta: np.ndarray, K: int) -> np.ndarray:
     # removable singularity, and there the rounding of l*pi would spoil
     # sin(t)^2 / (t+l*pi)^2
     l0 = np.rint(-theta / math.pi).astype(np.int64)
-    np.put_along_axis(total, (l0 + K)[..., None],
-                      (np.sinc(theta / math.pi + l0) ** 2)[..., None], axis=-1)
+    col = (l0 - shifts.start).ravel()
+    rows = np.flatnonzero((col >= 0) & (col < ls.size))
+    total.reshape(-1, ls.size)[rows, col[rows]] = \
+        (np.sinc(theta / math.pi + l0) ** 2).ravel()[rows]
     return total
 
 
+#: Terms per block of a streamed sum: at most a block is ever held.
+_PAIRWISE_LEAF = 1 << 15
+
+
+def _pairwise_sum(block_sum: Callable[[int, int], np.ndarray],
+                  n: int, start: int = 0) -> np.ndarray:
+    """The sum of terms start..start+n-1 in numpy's own pairwise order, from
+    ``block_sum(lo, hi)``, the ``.sum(axis=-1)`` of terms lo..hi-1.
+
+    numpy sums a contiguous axis of length n > 128 as the sum of its two
+    halves, split at floor(n/2) rounded down to a multiple of 8, and so on
+    down.  Splitting the same way until a block has at most _PAIRWISE_LEAF
+    terms, and letting numpy sum the block, reproduces the materialized
+    ``.sum(axis=-1)`` bit for bit.
+    """
+    if n <= _PAIRWISE_LEAF:
+        return block_sum(start, start + n)
+    half = n // 2
+    half -= half % 8
+    return (_pairwise_sum(block_sum, half, start) +
+            _pairwise_sum(block_sum, n - half, start + half))
+
+
 def window_axis_sum(theta: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
-    """Truncated 1-D window sum sum_{|l|<=K} (sin t/(t+l*pi))^2 with tail bound.
+    """Truncated 1-D window sum sum_{|l|<=K} (sin t/(t+l*pi))^2 with tail bound,
+    at every entry t of ``theta`` at once.
 
     Returns (value, certified bound on the discarded positive tail).  The
-    full sum equals 1 for every t.
+    full sum equals 1 for every t.  The 2K + 1 terms are streamed block by
+    block in numpy's pairwise order (``_pairwise_sum``), so the value is
+    bitwise that of ``window_terms(theta, K).sum(axis=-1)`` without that
+    array ever being built.
     """
     theta = np.asarray(theta, dtype=float)
     t0 = np.abs(theta) / math.pi
     if K <= np.max(t0) + 1:
         raise ValueError("truncation K too small for these arguments")
-    value = window_terms(theta, K).sum(axis=-1)
+    # one workspace serves every block: a new array per block would cost
+    # more in page faults than the block's arithmetic
+    work = np.empty(theta.size * min(2 * K + 1, _PAIRWISE_LEAF))
+
+    def block_sum(lo: int, hi: int) -> np.ndarray:
+        out = work[:theta.size * (hi - lo)].reshape(theta.shape + (hi - lo,))
+        return window_terms(theta, K, range(lo - K, hi - K), out).sum(axis=-1)
+
+    value = _pairwise_sum(block_sum, 2 * K + 1)
     bound = np.sin(theta) ** 2 * (2.0 / math.pi ** 2) / (K - t0)
     return value, bound
 
@@ -513,15 +566,15 @@ def poisson_window_sum(x, K: int) -> tuple[np.ndarray, np.ndarray]:
     """Box-truncated sum_{|k|_inf<=K} h^2(x/2 + k*pi) and its tail bound.
 
     Tensorizes exactly: the box sum is the product of per-axis sums, and the
-    deviation from 1 is bounded by the product-tail estimate.
+    deviation from 1 is bounded by the product-tail estimate.  One streamed
+    ``window_axis_sum`` serves every axis of every point.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[None, :]
-    vals, tails = zip(*(window_axis_sum(x[..., j] / 2.0, K)
-                        for j in range(x.shape[-1])))
-    value = np.prod(np.stack(vals), axis=0)
-    return value, union_tail(tails, [v + t for v, t in zip(vals, tails)])
+    vals, tails = window_axis_sum(x / 2.0, K)
+    return np.prod(vals, axis=-1), union_tail(
+        np.moveaxis(tails, -1, 0), np.moveaxis(vals + tails, -1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -570,27 +623,31 @@ def akhiezer_family(M: float, q: float, h_param: float) -> BandLimitedFunction:
     bump = np.polynomial.Polynomial([0.25, 0.0, -0.25]) ** (d + 1)
     half = np.polynomial.Polynomial([0.5, 0.5])
 
-    def psi(r: int, t: np.ndarray) -> list[np.ndarray]:
-        # [psi_0(t), ..., psi_r(t)] from the moment rows 0..r + 2d + 2
-        moments = _moments(r + 2 * d + 2, 1.0, -0.5 * t)
+    def coef_rows(r: int) -> list[np.ndarray]:
+        # the coefficients p_{l,k} of psi_0..psi_r, built once per order
+        return [(bump * half ** l).coef for l in range(r + 1)]
+
+    def psi(p: list[np.ndarray], t: np.ndarray) -> list[np.ndarray]:
+        # [psi_0(t), ..., psi_r(t)] from the moment rows 0..r + 2d + 2,
+        # r = len(p) - 1
+        moments = _moments(len(p) + 2 * d + 1, 1.0, -0.5 * t)
         phase = 0.5 * np.exp(-0.5j * t)
-        out = []
-        for l in range(r + 1):
-            p_l = (bump * half ** l).coef
-            out.append(phase * sum(c * moments[k] for k, c in enumerate(p_l)
-                                   if c != 0.0))
-        return out
+        return [phase * sum(c * moments[k] for k, c in enumerate(p_l)
+                            if c != 0.0) for p_l in p]
+
+    row0 = coef_rows(0)
 
     def evaluate(x):
         t = np.asarray(x, dtype=float)[..., 0]
-        return np.exp(1j * M * t) * psi(0, h_param * t)[0]
+        return np.exp(1j * M * t) * psi(row0, h_param * t)[0]
 
     def partials(alpha):
         (r,) = alpha
+        p = coef_rows(r)
 
         def d_eval(x):
             t = np.asarray(x, dtype=float)[..., 0]
-            psis = psi(r, h_param * t)
+            psis = psi(p, h_param * t)
             acc = np.zeros(t.shape, dtype=complex)
             for l in range(r + 1):
                 acc += (math.comb(r, l) * (-1.0) ** (r - l) * M ** l *

@@ -90,11 +90,13 @@ class DifferentialOperator:
         k = np.atleast_2d(np.asarray(k, dtype=float))
         acc = np.zeros(k.shape[0], dtype=complex)
         for a, b in self.terms.items():
-            mono = np.ones(k.shape[0])
+            # from the first nonzero factor on (1.0 * x is exact)
+            mono = None
             for j in range(self.m):
                 if a[j]:
-                    mono = mono * k[:, j] ** a[j]
-            acc += b * mono
+                    factor = k[:, j] ** a[j]
+                    mono = factor if mono is None else mono * factor
+            acc += b * (np.ones(k.shape[0]) if mono is None else mono)
         return (1j ** self.order) * acc
 
 
@@ -150,11 +152,14 @@ class TrigPolynomial:
         object.__setattr__(self, "coefficients", coeffs)
         if self.budget is not None:
             body, a = self.budget
-            for k in coeffs:
-                if not body.contains(np.asarray(k, dtype=float) / a):
-                    raise ValueError(
-                        f"frequency {k} outside the declared spectrum "
-                        f"a*{body.label} (a={a})")
+            keys = list(coeffs)
+            inside = body.contains(
+                np.array(keys, dtype=float).reshape(-1, self.m) / a)
+            if not inside.all():
+                k = keys[int(np.argmin(inside))]  # the first one outside
+                raise ValueError(
+                    f"frequency {k} outside the declared spectrum "
+                    f"a*{body.label} (a={a})")
 
     # ----- basic algebra --------------------------------------------------
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from bnsharp.bandlimited import (BandLimitedFunction, DecayModel,
                                  norm_lp_truncated, poisson_window_sum,
                                  sinc_kernel, sinc_sq_half_kernel,
                                  tensor_product, union_tail,
-                                 window_axis_sum, _moments)
+                                 window_axis_sum, window_terms, _moments,
+                                 _pairwise_sum, _PAIRWISE_LEAF)
 from bnsharp.body import ConvexBody, parse_body
 from bnsharp.cli import operator_parse
 from bnsharp.trigpoly import DifferentialOperator, apply_operator, norm_lp
@@ -97,6 +99,87 @@ def test_window_axis_sum_exact_identity_point():
     # at theta = 0 only l = 0 contributes and the sum is exactly 1
     v, b = window_axis_sum(np.array([0.0]), 10)
     assert v[0] == pytest.approx(1.0, abs=1e-30)
+
+
+_LEAF_EDGE_K = 840000
+
+
+def _materialized_window_sum(theta, K):
+    """window_terms(theta, K).sum(axis=-1) with every term held at once,
+    one point at a time to keep the reference small."""
+    return np.array([window_terms(t, K).sum() for t in theta.ravel()]
+                    ).reshape(theta.shape)
+
+
+@pytest.mark.parametrize("K", [10, 500, _LEAF_EDGE_K])
+def test_streamed_window_sum_equals_the_materialized_sum_bitwise(K):
+    # the block-by-block sum in numpy's pairwise order is the materialized
+    # window_terms(theta, K).sum(axis=-1), byte for byte
+    pi = math.pi
+    thetas = [0.0, pi / 2, -pi / 2, pi, -pi, 3 * pi, -3 * pi, 0.3, -2.1]
+    if K == _LEAF_EDGE_K:
+        # numpy's split of the 2K + 1 terms: the first leaf holds columns
+        # 0..edge-1; put nearest-l terms on both sides of that block edge
+        edge = 2 * K + 1
+        while edge > _PAIRWISE_LEAF:
+            edge //= 2
+            edge -= edge % 8
+        assert edge == 26248
+        l_edge = edge - K  # the shift of column edge
+        thetas += [-l_edge * pi, -(l_edge - 1) * pi - 0.1]
+        assert np.array_equal(np.rint(-np.array(thetas[-2:]) / pi),
+                              [l_edge, l_edge - 1])
+    theta = np.array(thetas)
+    got, _ = window_axis_sum(theta, K)
+    assert got.tobytes() == _materialized_window_sum(theta, K).tobytes()
+    for t in thetas[:3]:  # a 0-d argument
+        one, _ = window_axis_sum(np.array(t), K)
+        assert one.tobytes() == window_terms(t, K).sum().tobytes()
+    # poisson_window_sum: both axes of (n, 2) points in one pass
+    x = np.random.default_rng(K).uniform(-3 * pi, 3 * pi, (4, 2))
+    x[0] = (0.0, 2 * pi)
+    v, b = poisson_window_sum(x, K)
+    axes = _materialized_window_sum(x / 2.0, K)
+    assert v.tobytes() == (axes[:, 0] * axes[:, 1]).tobytes()
+    assert np.all(np.abs(v - 1.0) <= b * (1 + 1e-9))
+
+
+def test_window_terms_by_shift_range_are_columns_of_the_full_array():
+    # the np.sinc term lands in whichever block holds the nearest shift;
+    # a point whose nearest shift lies outside the range keeps the formula
+    theta = np.array([0.0, 2.0, -math.pi, 4 * math.pi + 0.2,
+                      15 * math.pi, -12 * math.pi])
+    full = window_terms(theta, 5)
+    for lo, hi in ((-5, -1), (-1, 0), (0, 4), (4, 6)):
+        assert window_terms(theta, 5, range(lo, hi)).tobytes() == \
+            np.ascontiguousarray(full[:, lo + 5:hi + 5]).tobytes()
+    far = theta[4:, None]
+    with np.errstate(divide="ignore"):
+        formula = np.sin(far) ** 2 / (far + math.pi * np.arange(-5, 6)) ** 2
+    assert full[4:].tobytes() == formula.tobytes()
+    assert full[0, 5] == 1.0 and full[2, 6] == 1.0  # t + l pi = 0
+
+
+@pytest.mark.parametrize("n", [_PAIRWISE_LEAF - 1, _PAIRWISE_LEAF,
+                               _PAIRWISE_LEAF + 1, 8 * 5000 - 1,
+                               8 * 5000 + 1, 8 * 9001 + 1, 1680001])
+def test_pairwise_helper_equals_numpy_sum_bitwise(n):
+    terms = np.random.default_rng(n).random((4, n))
+    got = _pairwise_sum(lambda lo, hi: terms[:, lo:hi].sum(axis=-1), n)
+    assert got.tobytes() == terms.sum(axis=-1).tobytes()
+
+
+def test_poisson_window_sum_streams_in_small_memory():
+    # materialized terms would take three (2K + 1)-element arrays per axis
+    # (13.4 MB each at K = 840 000); the streamed sum holds a block
+    x = np.array([[1.0, -2.5]])
+    tracemalloc.start()
+    try:
+        poisson_window_sum(x, _LEAF_EDGE_K)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_akhiezer_value_at_zero_is_beta():

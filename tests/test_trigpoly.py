@@ -186,6 +186,28 @@ def test_budget_validation():
         TrigPolynomial(1, {(3,): 1.0}, budget=(body, 2.0))
 
 
+@pytest.mark.parametrize("body, a, boundary, outside", [
+    (ConvexBody.ball(1.0, 2), 5.0, [(3, 4), (-5, 0), (0, -5), (-4, -3)],
+     [(4, 4), (5, 1), (-1, -5)]),
+    (ConvexBody.cube(1.0, 2), 3.0, [(3, -3), (-3, 0), (2, 3), (-3, -3)],
+     [(4, 0), (0, -4), (4, 4)]),
+])
+def test_budget_check_in_two_dimensions(body, a, boundary, outside):
+    # one membership test on all keys: the boundary of a*V is inside, and
+    # of several keys outside the error names the first one inserted
+    inside = {(0, 0): 1.0, **{k: 1.0 for k in boundary}}
+    T = TrigPolynomial(2, inside, budget=(body, a))
+    assert list(T.coefficients) == list(inside)
+    for order in (outside, outside[::-1]):
+        coeffs = {**{k: 1.0 for k in boundary[:2]},
+                  **{k: 1.0 for k in order}, **{k: 1.0 for k in boundary[2:]}}
+        first = order[0]
+        with pytest.raises(ValueError, match=rf"frequency \({first[0]}, "
+                                             rf"{first[1]}\) outside"):
+            TrigPolynomial(2, coeffs, budget=(body, a))
+    assert TrigPolynomial(2, {}, budget=(body, a)).coefficients == {}
+
+
 def test_serialization_roundtrip():
     spec = ConvexBody.parallelepiped([1.0, 2.0]).lattice_points(1.0)
     T = random_polynomial(spec, 17)
