@@ -24,7 +24,7 @@ built from a bare evaluator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import product as iter_product
 from typing import Callable, Sequence
@@ -150,6 +150,11 @@ class BandLimitedFunction:
     evaluator; there is no finite-difference fallback, so ``derivative``
     raises KeyError without them.  ``derived_function`` is the one
     builder of D f.
+
+    ``_memo`` holds results computed once per function: its truncated
+    norms by (p, R) (``norm_lp_truncated``) and its periodizations
+    (``levitan_coefficients``).  Nothing in it refers back to f, and
+    ``dataclasses.replace`` gives the new function an empty one.
     """
 
     m: int
@@ -162,6 +167,8 @@ class BandLimitedFunction:
     terms: Terms | None = None
     weights: np.ndarray | None = None
     nodes: tuple[np.ndarray, ...] | None = None
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def __post_init__(self):
         if self.m >= 2 and self.terms is None and self.weights is None:
@@ -844,8 +851,10 @@ class RealDomainNormEstimate:
     For p < inf, ``tail_bound`` bounds the integral of |f|^p outside Q_R,
     so the true norm lies in [value, (value^p + tail_bound)^(1/p)] up to the
     quadrature error estimate ``quad_error`` (relative).  For p = inf,
-    ``value`` is a grid maximum (lower estimate), ``quad_error`` the
-    certified relative gap, and ``tail_bound`` bounds sup |f| outside Q_R.
+    ``value`` is a lower estimate of sup |f| over Q_R (a grid maximum, or
+    |f(0)| for a weight transform bracketed at the origin), ``quad_error``
+    the certified relative gap above it, and ``tail_bound`` bounds sup |f|
+    outside Q_R.
     """
 
     value: float
@@ -935,14 +944,25 @@ def norm_lp_truncated(f: BandLimitedFunction, p: float,
     quadratures), and so does a sum of several terms at p = 2 (per-axis
     Gram matrices of the atoms).  A weight transform at p = 2 is the exact
     Gram form of its weights.  Everything else uses tensor cubature on
-    Q_R, evaluated through ``eval_axes``.  Raises NonIntegrableTailError
-    when the decay envelope cannot certify the tail at this exponent.
+    Q_R, evaluated through ``eval_axes``.  p = inf is ``_sup_truncated``.
+    Raises NonIntegrableTailError when the decay envelope cannot certify
+    the tail at this exponent.
+
+    The estimate is computed once per (p, R) and kept on f; a raised error
+    is not kept, so every call raises it again.
     """
     if not (p > 0):
         raise ValueError("exponent p must be positive")
     if R <= 0:
         raise ValueError("truncation radius must be positive")
+    key = ("norm_lp_truncated", p, R)
+    if key not in f._memo:
+        f._memo[key] = _norm_lp_truncated(f, p, R)
+    return f._memo[key]
 
+
+def _norm_lp_truncated(f: BandLimitedFunction, p: float,
+                       R: float) -> RealDomainNormEstimate:
     if math.isinf(p):
         return _sup_truncated(f, R)
 
@@ -982,8 +1002,17 @@ def _odd(n: int) -> int:
 
 
 def _sup_truncated(f: BandLimitedFunction, R: float) -> RealDomainNormEstimate:
-    # odd node counts keep the origin on the grid, where the candidate
-    # families peak
+    """sup |f| over Q_R as a lower estimate and a certified relative gap.
+
+    A one-term separable sum takes per-axis grid maxima.  Anything else
+    takes the maximum on one uniform tensor grid, whose gap is the
+    Bernstein gap of its spacing, unless it is a weight transform whose
+    origin bracket is tighter: f(0) = sum W and |f| <= sum |W| on all of
+    R^m, so sup |f| lies in [|sum W|, sum |W|].  The bracket is taken,
+    and no grid built, when sum |W| <= (1 + gap) |sum W|, as for weights
+    of one phase (the numerator of a q = inf candidate).  Odd node counts
+    keep the origin on the grid, where the candidate families peak.
+    """
     sigma = np.asarray(f.spectral_body.sigma)
     if f.terms is not None and len(f.terms) == 1:
         # sup |f| <= prod_j mx_j (1 + r_j) for per-axis grid maxima mx_j
@@ -1003,8 +1032,18 @@ def _sup_truncated(f: BandLimitedFunction, R: float) -> RealDomainNormEstimate:
                                       f.decay.sup_outside(R), rel)
     n = _odd(min(max(129, int(16 * float(sigma.max()) * R)),
                  int((4 * 10**6) ** (1.0 / f.m)) + 1))
-    axes = [np.linspace(-R, R, n) for _ in range(f.m)]
-    mx = float(np.abs(f.eval_axes(axes)).max())
     delta = 2.0 * R / (n - 1)
     rel = bernstein_gap(float(sigma.sum()) * delta / 2.0)
+    if f.weights is not None:
+        at_origin = abs(complex(f(np.zeros(f.m))))
+        total = float(np.abs(f.weights).sum())
+        if 0.0 < at_origin and total <= (1.0 + rel) * at_origin:
+            # the rounding of the two sums, sum W (f(0)) and sum |W|:
+            # machine epsilon times their condition number each
+            rounding = 2.0 * np.finfo(float).eps * total / at_origin
+            return RealDomainNormEstimate(
+                at_origin, math.inf, R, f.decay.sup_outside(R),
+                max(total / at_origin - 1.0, 0.0) + rounding)
+    axes = [np.linspace(-R, R, n) for _ in range(f.m)]
+    mx = float(np.abs(f.eval_axes(axes)).max())
     return RealDomainNormEstimate(mx, math.inf, R, f.decay.sup_outside(R), rel)

@@ -1062,9 +1062,10 @@ def candidate_lower_bound_E(f: BandLimitedFunction, p: float, q: float,
     """Lower-bound candidate ||D_N f||_q / ||f||_p for the continuum constant.
 
     Numerator and denominator are truncated real-domain norms with their
-    certificates folded into the tolerance.  For q = inf the numerator grid
-    maximum is itself a valid lower estimate, taken over Q_R for R at most
-    64.
+    certificates folded into the tolerance.  For q = inf the numerator's
+    sup estimate (a grid maximum, or |D f(0)| where the origin bracket
+    holds, as for ``cs_extremal``'s weight transforms) is itself a valid
+    lower estimate, taken over Q_R for R at most 64.
     """
     if R is None:
         R = 64.0 * f.spectral_body.diameter()

@@ -223,9 +223,30 @@ def levitan_coefficients(f: BandLimitedFunction, a: float,
     sum (``levitan_evaluate``).  Energy found outside the admissible
     spectrum (a + c)V must stay below eps, else the truncation failed and
     TruncationFailure is raised.  Scales a < 1 raise ValueError.
+
+    The extraction runs once per (a, eps, oversample) and is kept on f;
+    each call wraps it in a new result, whose ``evaluate`` is the only part
+    that refers to f.  Results of one key share their (frozen) polynomial.
+    A raised error is not kept, so every call raises it again.
     """
     if a < 1:
         raise ValueError("scale a must be >= 1")
+    key = ("levitan_coefficients", float(a), eps, oversample)
+    if key not in f._memo:
+        f._memo[key] = _extract(f, a, eps, oversample)
+    enlarged, K, bound, poly, out_max = f._memo[key]
+    return LevitanResult(
+        label=f.label, a=a, enlarged_body=enlarged, truncation_K=K,
+        truncation_bound=bound, polynomial=poly,
+        evaluate=lambda x: levitan_evaluate(f, a, x, eps=eps),
+        out_of_spectrum=out_max)
+
+
+def _extract(f: BandLimitedFunction, a: float, eps: float, oversample: int
+             ) -> tuple[ConvexBody, int, float, TrigPolynomial, float]:
+    """``levitan_coefficients``' parts that do not refer to f: the enlarged
+    body, K, the truncation bound, the polynomial and the out-of-spectrum
+    maximum."""
     c = f.spectral_body.ell1_over_dual()
     enlarged = f.spectral_body.scaled(a + c)
     spectrum = enlarged.lattice_points(1.0).as_array()
@@ -250,11 +271,7 @@ def levitan_coefficients(f: BandLimitedFunction, a: float,
         raise TruncationFailure(
             f"out-of-spectrum coefficient {out_max:.3e} exceeds eps={eps:.3e}")
     poly = TrigPolynomial(f.m, coeffs, budget=(enlarged, 1.0))
-    return LevitanResult(
-        label=f.label, a=a, enlarged_body=enlarged, truncation_K=K,
-        truncation_bound=bound, polynomial=poly,
-        evaluate=lambda x: levitan_evaluate(f, a, x, eps=eps),
-        out_of_spectrum=out_max)
+    return enlarged, K, bound, poly, out_max
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +301,9 @@ def check_norm_contraction(f: BandLimitedFunction, a: float, p: float,
     The right-hand side uses the truncated real-domain norm over Q_R, R =
     max(64 diam, 4 a pi), with its tail certificate; a non-integrable tail
     makes the inequality vacuously true and is reported as infinite slack.
+    Both sides are kept on f (``levitan_coefficients``,
+    ``norm_lp_truncated``), so a sweep over a and p on one function
+    periodizes once per a and integrates once per (p, R).
     """
     res = levitan_coefficients(f, a, eps=eps)
     est = norm_lp(res.polynomial, p)

@@ -15,7 +15,8 @@ from bnsharp.bandlimited import (BandLimitedFunction, DecayModel,
                                  _pairwise_sum, _PAIRWISE_LEAF)
 from bnsharp.body import ConvexBody, parse_body
 from bnsharp.cli import operator_parse
-from bnsharp.trigpoly import DifferentialOperator, apply_operator, norm_lp
+from bnsharp.trigpoly import (DifferentialOperator, apply_operator,
+                              bernstein_gap, norm_lp)
 
 
 def test_sinc_values():
@@ -517,6 +518,52 @@ def test_tensor_sup_gap_is_the_product_of_axis_gaps(m):
     c = 0.5 * (R / (n - 1)) ** 2     # (sigma * delta / 2)^2 / 2, delta = 2R/(n-1)
     r = c / (1.0 - c)
     assert est.quad_error == pytest.approx((1.0 + r) ** m - 1.0, rel=1e-12)
+
+
+def grid_sup(f, R, n):
+    """max |f| on the uniform n^m tensor grid of Q_R, and its Bernstein gap:
+    the grid path of a weight transform's sup estimate."""
+    axes = [np.linspace(-R, R, n)] * f.m
+    delta = 2.0 * R / (n - 1)
+    return (float(np.abs(f.eval_axes(axes)).max()),
+            bernstein_gap(sum(f.spectral_body.sigma) * delta / 2.0))
+
+
+@pytest.mark.parametrize("body, spec, n", [
+    # n is the odd node count min(max(129, 16 sigma_max R), 2001) at R = 64
+    ("ball:1", "0,0:1,0", 1025),
+    ("ball:1", "laplacian:2", 1025),
+    ("pi:1,2", "0,0:1,0", 2001),
+])
+def test_origin_bracket_contains_the_grid_maximum(body, spec, n):
+    # the numerator of the q = inf candidate: D f has weights cubature x
+    # indicator x |symbol|^2 >= 0, so sup |D f| = D f(0) = sum W, bracketed
+    # by [|f(0)|, sum |W|] with no grid; the box goes through the
+    # indicator transform, not its separable form
+    from bnsharp.bandlimited import _indicator_transform
+    body, op = parse_body(body, 2), operator_parse(spec, 2)
+    g = derived_function(_indicator_transform(body, op, 512.0, None), op)
+    R = 64.0
+    est = norm_lp_truncated(g, math.inf, R)
+    mx, gap = grid_sup(g, R, n)
+    assert est.quad_error <= 1e-13 < gap
+    # the grid maximum is |D f(0)| up to the rounding of its own sums
+    assert est.value * (1.0 - 1e-14) <= mx <= est.value * (1.0 + est.quad_error)
+    assert est.tail_bound == g.decay.sup_outside(R)
+
+
+@pytest.mark.parametrize("spec", [
+    "1,1:1,0",              # weights -xi_1 xi_2 W: f(0) = 0 by symmetry
+    "2,0:1,0 + 1,1:4,0",    # -xi_1 (xi_1 + 4 xi_2) W: sum |W| = 2.7 |f(0)| > 0
+])
+def test_mixed_phase_sup_keeps_the_grid(spec):
+    # weights that change sign leave the origin bracket wider than the
+    # grid's gap, so the estimate is the grid maximum and its gap, bitwise
+    body = ConvexBody.ball(1.0, 2)
+    f = cs_extremal(body, operator_parse(spec, 2), freq_budget=64.0)
+    R = 64.0
+    est = norm_lp_truncated(f, math.inf, R)
+    assert (est.value, est.quad_error) == grid_sup(f, R, 1025)
 
 
 def test_norm_truncated_zero_function():

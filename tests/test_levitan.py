@@ -1,12 +1,17 @@
+import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from bnsharp import bandlimited, levitan
 from bnsharp.bandlimited import (BandLimitedFunction, DecayModel,
-                                 akhiezer_family, cs_extremal,
-                                 separable_sum, sinc_sq_half_kernel,
-                                 tensor_product)
+                                 NonIntegrableTailError, akhiezer_family,
+                                 cs_extremal, norm_lp_truncated,
+                                 separable_sum, sinc_kernel,
+                                 sinc_sq_half_kernel, tensor_product)
 from bnsharp.body import ConvexBody
 from bnsharp.levitan import (PHASE_CAP, TruncationFailure,
                              check_norm_contraction,
@@ -288,6 +293,71 @@ def test_contraction_zero_function():
     assert rep.lhs == pytest.approx(0.0, abs=1e-12)
     assert rep.rhs.value == pytest.approx(0.0, abs=1e-12)
     assert rep.passed
+
+
+def akhiezer_tensor():
+    return tensor_product([akhiezer_family(1.0, 0.5, 0.1),
+                           akhiezer_family(1.0, 0.5, 0.1)])
+
+
+SWEEP = [(a, p) for a in (2.0, 4.0, 8.0) for p in (0.5, 1.0, 2.0, math.inf)]
+
+
+def test_contraction_sweep_periodizes_once_per_scale(monkeypatch):
+    # 3 scales x 4 exponents on one function: one periodization per a and
+    # one truncated norm per (p, R), and reports bitwise equal to those of
+    # a fresh function per check
+    fresh = [check_norm_contraction(akhiezer_tensor(), a, p)
+             for a, p in SWEEP]
+    builds = {"periodization": 0, "norm": 0}
+
+    def counted(name, build):
+        def run(*args):
+            builds[name] += 1
+            return build(*args)
+        return run
+    monkeypatch.setattr(levitan, "_extract",
+                        counted("periodization", levitan._extract))
+    monkeypatch.setattr(bandlimited, "_norm_lp_truncated",
+                        counted("norm", bandlimited._norm_lp_truncated))
+    f = akhiezer_tensor()
+    reports = [check_norm_contraction(f, a, p) for a, p in SWEEP]
+    diam = f.spectral_body.diameter()
+    R = {(p, max(64.0 * diam, 4.0 * a * math.pi)) for a, p in SWEEP}
+    assert builds == {"periodization": 3, "norm": len(R)} and len(R) == 4
+    assert [repr(r) for r in reports] == [repr(r) for r in fresh]
+
+
+def test_memo_holds_no_reference_to_its_function():
+    f = akhiezer_tensor()
+    for p in (2.0, math.inf):
+        check_norm_contraction(f, 2.0, p)
+    assert f._memo
+    # a replaced function starts with its own, empty memo
+    assert dataclasses.replace(f, label="copy")._memo == {}
+    ref = weakref.ref(f)
+    gc.disable()
+    try:
+        del f
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_errors_are_raised_on_every_call():
+    h = sinc_kernel(1)  # decay order 1: no certified L_1 tail
+    for _ in range(2):
+        with pytest.raises(NonIntegrableTailError):
+            norm_lp_truncated(h, 1.0, 100.0)
+    f = sinc_sq_half_kernel(1)
+    lying = BandLimitedFunction(
+        m=1, evaluate=f.evaluate,
+        spectral_body=ConvexBody.cube(0.25, 1), sup_bound=1.0,
+        decay=f.decay, label="undersized")
+    for _ in range(2):
+        with pytest.raises(TruncationFailure):
+            levitan_coefficients(lying, 2.0, eps=1e-9)
+    assert h._memo == lying._memo == {}
 
 
 def test_operator_error_identity_reduces_to_pointwise():
