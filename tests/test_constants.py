@@ -1085,6 +1085,34 @@ def test_optimizer_values_pinned():
         [("no-ascent", 151), ("cap", 300)]
 
 
+@pytest.mark.parametrize("p, q, op, body, a, iterations, value, stops", [
+    # complex coefficients at q = inf: p = 0.5 < 1 has no cosine orbits,
+    # so the ascent's real dot products go through the float64 views
+    (0.5, math.inf, DifferentialOperator.identity(1), ConvexBody.cube(1.0, 1),
+     4.0, 400, 0.01566070565830241,
+     [("no-ascent", 105, 367), ("no-ascent", 97, 344)]),
+    (0.5, math.inf, DifferentialOperator.identity(1), ConvexBody.cube(1.0, 1),
+     8.0, 400, 0.009241140862602124,
+     [("no-ascent", 121, 407), ("no-ascent", 118, 392)]),
+    # the 2-D FFT path: D^(1,1) on the square at (1, 2)
+    (1.0, 2.0, DifferentialOperator.monomial((1, 1)), ConvexBody.cube(1.0, 2),
+     2.0, 100, 0.10501521505277892,
+     [("no-ascent", 90, 318), ("no-ascent", 69, 300)]),
+    (1.0, 2.0, DifferentialOperator.monomial((1, 1)), ConvexBody.cube(1.0, 2),
+     4.0, 100, 0.051627045310837845, [("cap", 100, 125), ("cap", 100, 136)]),
+])
+def test_optimizer_complex_paths_pinned(p, q, op, body, a, iterations, value,
+                                        stops):
+    # bitwise, at one BLAS thread (conftest.py): the value and each
+    # restart's (reason, steps, evaluations)
+    out = optimize_full(p, q, op, a, body,
+                        OptimizerConfig(restarts=2, iterations=iterations,
+                                        seed=3))
+    assert out.estimate.value == value
+    assert [(s.reason, s.steps, s.evaluations)
+            for s in out.ascent_stops] == stops
+
+
 def test_optimizer_reaches_fejer_kernel_on_the_square():
     # the tensor Fejer kernel of degree floor(a) attains
     # ((floor(a) + 1) / (2 pi a))^2 for ||T||_inf / ||T||_1 on the square;
