@@ -448,23 +448,31 @@ class AscentStop:
 _LBFGS_MEMORY = 6       # (s, y) pairs kept by the ascent direction
 
 
-def _rdot(u: np.ndarray, v: np.ndarray) -> float:
-    """Re<u, v> as a real dot product of the float64 views."""
-    return float(np.dot(u.view(np.float64), v.view(np.float64)))
+def _f64(u: np.ndarray) -> np.ndarray:
+    """u, or its float64 view when complex: <_f64(u), _f64(v)> = Re<u, v>."""
+    return u.view(np.float64) if u.dtype.kind == "c" else u
+
+
+def _norm(u: np.ndarray) -> float:
+    """np.linalg.norm(u), which for real u evaluates sqrt(<u, u>)."""
+    return math.sqrt(u.dot(u)) if u.dtype.kind == "f" else \
+        float(np.linalg.norm(u))
 
 
 def _two_loop(g: np.ndarray, pairs) -> np.ndarray:
-    """The L-BFGS product H g over the stored pairs (s, y, <s, y>), oldest
-    first, with initial scaling <s, y> / <y, y> from the newest pair."""
+    """The L-BFGS product H g over the stored pairs (s, y, _f64(s), _f64(y),
+    <s, y>), oldest first, with initial scaling <s, y> / <y, y> from the
+    newest pair."""
     q = g.copy()
-    alphas = []
-    for s, y, sy in reversed(pairs):
-        alphas.append(_rdot(s, q) / sy)
+    q64, alphas = _f64(q), []
+    for s, y, s64, y64, sy in reversed(pairs):
+        alphas.append(float(s64.dot(q64)) / sy)
         q -= alphas[-1] * y
-    _, y, sy = pairs[-1]
-    r = (sy / _rdot(y, y)) * q
-    for (s, y, sy), alpha in zip(pairs, reversed(alphas)):
-        r += (alpha - _rdot(y, r) / sy) * s
+    _, _, _, y64, sy = pairs[-1]
+    r = (sy / float(y64.dot(y64))) * q
+    r64 = _f64(r)
+    for (s, y, s64, y64, sy), alpha in zip(pairs, reversed(alphas)):
+        r += (alpha - float(y64.dot(r64)) / sy) * s
     return r
 
 
@@ -486,11 +494,11 @@ def _ascend(at: Callable, c0: np.ndarray,
     gradient norm) and (reason, steps, evaluations).
     """
     def retract(c):
-        n = np.linalg.norm(c)
+        n = _norm(c)
         return c / n if n > 0 else c
 
     def tangent(v, c):
-        return v - _rdot(c, v) * c
+        return v - float(_f64(c).dot(_f64(v))) * c
 
     def search(c, F, d):
         nonlocal evals
@@ -510,7 +518,7 @@ def _ascend(at: Callable, c0: np.ndarray,
     pairs = deque(maxlen=_LBFGS_MEMORY)
     steps, evals = 0, 1
     while True:
-        gn = float(np.linalg.norm(g))
+        gn = _norm(g)
         if gn < _GTOL * (1.0 + abs(F)):
             reason = "gtol"
             break
@@ -520,7 +528,7 @@ def _ascend(at: Callable, c0: np.ndarray,
         found = None
         if pairs:
             d = tangent(_two_loop(g, pairs), c)
-            if _rdot(d, g) > 0:
+            if _f64(d).dot(_f64(g)) > 0:
                 found = search(c, F, d)
             if found is None:
                 pairs.clear()
@@ -532,9 +540,10 @@ def _ascend(at: Callable, c0: np.ndarray,
         cn, F, grad = found
         g_new = tangent(grad(), cn)
         s, y = cn - c, g - g_new
-        sy = _rdot(s, y)
+        s64, y64 = _f64(s), _f64(y)
+        sy = float(s64.dot(y64))
         if sy > 0:
-            pairs.append((s, y, sy))
+            pairs.append((s, y, s64, y64, sy))
         c, g = cn, g_new
         steps += 1
     return (c, float(F), gn), (reason, steps, evals)

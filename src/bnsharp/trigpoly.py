@@ -402,7 +402,10 @@ class CosineGrid(SamplingGrid):
         return out
 
     def analyze(self, v: np.ndarray) -> np.ndarray:
-        for j in range(self.m):
+        # axis 0 first, by np.dot on tensordot's own operands, as in synth
+        v = np.dot(self.analyze_mats[0],
+                   v.reshape(len(v), -1)).reshape(-1, *v.shape[1:])
+        for j in range(1, self.m):
             v = np.moveaxis(np.tensordot(self.analyze_mats[j], v,
                                          axes=(1, j)), 0, j)
         return np.bincount(self.half_orbit, weights=v[self.pos] * self.fold,
