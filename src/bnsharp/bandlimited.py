@@ -921,18 +921,18 @@ def _transform_l2(f: BandLimitedFunction, R: float) -> tuple[float, float]:
     e^{ix(xi_a - xi_b)} dx = 2 sin(R(xi_a - xi_b))/(xi_a - xi_b), 2R on
     the diagonal.  The rounding estimate is machine epsilon times the
     condition number of the sum, the Gram form of |W| and |K_j| over the
-    Gram form itself.
+    Gram form itself.  Real weights contract in float64.
     """
-    KW = f.weights.astype(complex)
-    absKW = np.abs(f.weights)
+    W = f.weights if np.imag(f.weights).any() else np.real(f.weights)
+    KW, absKW = W, np.abs(W)
     for n in f.nodes:
         # contract the leading axis each round and append the result axis
         # at the back; K_j is symmetric
         K = 2.0 * R * np.sinc((R / math.pi) * np.subtract.outer(n, n))
         KW = np.tensordot(KW, K, axes=([0], [0]))
         absKW = np.tensordot(absKW, np.abs(K), axes=([0], [0]))
-    gram = float(np.vdot(f.weights, KW).real)
-    bound = float(np.vdot(np.abs(f.weights), absKW))
+    gram = float(np.vdot(W, KW).real)
+    bound = float(np.vdot(np.abs(W), absKW))
     return gram, np.finfo(float).eps * bound / gram if gram > 0 else 0.0
 
 
