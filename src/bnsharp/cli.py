@@ -348,6 +348,9 @@ def run_optimize(cfg: ExperimentConfig) -> tuple[list[str], dict]:
         if out.upper is None:
             extra[f"ascent_stops_a={a:g}"] = dict(
                 Counter(s.reason for s in out.ascent_stops))
+            extra[f"ascent_work_a={a:g}"] = {
+                "steps": sum(s.steps for s in out.ascent_stops),
+                "evaluations": sum(s.evaluations for s in out.ascent_stops)}
             extra[f"best_rung_a={a:g}"] = list(out.best_rungs)
         else:
             lps, active, residual, iterations = out.lp

@@ -151,6 +151,21 @@ def test_optimize_manifest_counts_ascent_stops(tmp_path):
     assert results["unknowns_a=8"] == [32, 197, 8]
 
 
+def test_optimize_manifest_sums_ascent_work(tmp_path):
+    # the square at (1, inf) by the product rule: the segment's two restarts
+    # on cosine orbits, at one BLAS thread (conftest.py); equal counts mean
+    # the ascent took the same path through its iterates
+    out = tmp_path / "sq.csv"
+    assert main(["optimize", "--body", "cube:1", "--m", "2", "--operator",
+                 "identity", "--p", "1", "--q", "inf", "--a", "16,32",
+                 "--restarts", "2", "--seed", "11", "--out", str(out)]) == 0
+    results = json.loads((tmp_path / "sq.csv.manifest.json").read_text())[
+        "results"]
+    assert results["ascent_work_a=16"] == {"steps": 574, "evaluations": 1616}
+    assert results["ascent_work_a=32"] == {"steps": 788, "evaluations": 1185}
+    assert results["ascent_stops_a=32"] == {"no-ascent": 1, "cap": 1}
+
+
 @pytest.mark.parametrize("flags, exact", [
     # the ascent reported 0.9401258 and 1.7780137 for these two
     ("--body cube:1 --m 1 --operator 1:1,0 --p 1 --q 1 --a 7.5", 7 / 7.5),
@@ -176,6 +191,7 @@ def test_box_monomial_at_p_equal_q_prints_its_closed_form(tmp_path, flags,
     assert results[f"restart_values_a={a}"] == [float(row[6])]
     assert results[f"best_rung_a={a}"] == [None]
     assert results[f"ascent_stops_a={a}"] == {}
+    assert results[f"ascent_work_a={a}"] == {"steps": 0, "evaluations": 0}
 
 
 def test_optimize_manifest_counts_simplex_iterations(tmp_path):
