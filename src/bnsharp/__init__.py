@@ -17,12 +17,11 @@ operator connecting the two live in the submodules:
 
 __version__ = "0.1.0"
 
-from .body import ConvexBody, LatticeSet, parse_body
+from .body import ConvexBody, lattice_orbits, parse_body
 from .trigpoly import (DifferentialOperator, NormEstimate, TrigPolynomial,
                        apply_operator, evaluate_grid, norm_lp,
                        random_polynomial)
-from .bandlimited import (BandLimitedFunction, DecayModel,
-                          RealDomainNormEstimate, akhiezer_family,
+from .bandlimited import (BandLimitedFunction, DecayModel, akhiezer_family,
                           cos_product, cs_extremal, norm_lp_truncated,
                           poisson_window_sum, separable_sum, sinc_kernel,
                           sinc_sq_half_kernel, tensor_product,

@@ -32,7 +32,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .body import ConvexBody, exact_floor
-from .trigpoly import DifferentialOperator, TrigPolynomial, bernstein_gap
+from .trigpoly import DifferentialOperator, NormEstimate, TrigPolynomial, \
+    bernstein_gap
 
 MultiIndex = tuple[int, ...]
 Terms = tuple[tuple[complex, tuple["BandLimitedFunction", ...]], ...]
@@ -844,35 +845,6 @@ def _indicator_transform(body: ConvexBody, op: DifferentialOperator,
 # truncated norms over R^m
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RealDomainNormEstimate:
-    """L_p norm over the cube Q_R plus a certified bound on what is missing.
-
-    For p < inf, ``tail_bound`` bounds the integral of |f|^p outside Q_R,
-    so the true norm lies in [value, (value^p + tail_bound)^(1/p)] up to the
-    quadrature error estimate ``quad_error`` (relative).  For p = inf,
-    ``value`` is a lower estimate of sup |f| over Q_R (a grid maximum, or
-    |f(0)| for a weight transform bracketed at the origin), ``quad_error``
-    the certified relative gap above it, and ``tail_bound`` bounds sup |f|
-    outside Q_R.
-    """
-
-    value: float
-    p: float
-    R: float
-    tail_bound: float
-    quad_error: float
-
-    def upper(self) -> float:
-        if math.isinf(self.p):
-            inner = self.value * (1.0 + self.quad_error)
-            return max(inner, self.tail_bound)
-        if math.isinf(self.tail_bound):
-            return math.inf
-        return ((self.value ** self.p + self.tail_bound) ** (1.0 / self.p)
-                * (1.0 + self.quad_error))
-
-
 def _axis_panels(R: float, sigma: float, nodes: int = 8):
     """Composite Gauss-Legendre nodes on [-R, R], panels ~ half an
     oscillation of a function with band limit sigma."""
@@ -937,7 +909,7 @@ def _transform_l2(f: BandLimitedFunction, R: float) -> tuple[float, float]:
 
 
 def norm_lp_truncated(f: BandLimitedFunction, p: float,
-                      R: float) -> RealDomainNormEstimate:
+                      R: float) -> NormEstimate:
     """L_p(R^m) norm of f, computed over Q_R with an analytic tail bound.
 
     A one-term separable sum factorizes exactly (per-axis 1-D
@@ -962,7 +934,7 @@ def norm_lp_truncated(f: BandLimitedFunction, p: float,
 
 
 def _norm_lp_truncated(f: BandLimitedFunction, p: float,
-                       R: float) -> RealDomainNormEstimate:
+                       R: float) -> NormEstimate:
     if math.isinf(p):
         return _sup_truncated(f, R)
 
@@ -970,8 +942,7 @@ def _norm_lp_truncated(f: BandLimitedFunction, p: float,
 
     if p == 2.0 and f.weights is not None:
         gram, err = _transform_l2(f, R)
-        return RealDomainNormEstimate(math.sqrt(max(gram, 0.0)), p, R, tail,
-                                      err / p)
+        return NormEstimate(math.sqrt(max(gram, 0.0)), p, err / p, tail)
 
     if f.terms is not None and (len(f.terms) == 1 or p == 2.0):
         integral = partial(_terms_integral, f.terms, p, R,
@@ -994,14 +965,14 @@ def _norm_lp_truncated(f: BandLimitedFunction, p: float,
     fine = integral(12)
     value = fine ** (1.0 / p) if fine > 0 else 0.0
     err = abs(fine - coarse) / fine if fine > 0 else 0.0
-    return RealDomainNormEstimate(value, p, R, tail, err / p)
+    return NormEstimate(value, p, err / p, tail)
 
 
 def _odd(n: int) -> int:
     return n if n % 2 == 1 else n + 1
 
 
-def _sup_truncated(f: BandLimitedFunction, R: float) -> RealDomainNormEstimate:
+def _sup_truncated(f: BandLimitedFunction, R: float) -> NormEstimate:
     """sup |f| over Q_R as a lower estimate and a certified relative gap.
 
     A one-term separable sum takes per-axis grid maxima.  Anything else
@@ -1028,8 +999,7 @@ def _sup_truncated(f: BandLimitedFunction, R: float) -> RealDomainNormEstimate:
             delta = 2.0 * R / (n - 1)
             total *= mx
             rel += bernstein_gap(sigma[j] * delta / 2.0) * (1.0 + rel)
-        return RealDomainNormEstimate(total, math.inf, R,
-                                      f.decay.sup_outside(R), rel)
+        return NormEstimate(total, math.inf, rel, f.decay.sup_outside(R))
     n = _odd(min(max(129, int(16 * float(sigma.max()) * R)),
                  int((4 * 10**6) ** (1.0 / f.m)) + 1))
     delta = 2.0 * R / (n - 1)
@@ -1041,9 +1011,10 @@ def _sup_truncated(f: BandLimitedFunction, R: float) -> RealDomainNormEstimate:
             # the rounding of the two sums, sum W (f(0)) and sum |W|:
             # machine epsilon times their condition number each
             rounding = 2.0 * np.finfo(float).eps * total / at_origin
-            return RealDomainNormEstimate(
-                at_origin, math.inf, R, f.decay.sup_outside(R),
-                max(total / at_origin - 1.0, 0.0) + rounding)
+            return NormEstimate(
+                at_origin, math.inf,
+                max(total / at_origin - 1.0, 0.0) + rounding,
+                f.decay.sup_outside(R))
     axes = [np.linspace(-R, R, n) for _ in range(f.m)]
     mx = float(np.abs(f.eval_axes(axes)).max())
-    return RealDomainNormEstimate(mx, math.inf, R, f.decay.sup_outside(R), rel)
+    return NormEstimate(mx, math.inf, rel, f.decay.sup_outside(R))

@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -38,67 +38,40 @@ class BodySpecError(ValueError):
     """Malformed body specification string."""
 
 
-class LatticeSet:
-    """A finite set of integer lattice vectors, sorted lexicographically,
-    held as a read-only (n, m) int64 array (``points``: tuples of ints)."""
+def lattice_orbits(points: np.ndarray, values=None
+                   ) -> tuple[np.ndarray, np.ndarray, int]:
+    """Orbits of a lattice set under its signed-permutation symmetries.
 
-    def __init__(self, m: int, points) -> None:
-        arr = np.array(points, dtype=np.int64).reshape(-1, m)
-        if len(arr) != len(points):
-            raise ValueError("lattice point of wrong dimension")
-        arr.flags.writeable = False
-        self.m = m
-        self._array = arr
-
-    @property
-    def points(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self)
-
-    def __len__(self) -> int:
-        return len(self._array)
-
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return map(tuple, self._array.tolist())
-
-    def __contains__(self, k) -> bool:
-        k = tuple(int(c) for c in k)
-        return len(k) == self.m and bool((self._array == k).all(axis=1).any())
-
-    def as_array(self) -> np.ndarray:
-        """Points as a read-only (n, m) int64 array in enumeration order."""
-        return self._array
-
-    def orbits(self, values=None) -> tuple[np.ndarray, np.ndarray, int]:
-        """Orbits of the points under the set's signed-permutation symmetries.
-
-        A signed permutation k -> (s_j k_{pi(j)})_j is a symmetry when it
-        maps the set onto itself and, if ``values`` (one per point) is given,
-        leaves every value unchanged up to 1e-12 of the largest, which
-        absorbs the rounding of values summed in another order.  The
-        symmetries form a group G.  Returns each point's orbit index (orbits
-        numbered by their first point), each orbit's size, and |G|.
-        """
-        arr, n = self._array, len(self._array)
-        vals = None if values is None else np.asarray(values)
-        tol = 0.0 if vals is None else 1e-12 * float(np.abs(vals).max(initial=0))
-        # images[g, i]: the position of g(k_i); the set is sorted, so g maps
-        # it onto itself exactly when its sorted image equals it
-        images = []
-        for perm in itertools.permutations(range(self.m)):
-            for signs in itertools.product((1, -1), repeat=self.m):
-                img = arr[:, perm] * np.array(signs)
-                order = np.lexsort(img.T[::-1])
-                if not np.array_equal(img[order], arr):
-                    continue
-                where = np.empty(n, dtype=np.int64)
-                where[order] = np.arange(n)
-                if vals is None or np.abs(vals[where] - vals).max(
-                        initial=0.0) <= tol:
-                    images.append(where)
-        first = np.min(images, axis=0)
-        _, index = np.unique(first, return_inverse=True)
-        index = index.reshape(n)
-        return index, np.bincount(index), len(images)
+    ``points`` is a lexicographically sorted (n, m) integer array, as
+    ``ConvexBody.lattice_points`` returns.  A signed permutation
+    k -> (s_j k_{pi(j)})_j is a symmetry when it maps the set onto itself
+    and, if ``values`` (one per point) is given, leaves every value
+    unchanged up to 1e-12 of the largest, which absorbs the rounding of
+    values summed in another order.  The symmetries form a group G.
+    Returns each point's orbit index (orbits numbered by their first
+    point), each orbit's size, and |G|.
+    """
+    n, m = points.shape
+    vals = None if values is None else np.asarray(values)
+    tol = 0.0 if vals is None else 1e-12 * float(np.abs(vals).max(initial=0))
+    # images[g, i]: the position of g(k_i); the set is sorted, so g maps
+    # it onto itself exactly when its sorted image equals it
+    images = []
+    for perm in itertools.permutations(range(m)):
+        for signs in itertools.product((1, -1), repeat=m):
+            img = points[:, perm] * np.array(signs)
+            order = np.lexsort(img.T[::-1])
+            if not np.array_equal(img[order], points):
+                continue
+            where = np.empty(n, dtype=np.int64)
+            where[order] = np.arange(n)
+            if vals is None or np.abs(vals[where] - vals).max(
+                    initial=0.0) <= tol:
+                images.append(where)
+    first = np.min(images, axis=0)
+    _, index = np.unique(first, return_inverse=True)
+    index = index.reshape(n)
+    return index, np.bincount(index), len(images)
 
 
 @dataclass(frozen=True)
@@ -234,8 +207,9 @@ class ConvexBody:
 
     # ----- lattice enumeration ------------------------------------------
 
-    def lattice_points(self, a: float) -> LatticeSet:
-        """All k in Z^m with k/a in V, sorted lexicographically.
+    def lattice_points(self, a: float) -> np.ndarray:
+        """All k in Z^m with k/a in V, as a read-only (n, m) int64 array
+        sorted lexicographically.
 
         Boundary points are included (the body is closed).  Membership is
         decided exactly with rational arithmetic when the exponent is an
@@ -265,7 +239,7 @@ class ConvexBody:
                 f"bounding box of {self.label} at a={a} holds {box} points "
                 f"(cap {LATTICE_CAP})")
         if math.isinf(self.mu):
-            return LatticeSet(self.m, _box(radii))
+            return _box(radii)
 
         head, r = _box(radii[:-1]), radii[-1]
         sigma = np.asarray(self.sigma)
@@ -292,7 +266,8 @@ class ConvexBody:
         # row i of a fiber that starts at row `start` has k_m = i - start - h
         k[:, -1] = np.arange(len(k)) - np.repeat(
             np.cumsum(counts) - counts + h, counts)
-        return LatticeSet(self.m, k)
+        k.flags.writeable = False
+        return k
 
     def _kept(self, k: np.ndarray, a: float) -> np.ndarray:
         """The membership rule, row by row, for an (n, m) int64 array: the
@@ -316,14 +291,15 @@ class ConvexBody:
 
 
 def _box(radii: Sequence[int]) -> np.ndarray:
-    """Z^d in the box prod_j [-r_j, r_j], as a lexicographically sorted
-    (n, d) int64 array; d = 0 gives the one empty point."""
+    """Z^d in the box prod_j [-r_j, r_j], as a read-only, lexicographically
+    sorted (n, d) int64 array; d = 0 gives the one empty point."""
     axes = [np.arange(-r, r + 1) for r in radii]
     out = np.empty((math.prod(map(len, axes)), len(axes)), dtype=np.int64)
     grid = out.reshape(*map(len, axes), len(axes))
     # sparse ij grids broadcast over the box in lexicographic order
     for j, g in enumerate(np.meshgrid(*axes, indexing="ij", sparse=True)):
         grid[..., j] = g
+    out.flags.writeable = False
     return out
 
 

@@ -363,7 +363,9 @@ def run_optimize(cfg: ExperimentConfig) -> tuple[list[str], dict]:
 
 def run_converge(cfg: ExperimentConfig) -> tuple[list[str], dict]:
     body, op, p, q = _problem(cfg)
-    # each point starts afresh, so a row equals the optimize row at that a
+    # each point starts afresh, so a row equals the optimize row at that a,
+    # except at (2, inf): there the row is closed_form's exact lattice sum,
+    # where optimize reports its ascent's lower bound
     study = limit_study(p, q, op, body, parse_sweep(cfg.a), _opt_config(cfg))
     rows = [estimate_row(est, cfg.seed, ms)
             for est, ms in zip(study.rows, study.runtime_ms)]

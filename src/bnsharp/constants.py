@@ -31,7 +31,7 @@ import numpy as np
 
 from .bandlimited import BandLimitedFunction, derived_function, \
     norm_lp_truncated
-from .body import ConvexBody, exact_floor
+from .body import ConvexBody, exact_floor, lattice_orbits
 from .trigpoly import CosineGrid, DifferentialOperator, SamplingGrid, \
     default_grid
 
@@ -135,7 +135,7 @@ def closed_p2_inf(body: ConvexBody, op: DifferentialOperator,
         raise ValueError("a must be positive")
     # converted here, the int64 lattice is freed before symbol_at_ik runs;
     # passed as is, it would stay alive beside symbol_at_ik's float copy
-    pts = body.lattice_points(a).as_array().astype(float)
+    pts = body.lattice_points(a).astype(float)
     s2 = float((np.abs(op.symbol_at_ik(pts)) ** 2).sum())
     value = (TWO_PI ** (-body.m / 2.0) *
              a ** (-(op.order + body.m / 2.0)) * math.sqrt(s2))
@@ -155,7 +155,7 @@ def closed_p22(body: ConvexBody, op: DifferentialOperator,
                a: float) -> SharpConstantEstimate:
     """Exact periodic constant at (2, 2): normalized lattice maximum of the
     symbol modulus (ties collapse; no extremal uniqueness is implied)."""
-    pts = body.lattice_points(a).as_array().astype(float)    # as above
+    pts = body.lattice_points(a).astype(float)    # as above
     value = a ** (-op.order) * float(np.abs(op.symbol_at_ik(pts)).max())
     return SharpConstantEstimate(value, "exact-closed-form", 2.0, 2.0,
                                  op.label, body.label, a, 1e-14)
@@ -599,21 +599,23 @@ def _final_value(grid: SamplingGrid, d, c, p, q, pref, v=None):
     return pref * grid.norm(grid.synth(d * c), q) / grid.norm(v, p), 1e-9
 
 
-def _cosine_orbits(p: float, q: float, op: DifferentialOperator, spectrum):
-    """(orbit index per key, orbit sizes, |G|, odd axes) when the problem
-    may run on one real unknown per orbit of G (``CosineGrid``) without
-    loss; else None.
+def _cosine_orbits(p: float, q: float, op: DifferentialOperator,
+                   keys: np.ndarray):
+    """(orbit index per key, orbit sizes, |G|, odd axes, d) when the
+    problem may run on one real unknown per orbit of G (``CosineGrid``)
+    without loss; else None.
 
     That needs 1 <= p <= inf, q = inf, and a symbol i^N s(k) with s real
     and of one parity in each coordinate: every term has a real
     coefficient, and on each axis j its exponents are all even or all odd
-    (``odd[j]``).  G is the signed permutations that map the spectrum onto
-    itself, keep s(|k|) (|k| taken coordinatewise) and map odd axes to odd
-    axes; it holds every coordinate reflection.  A key with a zero
-    coordinate on an odd axis carries no unknown and gets index -1; when
-    every key has one, D T(0) = 0 for every T and the result is None.  The
-    reduction is proved in ``optimize_full``; both ``exchange_lp`` and
-    ``optimize_ascent`` run on it.
+    (``odd[j]``).  G is the signed permutations that map the spectrum
+    ``keys`` onto itself, keep s(|k|) (|k| taken coordinatewise) and map
+    odd axes to odd axes; it holds every coordinate reflection.  A key with
+    a zero coordinate on an odd axis carries no unknown and gets index -1;
+    when every key has one, D T(0) = 0 for every T and the result is None.
+    d_o = s_o sqrt(|o|), s_o = s(|k|) on o, gives |D T(0)| =
+    |sum_o d_o u_o|.  The reduction is proved in ``optimize_full``; both
+    ``exchange_lp`` and ``optimize_ascent`` run on it.
     """
     if not (p >= 1.0 and math.isinf(q)):
         return None
@@ -621,21 +623,24 @@ def _cosine_orbits(p: float, q: float, op: DifferentialOperator, spectrum):
     if len(parities) > 1 or any(b.imag != 0 for b in op.terms.values()):
         return None
     odd = tuple(bool(c) for c in parities.pop())
-    keys = spectrum.as_array()
     values = _abs_symbol(op, keys)
     if not any(odd):
-        return (*spectrum.orbits(values), odd)
-    live = (keys[:, list(odd)] != 0).all(axis=1)
-    if not live.any():
-        return None     # D T(0) = 0 for every T: no unknown to run on
-    # a second coordinate tells the odd axes from the even ones
-    tag = (keys[:, list(odd)] ** 2).sum(axis=1)
-    index, _, group = spectrum.orbits(
-        values + 1j * max(np.abs(values).max(), 1.0) * tag)
-    _, renumbered = np.unique(index[live], return_inverse=True)
-    index = np.full(len(keys), -1)
-    index[live] = renumbered
-    return index, np.bincount(renumbered), group, odd
+        index, sizes, group = lattice_orbits(keys, values)
+    else:
+        live = (keys[:, list(odd)] != 0).all(axis=1)
+        if not live.any():
+            return None     # D T(0) = 0 for every T: no unknown to run on
+        # a second coordinate tells the odd axes from the even ones
+        tag = (keys[:, list(odd)] ** 2).sum(axis=1)
+        index, _, group = lattice_orbits(
+            keys, values + 1j * max(np.abs(values).max(), 1.0) * tag)
+        _, renumbered = np.unique(index[live], return_inverse=True)
+        index = np.full(len(keys), -1)
+        index[live] = renumbered
+        sizes = np.bincount(renumbered)
+    kept = np.flatnonzero(index >= 0)
+    first = kept[np.unique(index[kept], return_index=True)[1]]
+    return index, sizes, group, odd, values[first] * np.sqrt(sizes)
 
 
 def _abs_symbol(op: DifferentialOperator, keys: np.ndarray) -> np.ndarray:
@@ -734,7 +739,7 @@ def optimize_full(p: float, q: float, op: DifferentialOperator,
     """
     exact = closed_form(p, q, body, op, a) if p == q > 0 else None
     if exact is not None:
-        keys = body.lattice_points(a).as_array()
+        keys = body.lattice_points(a)
         k = keys[int(np.argmax(np.abs(op.symbol_at_ik(keys.astype(float)))))]
         est = replace(exact, notes="ratio maximized exactly over the lattice "
                                    "(Parseval at q = 2, Bernstein on a box "
@@ -809,23 +814,15 @@ def _product_rule(p: float, q: float, op: DifferentialOperator, a: float,
 
 def _spectrum(p: float, q: float, op: DifferentialOperator, a: float,
               body: ConvexBody):
-    """The lattice set aV ∩ Z^m and the normalization a^{-N-m/p+m/q}."""
+    """The lattice points aV ∩ Z^m and the normalization a^{-N-m/p+m/q}."""
     if not (0 < p <= q):
         raise ValueError("need 0 < p <= q")
-    spectrum = body.lattice_points(a)
-    if len(spectrum) == 0:
+    keys = body.lattice_points(a)
+    if len(keys) == 0:
         raise ValueError("empty spectrum")
     pref = a ** (-(op.order + (0.0 if math.isinf(p) else body.m / p)
                    - (0.0 if math.isinf(q) else body.m / q)))
-    return spectrum, pref
-
-
-def _orbit_symbol(op: DifferentialOperator, keys: np.ndarray,
-                  index: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """The real d_o = s_o sqrt(|o|) with |D T(0)| = |sum_o d_o u_o|."""
-    live = np.flatnonzero(index >= 0)
-    first = live[np.unique(index[live], return_index=True)[1]]
-    return _abs_symbol(op, keys[first]) * np.sqrt(sizes)
+    return keys, pref
 
 
 def exchange_lp(op: DifferentialOperator, a: float,
@@ -859,15 +856,13 @@ def exchange_lp(op: DifferentialOperator, a: float,
     from scipy.optimize._highspy._core import (HighsModelStatus, _Highs,
                                                kHighsInf)
 
-    spectrum, pref = _spectrum(math.inf, math.inf, op, a, body)
-    orbits = _cosine_orbits(math.inf, math.inf, op, spectrum)
+    keys, pref = _spectrum(math.inf, math.inf, op, a, body)
+    orbits = _cosine_orbits(math.inf, math.inf, op, keys)
     if orbits is None:
         return None
-    index, sizes, group, odd = orbits
-    keys = spectrum.as_array()
+    index, sizes, group, odd, d = orbits
     if len(sizes) > _LP_MAX_UNKNOWNS:
         return None
-    d = _orbit_symbol(op, keys, index, sizes)
     if not np.any(d):
         return None
     cert = _certificate_grid(CosineGrid(
@@ -999,22 +994,20 @@ def optimize_ascent(p: float, q: float, op: DifferentialOperator,
     reduced and the full ladders reach different iterates; a rung's value,
     and the reported value, may lie on either side of the full path's.
     """
-    spectrum, pref = _spectrum(p, q, op, a, body)
+    keys, pref = _spectrum(p, q, op, a, body)
 
     # soft-max landscapes need a denser grid than integral norms
-    keys = spectrum.as_array()
     shape = default_grid(np.abs(keys).max(axis=0), 8 if math.isinf(p) else 4)
     d = op.symbol_at_ik(keys.astype(float))
-    orbits = _cosine_orbits(p, q, op, spectrum)
+    orbits = _cosine_orbits(p, q, op, keys)
     if orbits is None:
         prob = SamplingGrid(keys, shape)
         unknowns = (prob.n, prob.n, 1)
     else:
-        index, sizes, group, odd = orbits
+        # |D T(0)| = |sum_o s_o sqrt(|o|) u_o|
+        index, _, group, odd, d = orbits
         prob = CosineGrid(keys, index, shape, odd)
         unknowns = (prob.n, len(keys), group)
-        # |D T(0)| = |sum_o s_o sqrt(|o|) u_o|
-        d = _orbit_symbol(op, keys, index, sizes)
     # every rung's iterate is scored on this grid; at p = q = inf it is the
     # run's largest, so it is built once
     cert = _certificate_grid(prob) if math.isinf(p) and math.isinf(q) \
@@ -1085,7 +1078,7 @@ def candidate_lower_bound_E(f: BandLimitedFunction, p: float, q: float,
         raise ValueError("zero candidate")
     value = num.value / den.value
     # uncertainty: numerator and denominator tails plus quadrature drift
-    tol = num.quad_error + den.quad_error
+    tol = num.error_bound + den.error_bound
     if not math.isinf(q) and math.isfinite(num.tail_bound):
         tol += num.tail_bound / max(num.value ** q, 1e-300) / q
     if math.isfinite(den.tail_bound) and not math.isinf(p):

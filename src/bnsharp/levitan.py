@@ -34,13 +34,12 @@ from typing import Callable
 
 import numpy as np
 
-from .bandlimited import BandLimitedFunction, RealDomainNormEstimate, \
-    NonIntegrableTailError, derived_function, fold_terms, \
-    norm_lp_truncated, transform_at_points, transform_on_axes, union_tail, \
-    window_terms
+from .bandlimited import BandLimitedFunction, NonIntegrableTailError, \
+    derived_function, fold_terms, norm_lp_truncated, transform_at_points, \
+    transform_on_axes, union_tail, window_terms
 from .body import ConvexBody
-from .trigpoly import DifferentialOperator, SamplingGrid, TrigPolynomial, \
-    apply_operator, default_grid, norm_lp
+from .trigpoly import DifferentialOperator, NormEstimate, SamplingGrid, \
+    TrigPolynomial, apply_operator, default_grid, norm_lp
 
 K_CAP_1D = 10**7
 #: Cap on the entries (2K + 1) * G_j of a weight transform's shift-phase
@@ -86,8 +85,8 @@ def _box_tail(f: BandLimitedFunction, a: float, K: int, t: float) -> float:
 def plan_truncation(f: BandLimitedFunction, a: float, eps: float,
                     x_inf: float | None = None) -> tuple[int, float]:
     """Smallest doubling K with certified truncation bound <= eps."""
-    if eps <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, not {eps}")
     if not math.isfinite(f.sup_bound):
         raise ValueError("unbounded function cannot be periodized")
     if x_inf is None:
@@ -249,7 +248,7 @@ def _extract(f: BandLimitedFunction, a: float, eps: float, oversample: int
     maximum."""
     c = f.spectral_body.ell1_over_dual()
     enlarged = f.spectral_body.scaled(a + c)
-    spectrum = enlarged.lattice_points(1.0).as_array()
+    spectrum = enlarged.lattice_points(1.0)
     shape = default_grid(np.abs(spectrum).max(axis=0), oversample)
     # the coefficients come out in the C order of their FFT grid indices
     spectrum = spectrum[np.lexsort((spectrum % shape).T[::-1])]
@@ -285,7 +284,7 @@ class ContractionReport:
     p: float
     a: float
     lhs: float
-    rhs: RealDomainNormEstimate
+    rhs: NormEstimate
     slack: float
     certificate: float
 
@@ -312,14 +311,14 @@ def check_norm_contraction(f: BandLimitedFunction, a: float, p: float,
         lhs_unc = est.value * est.error_bound + eps
     else:
         lhs = a ** (f.m / p) * est.value
-        err = est.error_bound if math.isfinite(est.error_bound) else 0.0
-        lhs_unc = lhs * err + eps * (2.0 * math.pi * a) ** (f.m / p)
+        lhs_unc = (lhs * est.error_bound +
+                   eps * (2.0 * math.pi * a) ** (f.m / p))
 
     R = max(64.0 * f.spectral_body.diameter(), 4.0 * a * math.pi)
     try:
         rhs = norm_lp_truncated(f, p, R)
     except NonIntegrableTailError:
-        rhs = RealDomainNormEstimate(math.inf, p, R, math.inf, 0.0)
+        rhs = NormEstimate(math.inf, p, 0.0, math.inf)
         return ContractionReport(p, a, lhs, rhs, math.inf, math.inf)
     slack = rhs.upper() - lhs
     return ContractionReport(p, a, lhs, rhs, slack, lhs_unc)

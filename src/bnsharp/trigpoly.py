@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .body import ConvexBody, LatticeSet
+from .body import ConvexBody
 
 MultiIndex = tuple[int, ...]
 FreqVector = tuple[int, ...]
@@ -114,26 +114,35 @@ def _num(x: float) -> str:
 
 @dataclass(frozen=True)
 class NormEstimate:
-    """An L_p quadrature value with its resolution and error certificate.
+    """An L_p norm estimate with its error certificate, on Q_pi or R^m.
 
-    ``error_bound`` is relative.  For p = inf the value is a grid maximum,
-    hence a lower estimate: the true sup lies in
-    [value, value * (1 + error_bound)].  For even integer p on an
-    alias-free grid the quadrature is exact.  For other finite p,
-    ``error_bound`` is only an estimate from one grid refinement, so
-    ``upper()`` is not a certified upper bound there.
+    ``error_bound`` is relative.  For p = inf the value is a lower estimate
+    of the sup (a grid maximum, or an origin value on R^m), and the sup over
+    the sampled region lies in [value, value * (1 + error_bound)].  For even
+    integer p on an alias-free grid the quadrature on Q_pi is exact.  For
+    other finite p, ``error_bound`` is only an estimate from one refinement,
+    so ``upper()`` is not a certified upper bound there.
+
+    On R^m the norm is taken over a cube Q_R, and ``tail_bound`` bounds what
+    lies outside it: the integral of |f|^p for p < inf, sup |f| for p = inf.
+    On Q_pi nothing lies outside, and ``tail_bound`` is 0.
     """
 
     value: float
     p: float
-    domain: str
-    grid: tuple[int, ...]
     error_bound: float
+    tail_bound: float = 0.0
 
     def upper(self) -> float:
-        if math.isinf(self.error_bound):
+        if math.isinf(self.error_bound) or math.isinf(self.tail_bound):
             return math.inf
-        return self.value * (1.0 + self.error_bound)
+        inner = self.value * (1.0 + self.error_bound)
+        if math.isinf(self.p):
+            return max(inner, self.tail_bound)
+        if self.tail_bound == 0:      # nothing outside, as on Q_pi
+            return inner
+        return ((self.value ** self.p + self.tail_bound) ** (1.0 / self.p)
+                * (1.0 + self.error_bound))
 
 
 @dataclass(frozen=True)
@@ -464,16 +473,14 @@ def default_grid(degrees, oversample: int = 4) -> tuple[int, ...]:
     return tuple(int(oversample * (2 * K + 1)) for K in degrees)
 
 
-def norm_lp(T: TrigPolynomial, p: float, L=None,
-            refine: bool = True) -> NormEstimate:
+def norm_lp(T: TrigPolynomial, p: float, L=None) -> NormEstimate:
     """L_p(Q_pi) quasi-norm of T by rectangle-rule quadrature.
 
     p = inf returns the grid maximum together with the certified relative
     error bound ``SamplingGrid.sup_gap``.  Even integer p on an alias-free
     grid for |T|^p is exact.  Other finite exponents get an error estimate,
-    not a bound, from one grid refinement (disable with refine=False): the
-    difference between the two grids' values, so ``upper()`` is not
-    certified there.
+    not a bound, from one grid refinement: the difference between the two
+    grids' values, so ``upper()`` is not certified there.
     """
     if not (p > 0):
         raise ValueError("exponent p must be positive (use math.inf for sup)")
@@ -481,29 +488,29 @@ def norm_lp(T: TrigPolynomial, p: float, L=None,
                             else default_grid(T.degrees()))
     val, shape = grid.norm(values, p), grid.shape
     if math.isinf(p):
-        return NormEstimate(val, p, "Q_pi", shape, grid.sup_gap())
+        return NormEstimate(val, p, grid.sup_gap())
     if p == int(p) and int(p) % 2 == 0 and all(
             Lj > p * K for K, Lj in zip(grid.degrees, shape)):
-        return NormEstimate(val, p, "Q_pi", shape, 1e-14)
-    if refine:
-        fine, vals2 = _sampled(T, tuple(2 * Lj for Lj in shape))
-        val2 = fine.norm(vals2, p)
-        err = abs(val2 - val) / val2 if val2 > 0 else 0.0
-        return NormEstimate(val2, p, "Q_pi", fine.shape, err)
-    return NormEstimate(val, p, "Q_pi", shape, math.nan)
+        return NormEstimate(val, p, 1e-14)
+    fine, vals2 = _sampled(T, tuple(2 * Lj for Lj in shape))
+    val2 = fine.norm(vals2, p)
+    err = abs(val2 - val) / val2 if val2 > 0 else 0.0
+    return NormEstimate(val2, p, err)
 
 
-def random_polynomial(spectrum: LatticeSet, seed: int,
+def random_polynomial(spectrum: np.ndarray, seed: int,
                       budget: tuple[ConvexBody, float] | None = None,
                       ) -> TrigPolynomial:
-    """Standard complex Gaussian coefficients on the given spectrum.
+    """Standard complex Gaussian coefficients on the given spectrum, an
+    (n, m) integer array such as ``ConvexBody.lattice_points`` returns.
 
     Deterministic per (spectrum, seed): the PCG64 generator is seeded and
-    frequencies are filled in the lattice set's sorted order.
+    frequencies are filled in the spectrum's row order.
     """
     if len(spectrum) == 0:
         raise ValueError("empty spectrum")
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((len(spectrum), 2)) / math.sqrt(2.0)
-    coeffs = {k: complex(z[i, 0], z[i, 1]) for i, k in enumerate(spectrum)}
-    return TrigPolynomial(spectrum.m, coeffs, budget)
+    coeffs = {tuple(k): complex(z[i, 0], z[i, 1])
+              for i, k in enumerate(spectrum.tolist())}
+    return TrigPolynomial(spectrum.shape[1], coeffs, budget)

@@ -25,7 +25,7 @@ from bnsharp.constants import (OptimizerConfig, TWO_PI, bernstein_pq,
                                optimize_full, _make_objective)
 from bnsharp.levitan import (check_norm_contraction, levitan_evaluate)
 from bnsharp.trigpoly import (DifferentialOperator, SamplingGrid,
-                              apply_operator, default_grid, norm_lp)
+                              apply_operator, default_grid)
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -118,7 +118,7 @@ def test_03_same_exponent_bracket():
     assert widths[-1] <= widths[0] + 1e-15
 
 
-def test_04_cosine_product_ratio_exact():
+def test_04_cosine_product_ratio_exact(grid_norm):
     cases = [(1.0, (2.0, 3.0), (1, 1)), (2.5, (1.0, 2.0), (1, 1)),
              (10.0, (1.0,), (2,))]
     worst = 0.0
@@ -130,8 +130,8 @@ def test_04_cosine_product_ratio_exact():
         L = tuple(4 * v * max(1, math.ceil((2 * v + 1) / (4 * v))) * 2
                   for v in n)
         for q in (0.5, 1.0, 2.0, math.inf):
-            num = norm_lp(DT, q, L=L, refine=False).value
-            den = norm_lp(T, q, L=L, refine=False).value
+            num = grid_norm(DT, q, L)
+            den = grid_norm(T, q, L)
             worst = max(worst, abs(num / den - target) / target)
     ok = worst <= 1e-8
     report(4, ok, f"worst relative ratio error {worst:.2e}")
@@ -252,17 +252,16 @@ def test_10_gradient_check_finite_differences():
         p, q = pq_pool[checks % len(pq_pool)]
         body = ConvexBody.cube(1.0, 1)
         a = float(rng.uniform(1.0, 3.0))
-        spectrum = body.lattice_points(a)
+        keys = body.lattice_points(a)
         op = DifferentialOperator.monomial((1,))
-        keys = spectrum.as_array()
         prob = SamplingGrid(keys, default_grid(np.abs(keys).max(axis=0), 4))
         d = op.symbol_at_ik(keys.astype(float))
         at = _make_objective(prob, d, p, q, temperature=None)
-        z = rng.standard_normal((len(spectrum), 2))
+        z = rng.standard_normal((len(keys), 2))
         c = z[:, 0] + 1j * z[:, 1]
         c /= np.linalg.norm(c)
         g = at(c)[1]()                 # the gradient of log F
-        v = rng.standard_normal((len(spectrum), 2))
+        v = rng.standard_normal((len(keys), 2))
         v = (v[:, 0] + 1j * v[:, 1])
         v /= np.linalg.norm(v)
         h = 1e-6
@@ -322,7 +321,7 @@ def _dual_upper_sup_sup(op, body, a):
     point, so the bound holds whatever the LP solver's accuracy.
     """
     nodes = 64
-    k = body.lattice_points(a).as_array()
+    k = body.lattice_points(a)
     # mu is real, so the coefficient at -k is the conjugate of the one at k
     half = k[[tuple(r) >= tuple(-r) for r in k]]
     axis = -math.pi + TWO_PI * np.arange(nodes) / nodes

@@ -98,6 +98,17 @@ def test_converge_rows_equal_optimize_rows(tmp_path):
     strip = lambda p: [r[:-1] for r in read_rows(p)]
     assert len(strip(conv)) == 4
     assert strip(conv) == strip(opt)
+    # but at (2, inf) converge reports the closed form, and optimize the
+    # ascent's lower bound, which meets it to rounding
+    flags = ["--body", "ball:1", "--m", "2", "--operator", "laplacian:2",
+             "--p", "2", "--q", "inf", "--a", "4"]
+    assert main(["converge", *flags, "--out", str(conv)]) == 0
+    assert main(["optimize", *flags, "--out", str(opt)]) == 0
+    (c_row,), (o_row,) = read_rows(conv)[1:], read_rows(opt)[1:]
+    assert c_row[:5] == o_row[:5]
+    assert (c_row[5], o_row[5]) == ("exact-closed-form",
+                                    "lower-bound-optimizer")
+    assert float(o_row[6]) == pytest.approx(float(c_row[6]), rel=1e-9)
 
 
 def test_optimize_manifest_counts_ascent_stops(tmp_path):
@@ -406,6 +417,14 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         capsys.readouterr()
         assert main([*argv, "--seed", "-1", "--out", str(out)]) == 2
         assert "usage error: seed must be at least 0, got -1" in \
+            capsys.readouterr().err
+    # a truncation tolerance of inf would pass every check vacuously, and
+    # nan would double K up to its cap
+    for eps in ("inf", "nan"):
+        capsys.readouterr()
+        assert main(["levitan-check", "--body", "cube:1", "--m", "1", "--a",
+                     "4", "--eps", eps, "--out", str(out)]) == 2
+        assert "usage error: tolerance must be positive and finite" in \
             capsys.readouterr().err
     assert not out.exists()
 

@@ -12,7 +12,7 @@ from bnsharp.body import ConvexBody, parse_body
 from bnsharp.constants import (OptimizerConfig, SharpConstantEstimate,
                                _TEMP_LADDER, _LP_MAX_UNKNOWNS,
                                _ascend, _certificate_grid, _cosine_orbits,
-                               _final_value, _make_objective, _orbit_symbol,
+                               _final_value, _make_objective,
                                _peaks_above, bernstein_pq,
                                candidate_lower_bound_E,
                                check_order_consistency, closed_e2_inf,
@@ -56,7 +56,7 @@ def test_lattice_closed_forms_free_the_int_lattice_first(closed):
     # evaluated, so it is not held beside symbol_at_ik's own float copy
     # (that would peak at 4.5 times the lattice, not 3.5)
     disk, op = ConvexBody.ball(1.0, 2), DifferentialOperator.laplacian(2)
-    nbytes = disk.lattice_points(400.0).as_array().nbytes
+    nbytes = disk.lattice_points(400.0).nbytes
     closed(disk, op, 2.0)
     tracemalloc.start()
     try:
@@ -316,7 +316,7 @@ def test_cosine_orbit_reduction_applies_where_it_is_lossless():
 
     def group(p, q, op, body, a):
         found = _cosine_orbits(p, q, op, body.lattice_points(a))
-        return None if found is None else found[2:]
+        return None if found is None else found[2:4]
     even1, even2 = (False,), (False, False)
     assert group(1.0, math.inf, ident, sq, 4.0) == (8, even2)
     assert group(3.0, math.inf, lap, ConvexBody.ball(1.0, 2), 4.0) == \
@@ -380,10 +380,10 @@ def test_symmetrizing_never_lowers_the_grid_ratio(p):
                         ("cube:1", 3.0, DifferentialOperator.identity(2)),
                         ("pi:1,2", 2.0, DifferentialOperator.laplacian(2))):
         spectrum = parse_body(spec, 2).lattice_points(a)
-        d = op.symbol_at_ik(spectrum.as_array().astype(float))
-        index, sizes, _, _ = _cosine_orbits(p, math.inf, op, spectrum)
+        d = op.symbol_at_ik(spectrum.astype(float))
+        index, sizes, _, _, _ = _cosine_orbits(p, math.inf, op, spectrum)
         full = _grid(spectrum, 4)
-        cos = CosineGrid(spectrum.as_array(), index, full.shape)
+        cos = CosineGrid(spectrum, index, full.shape)
         s = (d * (-1j) ** op.order).real
         s_orbit = np.bincount(index, weights=s) / sizes
         for _ in range(20):
@@ -408,10 +408,10 @@ def test_cosine_objective_gradient_is_the_projected_full_gradient(p, t):
     # grid nodes it stands for
     spectrum = parse_body("ball:1", 2).lattice_points(6.0)
     op = DifferentialOperator.laplacian(2)
-    d = op.symbol_at_ik(spectrum.as_array().astype(float))
-    index, sizes, _, _ = _cosine_orbits(p, math.inf, op, spectrum)
+    d = op.symbol_at_ik(spectrum.astype(float))
+    index, sizes, _, _, _ = _cosine_orbits(p, math.inf, op, spectrum)
     full = _grid(spectrum, 4)
-    cos = CosineGrid(spectrum.as_array(), index, full.shape)
+    cos = CosineGrid(spectrum, index, full.shape)
     root = np.sqrt(sizes)
     s = (d * (-1j) ** op.order).real
     d_orbit = np.bincount(index, weights=s) / sizes * root
@@ -433,11 +433,10 @@ def test_quarter_grid_certifies_the_full_grid_sup():
     rng = np.random.default_rng(2)
     for spec, a, op in (("ball:1", 4.0, DifferentialOperator.laplacian(2)),
                         ("cube:1", 3.0, DifferentialOperator.identity(2))):
-        spectrum = parse_body(spec, 2).lattice_points(a)
-        keys = spectrum.as_array()
+        keys = parse_body(spec, 2).lattice_points(a)
         d = op.symbol_at_ik(keys.astype(float))
-        index, sizes, _, _ = _cosine_orbits(math.inf, math.inf, op, spectrum)
-        full = _grid(spectrum, 8)
+        index, sizes, _, _, _ = _cosine_orbits(math.inf, math.inf, op, keys)
+        full = _grid(keys, 8)
         quarter = _certificate_grid(CosineGrid(keys, index, full.shape))
         full = _certificate_grid(full)
         assert isinstance(quarter, CosineGrid)
@@ -462,10 +461,9 @@ def test_certificate_synth_holds_little_beyond_its_values():
     # synthesis on the a = 32 disk's certificate grid (2249^2 values) keeps
     # no full-length intermediate alive
     op = DifferentialOperator.laplacian(2)
-    spectrum = ConvexBody.ball(1.0, 2).lattice_points(32.0)
-    keys = spectrum.as_array()
-    index, sizes, _, _ = _cosine_orbits(math.inf, math.inf, op, spectrum)
-    fine = _certificate_grid(CosineGrid(keys, index, _grid(spectrum, 8).shape))
+    keys = ConvexBody.ball(1.0, 2).lattice_points(32.0)
+    index, sizes, _, _, _ = _cosine_orbits(math.inf, math.inf, op, keys)
+    fine = _certificate_grid(CosineGrid(keys, index, _grid(keys, 8).shape))
     u = np.random.default_rng(3).standard_normal(len(sizes))
     tracemalloc.start()
     try:
@@ -482,10 +480,9 @@ def test_certificate_grid_holds_no_quarter_grid_array():
     # certificate grid of the a = 16 disk (1125^2 kept nodes) allocates
     # nothing of the quarter grid's size
     disk, lap = ConvexBody.ball(1.0, 2), DifferentialOperator.laplacian(2)
-    spectrum = disk.lattice_points(16.0)
-    keys = spectrum.as_array()
-    index, _, _, odd = _cosine_orbits(math.inf, math.inf, lap, spectrum)
-    prob = CosineGrid(keys, index, _grid(spectrum, 8).shape, odd)
+    keys = disk.lattice_points(16.0)
+    index, _, _, odd, _ = _cosine_orbits(math.inf, math.inf, lap, keys)
+    prob = CosineGrid(keys, index, _grid(keys, 8).shape, odd)
     tracemalloc.start()
     try:
         cert = _certificate_grid(prob)
@@ -516,10 +513,9 @@ def test_parity_grid_samples_the_expanded_polynomial():
     # rows() gives the same values node by node
     rng = np.random.default_rng(5)
     for spec, m, a, op in _parity_cases():
-        spectrum = parse_body(spec, m).lattice_points(a)
-        keys = spectrum.as_array()
-        index, sizes, _, odd = _cosine_orbits(math.inf, math.inf, op,
-                                              spectrum)
+        keys = parse_body(spec, m).lattice_points(a)
+        index, sizes, _, odd, d_orbit = _cosine_orbits(
+            math.inf, math.inf, op, keys)
         for shape in ((11,) * m, (14,) * m):
             full = SamplingGrid(keys, shape)
             par = CosineGrid(keys, index, shape, odd)
@@ -538,7 +534,7 @@ def test_parity_grid_samples_the_expanded_polynomial():
                 <= 1e-12 * np.abs(got).max()
             # |D T(0)| is |d . u| with the orbit symbol
             d = op.symbol_at_ik(keys.astype(float))
-            assert abs(np.dot(_orbit_symbol(op, keys, index, sizes), u)) == \
+            assert abs(np.dot(d_orbit, u)) == \
                 pytest.approx(abs(np.dot(d, c)), rel=1e-12)
 
 
@@ -549,13 +545,11 @@ def test_sign_character_symmetrizing_never_lowers_the_grid_ratio(p):
     # L_p norm, for odd symbols as for even ones
     rng = np.random.default_rng(7)
     for spec, m, a, op in _parity_cases():
-        spectrum = parse_body(spec, m).lattice_points(a)
-        keys = spectrum.as_array()
-        index, sizes, _, odd = _cosine_orbits(p, math.inf, op, spectrum)
-        full = _grid(spectrum, 4)
+        keys = parse_body(spec, m).lattice_points(a)
+        index, sizes, _, odd, d_orbit = _cosine_orbits(p, math.inf, op, keys)
+        full = _grid(keys, 4)
         par = CosineGrid(keys, index, full.shape, odd)
         d = op.symbol_at_ik(keys.astype(float))
-        d_orbit = _orbit_symbol(op, keys, index, sizes)
         basis = _expanded(keys, index, sizes, odd, np.ones(len(sizes))) * \
             np.sqrt(sizes)[index]      # entries i^-n sgn(k), 0 where dead
         live = index >= 0
@@ -580,11 +574,10 @@ def test_parity_grid_project_is_the_adjoint_and_left_inverse():
     rng = np.random.default_rng(6)
     patterns = set()
     for spec, m, a, op in _parity_cases():
-        spectrum = parse_body(spec, m).lattice_points(a)
-        keys = spectrum.as_array()
-        index, sizes, _, odd = _cosine_orbits(1.0, math.inf, op, spectrum)
+        keys = parse_body(spec, m).lattice_points(a)
+        index, sizes, _, odd, _ = _cosine_orbits(1.0, math.inf, op, keys)
         patterns.add(odd)
-        par = CosineGrid(keys, index, _grid(spectrum, 4).shape, odd)
+        par = CosineGrid(keys, index, _grid(keys, 4).shape, odd)
         for _ in range(5):
             u = rng.standard_normal(par.n)
             z = rng.standard_normal((len(keys), 2))
@@ -602,13 +595,12 @@ def test_peaks_are_the_full_grid_local_maxima():
     # the quarter grid's mirrored neighbours find the local maxima of |T|
     # over the full grid, for grids of even and of odd size, on the edge
     # nodes too
-    spectrum = ConvexBody.ball(1.0, 2).lattice_points(3.0)
-    keys = spectrum.as_array()
+    keys = ConvexBody.ball(1.0, 2).lattice_points(3.0)
     rng = np.random.default_rng(9)
     for op in (DifferentialOperator.monomial((1, 2)),
                DifferentialOperator.laplacian(2)):
-        index, sizes, _, odd = _cosine_orbits(math.inf, math.inf, op,
-                                              spectrum)
+        index, sizes, _, odd, _ = _cosine_orbits(
+            math.inf, math.inf, op, keys)
         u = rng.standard_normal(len(sizes))
         for L in (40, 41):
             full = np.abs(SamplingGrid(keys, (L, L)).synth(
@@ -693,10 +685,9 @@ def test_exchange_lp_rounds_allocate_no_grid_sized_array(a):
     # level only
     disk, lap = ConvexBody.ball(1.0, 2), DifferentialOperator.laplacian(2)
     exchange_lp(lap, 2.0, disk)     # loads the LP solver before tracing
-    spectrum = disk.lattice_points(a)
-    keys = spectrum.as_array()
-    index, _, _, odd = _cosine_orbits(math.inf, math.inf, lap, spectrum)
-    cert = _certificate_grid(CosineGrid(keys, index, _grid(spectrum, 8).shape,
+    keys = disk.lattice_points(a)
+    index, _, _, odd, _ = _cosine_orbits(math.inf, math.inf, lap, keys)
+    cert = _certificate_grid(CosineGrid(keys, index, _grid(keys, 8).shape,
                                         odd))
     grid_bytes = 8 * math.prod(L // 2 + 1 for L in cert.shape)
     tracemalloc.start()
@@ -736,7 +727,7 @@ def test_exchange_lp_brackets_the_disk_laplacian():
     assert out.ascent_stops == () and out.restart_values == (lower,)
     # the reported coefficients are the expanded LP solution, and the
     # lower bound is their certified sup ratio on the certificate grid
-    keys = disk.lattice_points(4.0).as_array()
+    keys = disk.lattice_points(4.0)
     c = np.array([out.best_coefficients[tuple(int(v) for v in k)]
                   for k in keys])
     fine = _certificate_grid(_grid(disk.lattice_points(4.0), 8))
@@ -895,7 +886,7 @@ def test_product_rule_solves_each_distinct_axis_once():
 def test_box_lattice_is_the_product_of_the_axis_lattices():
     for sigma, a in (([1.0, 2.0], 4.0), ([0.7, 1.3], 5.5),
                      ([1.0, 0.5, 2.5], 3.0)):
-        box = ConvexBody.parallelepiped(sigma).lattice_points(a).as_array()
+        box = ConvexBody.parallelepiped(sigma).lattice_points(a)
         axes = [[k for (k,) in ConvexBody.parallelepiped([s]).lattice_points(
             a)] for s in sigma]
         assert np.array_equal(box, np.array(list(itertools.product(*axes))))
@@ -908,11 +899,10 @@ def test_product_rule_witness_scores_its_value_on_the_box_grid():
         16.0
     out = optimize_full(1.0, math.inf, ident, a, sq,
                         OptimizerConfig(restarts=2, seed=11))
-    spectrum = sq.lattice_points(a)
-    keys = spectrum.as_array()
+    keys = sq.lattice_points(a)
     c = np.array([out.best_coefficients[tuple(int(v) for v in k)]
                   for k in keys])
-    value, _ = _final_value(_grid(spectrum, 4),
+    value, _ = _final_value(_grid(keys, 4),
                             ident.symbol_at_ik(keys.astype(float)), c, 1.0,
                             math.inf, a ** -2)
     assert value == pytest.approx(out.estimate.value, rel=1e-12)
@@ -935,9 +925,8 @@ def test_product_rule_routing_guards():
         assert not out.estimate.notes.startswith("product rule")
 
 
-def _grid(spectrum, oversample):
+def _grid(keys, oversample):
     """The optimizer's sampling grid for a lattice set."""
-    keys = spectrum.as_array()
     return SamplingGrid(keys, default_grid(np.abs(keys).max(axis=0),
                                            oversample))
 
@@ -945,13 +934,13 @@ def _grid(spectrum, oversample):
 def _transform_cases():
     for spec, m, a in (("ball:1", 2, 8.0), ("cube:1", 1, 16.0),
                        ("cube:1", 2, 32.0), ("ball:1", 3, 4.0)):
-        keys = parse_body(spec, m).lattice_points(a).as_array()
+        keys = parse_body(spec, m).lattice_points(a)
         for oversample in (4, 8):
             yield keys, default_grid(np.abs(keys).max(axis=0), oversample)
     # one frequency; and the fine grid that certifies the final sup of the
     # disk at a = 4
-    yield parse_body("cube:1", 2).lattice_points(0.5).as_array(), (8, 8)
-    yield parse_body("ball:1", 2).lattice_points(4.0).as_array(), (563, 563)
+    yield parse_body("cube:1", 2).lattice_points(0.5), (8, 8)
+    yield parse_body("ball:1", 2).lattice_points(4.0), (563, 563)
 
 
 def test_sampling_grid_synth_and_adjoint():
@@ -1031,16 +1020,13 @@ def test_ladder_stops_once_the_certified_value_falls(monkeypatch):
             assert out.restart_values[i] == max(certified)
             assert out.best_rungs[i] == \
                 stops[certified.index(max(certified))].temperature
-        spectrum = body.lattice_points(a)
-        keys = spectrum.as_array()
+        keys = body.lattice_points(a)
         shape = default_grid(np.abs(keys).max(axis=0), 8)
         c = np.array([out.best_coefficients[tuple(int(v) for v in k)]
                       for k in keys])
         # both run on the quarter grid, with one unknown per parity orbit
-        index, sizes, _, odd = _cosine_orbits(math.inf, math.inf, op,
-                                              spectrum)
+        index, _, _, odd, d = _cosine_orbits(math.inf, math.inf, op, keys)
         fine = _certificate_grid(CosineGrid(keys, index, shape, odd))
-        d = _orbit_symbol(op, keys, index, sizes)
         # the scored orbit unknowns whose expansion is the reported map
         c = next(u for u in scored
                  if np.array_equal(fine.coefficients(u), c))
@@ -1170,7 +1156,7 @@ def test_ascent_computes_gradients_only_at_accepted_points():
     for name in calls:
         _counted(prob, name, calls)
     d = DifferentialOperator.identity(1).symbol_at_ik(
-        spectrum.as_array().astype(float))
+        spectrum.astype(float))
     at = _make_objective(prob, d, 1.0, math.inf, temperature=None)
     z = np.random.default_rng(0).standard_normal((prob.n, 2))
     _, (reason, steps, evaluations) = _ascend(
@@ -1244,7 +1230,7 @@ def _log_gradient_mismatch(prob, d, p, q, temperature, rng):
     ("ball:1", 2, DifferentialOperator.laplacian(2), 3.0)])
 def test_soft_max_and_sup_gradients_match_finite_differences(spec, m, op, a):
     spectrum = parse_body(spec, m).lattice_points(a)
-    d = op.symbol_at_ik(spectrum.as_array().astype(float))
+    d = op.symbol_at_ik(spectrum.astype(float))
     rng = np.random.default_rng(13)
     soft = _grid(spectrum, 8)
     coarse = _grid(spectrum, 4)

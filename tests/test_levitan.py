@@ -76,7 +76,8 @@ def test_coefficients_spectrum_and_consistency():
     res = levitan_coefficients(f, 2.0, eps=1e-9)
     # spectrum inside (a + c)V with c = 1 for the unit cube
     enlarged = ConvexBody.cube(1.0, 1).lattice_points(3.0)
-    assert set(res.polynomial.coefficients) <= set(enlarged)
+    assert set(res.polynomial.coefficients) <= set(map(tuple,
+                                                      enlarged.tolist()))
     assert res.out_of_spectrum <= 1e-9
     # two independent code paths agree on fresh points
     ys = np.array([[0.3], [1.1], [-2.2], [0.77]])
@@ -91,7 +92,8 @@ def _loop_coefficients(f, a, eps, oversample, evaluate=levitan_evaluate):
     vectorizes).  The samples come from ``evaluate``, a pointwise lattice
     sum."""
     c = f.spectral_body.ell1_over_dual()
-    spectrum = set(f.spectral_body.scaled(a + c).lattice_points(1.0))
+    spectrum = set(map(tuple, f.spectral_body.scaled(a + c).lattice_points(
+        1.0).tolist()))
     degs = [int(math.floor((a + c) * s * (1 + 1e-12)))
             for s in f.spectral_body.sigma]
     shape = tuple(oversample * (2 * d + 1) for d in degs)
