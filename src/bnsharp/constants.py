@@ -623,7 +623,9 @@ def _cosine_orbits(p: float, q: float, op: DifferentialOperator,
     if len(parities) > 1 or any(b.imag != 0 for b in op.terms.values()):
         return None
     odd = tuple(bool(c) for c in parities.pop())
-    values = _abs_symbol(op, keys)
+    # s(|k|) on each key, where the symbol is i^N s
+    values = (op.symbol_at_ik(np.abs(keys).astype(float)) *
+              (-1j) ** op.order).real
     if not any(odd):
         index, sizes, group = lattice_orbits(keys, values)
     else:
@@ -641,12 +643,6 @@ def _cosine_orbits(p: float, q: float, op: DifferentialOperator,
     kept = np.flatnonzero(index >= 0)
     first = kept[np.unique(index[kept], return_index=True)[1]]
     return index, sizes, group, odd, values[first] * np.sqrt(sizes)
-
-
-def _abs_symbol(op: DifferentialOperator, keys: np.ndarray) -> np.ndarray:
-    """s(|k|) for each row k of keys, where the symbol is i^N s."""
-    return (op.symbol_at_ik(np.abs(keys).astype(float)) *
-            (-1j) ** op.order).real
 
 
 # The largest orbit count that goes to the exchange LP: on the disk
