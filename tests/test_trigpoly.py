@@ -8,8 +8,9 @@ from bnsharp.body import ConvexBody, lattice_orbits, parse_body
 from bnsharp.constants import _cosine_orbits
 from bnsharp.trigpoly import (AliasingError, CosineGrid,
                               DifferentialOperator, SamplingGrid,
-                              TrigPolynomial, apply_operator, default_grid,
-                              evaluate_grid, norm_lp, random_polynomial)
+                              NormEstimate, TrigPolynomial, apply_operator,
+                              default_grid, evaluate_grid, norm_lp,
+                              random_polynomial)
 
 
 def test_symbol_values():
@@ -163,6 +164,20 @@ def test_sup_norm_certificate_brackets_truth():
     dense = np.abs(evaluate_grid(T, 4096)).max()
     assert est.value <= dense * (1 + 1e-12)
     assert dense <= est.upper() * (1 + 1e-12)
+
+
+def test_norm_estimate_upper_on_both_domains():
+    # on Q_pi (no tail) the upper end is value * (1 + error); on R^m the
+    # tail adds |f|^p mass outside Q_R for p < inf and competes as a sup
+    # for p = inf; an infinite error or tail gives inf on either domain
+    assert NormEstimate(2.0, 3.0, 0.25).upper() == 2.0 * 1.25
+    assert NormEstimate(2.0, math.inf, 0.25).upper() == 2.0 * 1.25
+    assert NormEstimate(0.0, math.inf, math.inf).upper() == math.inf
+    assert NormEstimate(2.0, 3.0, 0.25, 1.0).upper() == \
+        (2.0 ** 3 + 1.0) ** (1 / 3) * 1.25
+    assert NormEstimate(2.0, math.inf, 0.25, 3.0).upper() == 3.0
+    assert NormEstimate(2.0, math.inf, 0.25, 1.0).upper() == 2.5
+    assert NormEstimate(2.0, 3.0, 0.25, math.inf).upper() == math.inf
 
 
 def test_random_polynomial_contract():
