@@ -207,24 +207,22 @@ class ConvexBody:
 
     # ----- lattice enumeration ------------------------------------------
 
-    def lattice_points(self, a: float) -> np.ndarray:
-        """All k in Z^m with k/a in V, as a read-only (n, m) int64 array
-        sorted lexicographically.
+    def lattice_fibers(self, a: float) -> tuple[np.ndarray, np.ndarray]:
+        """The lattice points of aV as fibers along the last axis.
 
-        Boundary points are included (the body is closed).  Membership is
-        decided exactly with rational arithmetic when the exponent is an
-        integer or infinity; otherwise points within 1e-9 of the boundary
-        fall back to the guarded floating-point test.
+        Returns the (m-1)-dimensional head box as a read-only,
+        lexicographically sorted (n, m-1) int64 array, and per head the
+        half-length h of its fiber, read-only int64: the points over that
+        head are (head, j) for |j| <= h, none when h = -1.
 
-        A box is its own bounding box.  Any other body is enumerated by
-        fibers along the last axis: for each point of the (m-1)-dimensional
-        head box, the kept last coordinates are -h..h.  h starts from the
-        float estimate floor(a sigma_m (1 - s)^(1/mu)), s the head's partial
-        gauge sum, and is settled by testing h and h + 1 with the membership
-        rule until it stops moving.  The rule is monotone in |k_m| (float
-        division, power and addition are monotone, and so is exact
-        membership), so each fiber's kept set is exactly |k_m| <= h and the
-        result equals the scan of the whole bounding box.
+        Membership is decided as in ``lattice_points``.  For a box h is the
+        constant last radius, an exact floor.  For any other body h starts
+        from the float estimate floor(a sigma_m (1 - s)^(1/mu)), s the
+        head's partial gauge sum, and is settled by testing h and h + 1
+        with the membership rule until it stops moving.  The rule is
+        monotone in |k_m| (float division, power and addition are monotone,
+        and so is exact membership), so each fiber's kept set is exactly
+        |k_m| <= h and the fibers hold the scan of the whole bounding box.
         """
         if a <= 0:
             raise ValueError("scale a must be positive")
@@ -238,10 +236,12 @@ class ConvexBody:
             raise OverflowError(
                 f"bounding box of {self.label} at a={a} holds {box} points "
                 f"(cap {LATTICE_CAP})")
-        if math.isinf(self.mu):
-            return _box(radii)
-
         head, r = _box(radii[:-1]), radii[-1]
+        if math.isinf(self.mu):
+            h = np.full(len(head), r, dtype=np.int64)
+            h.flags.writeable = False
+            return head, h
+
         sigma = np.asarray(self.sigma)
         s = (np.abs(head / (a * sigma[:-1])) ** self.mu).sum(axis=-1)
         est = a * sigma[-1] * np.maximum(1.0 - s, 0.0) ** (1.0 / self.mu)
@@ -258,7 +258,19 @@ class ConvexBody:
                 break
             h += up
             h -= down
+        h.flags.writeable = False
+        return head, h
 
+    def lattice_points(self, a: float) -> np.ndarray:
+        """All k in Z^m with k/a in V, as a read-only (n, m) int64 array
+        sorted lexicographically: the fibers of ``lattice_fibers``, expanded.
+
+        Boundary points are included (the body is closed).  Membership is
+        decided exactly with rational arithmetic when the exponent is an
+        integer or infinity; otherwise points within 1e-9 of the boundary
+        fall back to the guarded floating-point test.
+        """
+        head, h = self.lattice_fibers(a)
         counts = np.maximum(2 * h + 1, 0)
         k = np.empty((int(counts.sum()), self.m), dtype=np.int64)
         for j in range(self.m - 1):

@@ -63,17 +63,26 @@ class SharpConstantEstimate:
 
 def check_order_consistency(
         estimates: Sequence[SharpConstantEstimate]) -> None:
-    """Assert every lower-bound kind <= every upper-bound kind.
+    """Assert every lower-bound kind <= every upper-bound kind at the same a.
 
-    Estimates must share (p, q, operator, body); exact values count on both
-    sides.  Raises AssertionError with the offending pair.
+    Estimates must share (p, q, operator, body), else ValueError.  A row at
+    scale a is ordered only against rows at the same a (the continuum rows,
+    a = None, against each other): P(a) is not ordered against P(b) or E.
+    Exact values count on both sides.  Raises AssertionError with the
+    offending pair.
     """
+    problems = {(e.p, e.q, e.operator, e.body) for e in estimates}
+    if len(problems) > 1:
+        raise ValueError(f"rows of {len(problems)} problems (p, q, operator, "
+                         f"body): {sorted(problems, key=str)}")
     lowers = [e for e in estimates if e.kind.startswith("lower") or
               e.kind == "exact-closed-form"]
     uppers = [e for e in estimates if e.kind.startswith("upper-bound") or
               e.kind == "exact-closed-form"]
     for lo in lowers:
         for up in uppers:
+            if lo.a != up.a:
+                continue
             budget = (abs(lo.value) * lo.tolerance +
                       abs(up.value) * up.tolerance)
             if lo.value > up.value + budget:
@@ -110,8 +119,11 @@ def monomial_integral(body: ConvexBody, gamma: Sequence[int]) -> float:
     return scale * math.exp(log_val)
 
 
-def symbol_sq_integral(body: ConvexBody, op: DifferentialOperator) -> float:
-    """Exact integral of |symbol(ix)|^2 over the body."""
+def _symbol_sq_sum(op: DifferentialOperator,
+                   moment: Callable[[tuple[int, ...]], float]) -> float:
+    """sum_{alpha,beta} Re(b_alpha conj b_beta) moment(alpha + beta): the
+    integral or lattice sum of |symbol|^2 = |sum_a b_a x^a|^2 whose x^gamma
+    moments ``moment`` gives."""
     total = 0.0
     terms = list(op.terms.items())
     for a1, b1 in terms:
@@ -119,8 +131,30 @@ def symbol_sq_integral(body: ConvexBody, op: DifferentialOperator) -> float:
             coeff = (b1 * np.conj(b2)).real
             if coeff != 0.0:
                 gamma = tuple(x + y for x, y in zip(a1, a2))
-                total += coeff * monomial_integral(body, gamma)
+                total += coeff * moment(gamma)
     return total
+
+
+def symbol_sq_integral(body: ConvexBody, op: DifferentialOperator) -> float:
+    """Exact integral of |symbol(ix)|^2 over the body."""
+    return _symbol_sq_sum(op, lambda gamma: monomial_integral(body, gamma))
+
+
+def _power_sums(h: np.ndarray, g: int) -> np.ndarray:
+    """S_g(h) = sum_{|j| <= h} j^g for each half-length h >= -1, as float64.
+
+    Odd g gives 0.  Otherwise S_g(h) = 2 T(h) - 0^g, where T holds the
+    cumulative sums of j^g for j = 0..max h, in int64 where
+    (max h + 1)^(g+1) rules out overflow and in Python integers elsewhere,
+    so each value is exact until it is rounded once to float64.
+    """
+    if g % 2:
+        return np.zeros(len(h))
+    top = int(h.max())
+    j = np.arange(top + 1, dtype=np.int64 if (top + 1) ** (g + 1) < 2 ** 62
+                  else object)
+    table = 2 * np.cumsum(j ** g) - 0 ** g
+    return np.where(h >= 0, table[np.maximum(h, 0)], 0).astype(float)
 
 
 # ---------------------------------------------------------------------------
@@ -129,14 +163,32 @@ def symbol_sq_integral(body: ConvexBody, op: DifferentialOperator) -> float:
 
 def closed_p2_inf(body: ConvexBody, op: DifferentialOperator,
                   a: float) -> SharpConstantEstimate:
-    """Exact periodic constant at (p, q) = (2, inf): a normalized lattice sum
-    of squared symbol values."""
+    """Exact periodic constant at (p, q) = (2, inf): the normalized lattice
+    sum a^{-N-m/2} (2 pi)^{-m/2} (sum_k |symbol(k)|^2)^{1/2}, k in aV n Z^m.
+
+    The sum comes from lattice moments M_gamma = sum_k k^gamma, without
+    building the lattice.  The lattice is symmetric in every coordinate,
+    so M_gamma = 0 when a power is odd.  Otherwise M_gamma sums
+    head^gamma' S_{gamma_m}(h) over the fibers of ``lattice_fibers``,
+    gamma' the head powers and S the power sums.  Each product is formed
+    from integer-valued float64 factors and the products are added by
+    ``math.fsum``, so a moment that is an integer below 2^53 is exact.
+    """
     if a <= 0:
         raise ValueError("a must be positive")
-    # converted here, the int64 lattice is freed before symbol_at_ik runs;
-    # passed as is, it would stay alive beside symbol_at_ik's float copy
-    pts = body.lattice_points(a).astype(float)
-    s2 = float((np.abs(op.symbol_at_ik(pts)) ** 2).sum())
+    head, h = body.lattice_fibers(a)
+    head = head.astype(float)
+
+    def moment(gamma: tuple[int, ...]) -> float:
+        if any(g % 2 for g in gamma):
+            return 0.0
+        prods = _power_sums(h, gamma[-1])
+        for j, g in enumerate(gamma[:-1]):
+            if g:
+                prods = prods * head[:, j] ** g
+        return math.fsum(prods.tolist())
+
+    s2 = _symbol_sq_sum(op, moment)
     value = (TWO_PI ** (-body.m / 2.0) *
              a ** (-(op.order + body.m / 2.0)) * math.sqrt(s2))
     return SharpConstantEstimate(value, "exact-closed-form", 2.0, math.inf,
@@ -155,7 +207,9 @@ def closed_p22(body: ConvexBody, op: DifferentialOperator,
                a: float) -> SharpConstantEstimate:
     """Exact periodic constant at (2, 2): normalized lattice maximum of the
     symbol modulus (ties collapse; no extremal uniqueness is implied)."""
-    pts = body.lattice_points(a).astype(float)    # as above
+    # converted here, the int64 lattice is freed before symbol_at_ik runs;
+    # passed as is, it would stay alive beside symbol_at_ik's float copy
+    pts = body.lattice_points(a).astype(float)
     value = a ** (-op.order) * float(np.abs(op.symbol_at_ik(pts)).max())
     return SharpConstantEstimate(value, "exact-closed-form", 2.0, 2.0,
                                  op.label, body.label, a, 1e-14)

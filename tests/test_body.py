@@ -276,6 +276,44 @@ def test_lattice_cap_guard():
     for body in (ConvexBody.cube(1.0, 4), ConvexBody.ball(1.0, 4)):
         with pytest.raises(OverflowError):
             body.lattice_points(1000.0)
+        with pytest.raises(OverflowError):
+            body.lattice_fibers(1000.0)
+
+
+FIBER_BODIES = [("cube:1", 1), ("cube:1", 2), ("pi:1,2", 2), ("ball:1", 2),
+                ("lp:1,2:3", 2), ("lp:1,0.7,1.3:2.5", 3), ("ball:1", 3)]
+
+
+@pytest.mark.parametrize("spec, m, a", [
+    *((spec, m, a) for spec, m in FIBER_BODIES for a in (0.4, 5.0, 7.5)),
+    ("ball:1", 4, 3.0), ("ball:1", 4, 2.0),   # (1,1,1,1) on the boundary
+    ("ball:1", 2, 25.0)])                     # (7,24), (15,20), (25,0)
+def test_lattice_fibers_expand_to_the_lattice(spec, m, a):
+    body = parse_body(spec, m)
+    head, h = body.lattice_fibers(a)
+    assert head.dtype == h.dtype == np.int64
+    assert head.shape == (len(h), m - 1) and h.min() >= -1
+    with pytest.raises(ValueError):
+        h[0] = 0
+    expanded = np.array([(*k, j) for k, hk in zip(head.tolist(), h.tolist())
+                         for j in range(-hk, hk + 1)], dtype=np.int64)
+    points = body.lattice_points(a)
+    assert np.array_equal(expanded, points)
+    if a < 1.0:                     # the origin alone
+        assert points.tolist() == [[0] * m]
+    if math.isinf(body.mu):         # a box: the last radius on every head
+        assert np.all(h == math.floor(a * body.sigma[-1]))
+
+
+def test_lattice_fibers_keep_boundary_points_and_empty_fibers():
+    head, h = ConvexBody.ball(1.0, 2).lattice_fibers(5.0)
+    assert dict(zip(head[:, 0].tolist(), h.tolist())) == {
+        -5: 0, -4: 3, -3: 4, -2: 4, -1: 4, 0: 5, 1: 4, 2: 4, 3: 4, 4: 3, 5: 0}
+    # the corners of the 3-ball's head box hold no point
+    head, h = ConvexBody.ball(1.0, 3).lattice_fibers(7.5)
+    empty = h == -1
+    assert empty.any() and np.all((head[empty] ** 2).sum(axis=1) > 56)
+    assert not np.any((head[~empty] ** 2).sum(axis=1) > 56)
 
 
 @pytest.mark.parametrize("m, a", [(3, 60.0), (2, 400.0)])

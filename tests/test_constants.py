@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -50,11 +51,103 @@ def test_closed_p2_inf_small_cases():
         pytest.approx(3 / (2 * math.pi), rel=1e-13)
 
 
-@pytest.mark.parametrize("closed", [closed_p2_inf, closed_p22])
-def test_lattice_closed_forms_free_the_int_lattice_first(closed):
-    # the int64 lattice is converted to floats before the symbol is
+def exact_symbol_sq_sum(op, points):
+    """sum_k |sum_a b_a k^a|^2 over the rows of ``points``, in Fractions
+    (every float coefficient is a binary fraction)."""
+    total = Fraction(0)
+    for k in points.tolist():
+        re = im = Fraction(0)
+        for alpha, b in op.terms.items():
+            mono = math.prod(kj ** aj for kj, aj in zip(k, alpha))
+            re += Fraction(b.real) * mono
+            im += Fraction(b.imag) * mono
+        total += re * re + im * im
+    return total
+
+
+def materialized_p2_inf(body, op, a):
+    """The (2, inf) closed form summed over the materialized float lattice,
+    as it was computed before the lattice moments."""
+    pts = body.lattice_points(a).astype(float)
+    s2 = float((np.abs(op.symbol_at_ik(pts)) ** 2).sum())
+    return (2.0 * math.pi) ** (-body.m / 2.0) * \
+        a ** (-(op.order + body.m / 2.0)) * math.sqrt(s2)
+
+
+def p2_inf_operators(m):
+    """Identity, Laplacian, a mixed monomial (a pure one in m = 1), a pure
+    second derivative, a mixed-sign pair and complex coefficients."""
+    e = [tuple(2 * (i == j) for i in range(m)) for j in range(m)]
+    ops = [DifferentialOperator.identity(m), DifferentialOperator.laplacian(m),
+           DifferentialOperator(m, 2, {e[0]: 1.0}),
+           DifferentialOperator(m, 2, {e[0]: 1.0, e[-1]: -1.0}),
+           DifferentialOperator(m, 2, {e[0]: 0.5 - 1.25j, e[-1]: 0.75j})]
+    if m > 1:
+        mixed = (1, 1) + (0,) * (m - 2)
+        ops += [DifferentialOperator(m, 2, {mixed: 1.0}),
+                DifferentialOperator(m, 2, {mixed: 1.0 + 0.3j, e[0]: -0.6})]
+    return ops
+
+
+@pytest.mark.parametrize("spec, m", [
+    ("cube:1", 1), ("cube:1", 2), ("pi:1,2", 2), ("ball:1", 2),
+    ("lp:1,2:3", 2), ("lp:1,0.7,1.3:2.5", 3), ("ball:1", 3)])
+def test_closed_p2_inf_is_the_exact_lattice_sum(spec, m):
+    # within its stated tolerance of the exact sum, and bitwise the
+    # materialized float sum wherever that sum is an integer below 2^53
+    body = parse_body(spec, m)
+    for a in (0.5, 3.0, 7.5):
+        points = body.lattice_points(a)
+        for op in p2_inf_operators(m):
+            est = closed_p2_inf(body, op, a)
+            exact = exact_symbol_sq_sum(op, points)
+            ref = (2.0 * math.pi) ** (-m / 2.0) * \
+                a ** (-(op.order + m / 2.0)) * math.sqrt(exact)
+            assert est.value == pytest.approx(ref, rel=est.tolerance, abs=0)
+            if exact.denominator == 1 and exact < 2 ** 53:
+                assert est.value == materialized_p2_inf(body, op, a), \
+                    (spec, a, op.label)
+
+
+@pytest.mark.parametrize("m, a", [(2, 400.0), (3, 60.0)])
+def test_closed_p2_inf_is_bitwise_at_the_bench_scales(m, a, monkeypatch):
+    body, op = ConvexBody.ball(1.0, m), DifferentialOperator.laplacian(m)
+    pts = body.lattice_points(a)
+    norms = (pts ** 2).sum(axis=1)
+    exact = int((norms * norms).sum())          # |symbol|^2 = |k|^4
+    assert exact < 2 ** 53
+    reference = materialized_p2_inf(body, op, a)
+    # the moments neither build the lattice nor evaluate the symbol
+    for cls, name in ((ConvexBody, "lattice_points"),
+                      (DifferentialOperator, "symbol_at_ik")):
+        monkeypatch.setattr(cls, name, None)
+    value = closed_p2_inf(body, op, a).value
+    assert value == reference
+    assert value == pytest.approx(
+        (2.0 * math.pi) ** (-m / 2.0) * a ** (-(2 + m / 2.0)) *
+        math.sqrt(exact), rel=1e-14)
+
+
+def test_closed_p2_inf_power_sums_past_int64():
+    # on the segment at a = n = 2^20, sum_{|j|<=n} j^4 is about 2^100:
+    # its table runs in Python integers, and Faulhaber gives the sum
+    n = 2 ** 20
+    est = closed_p2_inf(ConvexBody.cube(1.0, 1),
+                        DifferentialOperator.monomial((2,)), float(n))
+    exact = n * (n + 1) * (2 * n + 1) * (3 * n * n + 3 * n - 1) // 15
+    assert est.value == pytest.approx(
+        (2.0 * math.pi) ** -0.5 * n ** -2.5 * math.sqrt(exact),
+        rel=est.tolerance)
+
+
+@pytest.mark.parametrize("closed, share", [
+    pytest.param(closed_p2_inf, 1 / 8, id="closed_p2_inf"),
+    pytest.param(closed_p22, 4, id="closed_p22")])
+def test_lattice_closed_forms_free_the_int_lattice_first(closed, share):
+    # closed_p22 converts the int64 lattice to floats before the symbol is
     # evaluated, so it is not held beside symbol_at_ik's own float copy
-    # (that would peak at 4.5 times the lattice, not 3.5)
+    # (that would peak at 4.5 times the lattice, not 3.5); closed_p2_inf
+    # sums lattice moments over fibers and builds no lattice at all
     disk, op = ConvexBody.ball(1.0, 2), DifferentialOperator.laplacian(2)
     nbytes = disk.lattice_points(400.0).nbytes
     closed(disk, op, 2.0)
@@ -64,7 +157,7 @@ def test_lattice_closed_forms_free_the_int_lattice_first(closed):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * nbytes
+    assert peak <= share * nbytes
 
 
 def test_closed_e2_inf_small_cases():
@@ -1318,9 +1411,20 @@ def test_order_consistency_checker():
             crude_upper(2.0, math.inf, ident, seg)]
     check_order_consistency(ests)
     bogus = SharpConstantEstimate(10.0, "lower-bound-candidate", 2.0,
-                                  math.inf, "identity", seg.label, None, 0.0)
+                                  math.inf, ident.label, seg.label, None, 0.0)
     with pytest.raises(AssertionError):
         check_order_consistency(ests + [bogus])
+    # rows of another problem are refused, not ordered
+    for field, other in (("p", 1.0), ("q", 2.0), ("operator", "identity"),
+                         ("body", "ball:1")):
+        with pytest.raises(ValueError, match="2 problems"):
+            check_order_consistency(ests + [replace(bogus, value=0.1,
+                                                    **{field: other})])
+    # a row at scale a is ordered only against rows at the same a
+    periodic = replace(bogus, value=0.1, kind="upper-bound", a=4.0)
+    check_order_consistency(ests + [periodic])
+    with pytest.raises(AssertionError):
+        check_order_consistency([periodic, replace(bogus, a=4.0)])
     # an LP dual certificate is an upper bound like any "upper-bound*" kind
     lower = SharpConstantEstimate(1.2, "lower-bound-optimizer", math.inf,
                                   math.inf, "laplacian:2", "ball:1", 4.0,
