@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -293,10 +292,14 @@ class ConvexBody:
     def _exact_member(self, k: tuple[int, ...], a: float) -> bool:
         mu_round = round(self.mu)
         if abs(self.mu - mu_round) < 1e-12 and mu_round <= 64:
-            lhs = Fraction(0)
-            for kj, sj in zip(k, self.sigma):
-                lhs += Fraction(abs(kj)) ** mu_round / Fraction(sj) ** mu_round
-            return lhs <= Fraction(a) ** mu_round
+            # sum_j |k_j|^mu / sigma_j^mu <= a^mu in integers: with
+            # sigma_j = n_j/d_j and a = A/D, times D^mu prod_j n_j^mu
+            A, D = float(a).as_integer_ratio()
+            axes = [float(s).as_integer_ratio() for s in self.sigma]
+            L = math.prod(n ** mu_round for n, _ in axes)
+            lhs = sum(abs(kj) ** mu_round * d ** mu_round * (L // n ** mu_round)
+                      for kj, (n, d) in zip(k, axes))
+            return lhs * D ** mu_round <= A ** mu_round * L
         val = (np.abs(np.asarray(k, dtype=float) /
                       (a * np.asarray(self.sigma))) ** self.mu).sum()
         return bool(val <= 1.0 + MEMBERSHIP_GUARD)
@@ -320,8 +323,8 @@ def exact_floor(a: float, s: float) -> int:
 
     The ceiling is ``-exact_floor(-a, s)``.
     """
-    f = Fraction(a) * Fraction(s)
-    return f.numerator // f.denominator
+    (an, ad), (sn, sd) = (float(x).as_integer_ratio() for x in (a, s))
+    return (an * sn) // (ad * sd)
 
 
 def _fmt(x: float) -> str:

@@ -143,6 +143,32 @@ def test_streamed_window_sum_equals_the_materialized_sum_bitwise(K):
     axes = _materialized_window_sum(x / 2.0, K)
     assert v.tobytes() == (axes[:, 0] * axes[:, 1]).tobytes()
     assert np.all(np.abs(v - 1.0) <= b * (1 + 1e-9))
+    if K == _LEAF_EDGE_K:
+        # the np.sinc term is written only in the block that holds its
+        # column: nearest shifts in the first leaf (column 2), the last
+        # (column 2K - 2) and on both sides of the first edge, in one call
+        near = [(K - 2) * pi - 0.3, -(K - 2) * pi + 0.3, -l_edge * pi,
+                -(l_edge - 1) * pi - 0.1, 0.3, -(K - 3) * pi]
+        assert (np.rint(-np.array(near) / pi) + K).tolist() == \
+            [2, 2 * K - 2, edge, edge - 1, K, 2 * K - 3]
+        theta = np.array(near)
+        got, _ = window_axis_sum(theta, K)
+        assert got.tobytes() == _materialized_window_sum(theta, K).tobytes()
+        x = 2.0 * np.array([near[:2], near[1:3], near[3:5], near[::-5]])
+        v, _ = poisson_window_sum(x, K)
+        axes = _materialized_window_sum(x / 2.0, K)
+        assert v.tobytes() == (axes[:, 0] * axes[:, 1]).tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_window_sum_rejects_non_finite_points(bad):
+    # a NaN would stream every term into a NaN value and a NaN bound, which
+    # a check such as deviation > bound lets through; an infinite point
+    # is no truncation failure
+    with pytest.raises(ValueError, match="non-finite"):
+        window_axis_sum(np.array([0.3, bad]), 10)
+    with pytest.raises(ValueError, match="non-finite"):
+        poisson_window_sum(np.array([[1.0, 2.0], [bad, 0.0]]), 10)
 
 
 def test_window_terms_by_shift_range_are_columns_of_the_full_array():

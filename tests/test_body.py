@@ -6,8 +6,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from bnsharp.body import (BodySpecError, ConvexBody, lattice_orbits,
-                          parse_body)
+from bnsharp.body import (BodySpecError, ConvexBody, exact_floor,
+                          lattice_orbits, parse_body)
 
 
 def brute_dual_norm(body, y, n_dirs=20000):
@@ -314,6 +314,71 @@ def test_lattice_fibers_keep_boundary_points_and_empty_fibers():
     empty = h == -1
     assert empty.any() and np.all((head[empty] ** 2).sum(axis=1) > 56)
     assert not np.any((head[~empty] ** 2).sum(axis=1) > 56)
+
+
+def fraction_member(body, k, a):
+    """sum_j |k_j|^mu / sigma_j^mu <= a^mu in Fractions (integer mu)."""
+    mu = round(body.mu)
+    return sum(Fraction(abs(kj)) ** mu / Fraction(s) ** mu
+               for kj, s in zip(k, body.sigma)) <= Fraction(a) ** mu
+
+
+def fraction_floor(a, s):
+    f = Fraction(a) * Fraction(s)
+    return f.numerator // f.denominator
+
+
+@pytest.mark.parametrize("a", [1 / 3, 7.5, 400.0])
+@pytest.mark.parametrize("spec, m", [
+    ("ball:1", 2), ("ball:1", 3), ("lp:1,2:3", 2), ("lp:0.7,1.3:2", 2),
+    ("lp:1,0.7,1.3:4", 3), ("lp:1.3,0.7:3", 2)])
+def test_exact_membership_and_floor_match_fractions(spec, m, a):
+    # the integer-ratio membership test settles the same points as a
+    # Fraction sum: the float gauge's last point of each fiber, one beyond
+    # it and one before, and the points on the axes at a*sigma_j, which
+    # are on the boundary or, for a non-dyadic sigma_j, a rounding off it
+    body = parse_body(spec, m)
+    rng = np.random.default_rng(m)
+    r = [math.floor(a * s) for s in body.sigma]
+    heads = {tuple(int(rng.integers(-rj, rj + 1)) for rj in r[:-1])
+             for _ in range(60)}
+    points = []
+    for head in heads:
+        s = sum((abs(kj) / (a * sj)) ** body.mu
+                for kj, sj in zip(head, body.sigma))
+        h = math.floor(a * body.sigma[-1] * max(1.0 - s, 0.0) ** (1 / body.mu))
+        points += [(*head, j) for j in (h - 1, h, h + 1, -h - 1)]
+    for j in range(m):
+        for kj in (r[j], r[j] + 1, -r[j]):
+            points.append(tuple(kj if i == j else 0 for i in range(m)))
+    verdicts = [body._exact_member(k, a) for k in points]
+    assert verdicts == [fraction_member(body, k, a) for k in points]
+    assert any(verdicts) and not all(verdicts)
+    for s in (*body.sigma, 0.1, 1.0):
+        for x in (a, -a, np.float64(a), 3, np.int64(-7)):
+            assert exact_floor(x, s) == fraction_floor(x, s)
+
+
+def test_exact_membership_on_the_boundary():
+    # k/a exactly on the boundary at mu = 2, 3, 4, and just off it where
+    # a non-dyadic semi-axis rounds: float(0.7) < 0.7, so 280 > 400 * 0.7
+    cases = [("ball:1", 2, 5.0, (3, 4), True),
+             ("ball:1", 2, 400.0, (240, 320), True),
+             ("ball:1", 3, 3.0, (2, 2, 1), True),
+             ("ball:1", 3, 3.0, (2, 2, 2), False),
+             ("lp:1,2:3", 2, 7.5, (0, 15), True),
+             ("lp:1,2:3", 2, 7.5, (1, 15), False),
+             ("lp:1,0.7,1.3:4", 3, 400.0, (400, 0, 0), True),
+             ("lp:1,0.7,1.3:4", 3, 400.0, (0, 280, 0), False),
+             ("lp:1,0.7,1.3:4", 3, 400.0, (0, 279, 0), True),
+             ("lp:1,0.7,1.3:4", 3, 1 / 3, (0, 0, 0), True)]
+    for spec, m, a, k, inside in cases:
+        body = parse_body(spec, m)
+        assert body._exact_member(k, a) is inside, (spec, a, k)
+        assert fraction_member(body, k, a) is inside, (spec, a, k)
+    assert exact_floor(400.0, 0.7) == 279 == fraction_floor(400.0, 0.7)
+    assert exact_floor(-400.0, 0.7) == -280
+    assert exact_floor(7.5, 2.0) == 15 and exact_floor(1 / 3, 3.0) == 0
 
 
 @pytest.mark.parametrize("m, a", [(3, 60.0), (2, 400.0)])
