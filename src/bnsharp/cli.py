@@ -3,8 +3,8 @@
 Subcommands
 -----------
 constant       closed forms and bounds for one parameter set
-optimize       the exact value where a closed form holds at p = q (2 on any
-               body, every q for a monomial on a box), else a certified
+optimize       the exact value where a closed form holds ((2, inf); p = q = 2
+               on any body; p = q on a box monomial), else a certified
                lower bound from the optimizer (and at p = q = inf for small
                problems an LP dual upper bound, in the manifest)
 converge       periodic constant along a scale sweep (limit experiments)
@@ -363,9 +363,7 @@ def run_optimize(cfg: ExperimentConfig) -> tuple[list[str], dict]:
 
 def run_converge(cfg: ExperimentConfig) -> tuple[list[str], dict]:
     body, op, p, q = _problem(cfg)
-    # each point starts afresh, so a row equals the optimize row at that a,
-    # except at (2, inf): there the row is closed_form's exact lattice sum,
-    # where optimize reports its ascent's lower bound
+    # each point starts afresh, so a row equals the optimize row at that a
     study = limit_study(p, q, op, body, parse_sweep(cfg.a), _opt_config(cfg))
     rows = [estimate_row(est, cfg.seed, ms)
             for est, ms in zip(study.rows, study.runtime_ms)]

@@ -165,6 +165,13 @@ def closed_p2_inf(body: ConvexBody, op: DifferentialOperator,
                   a: float) -> SharpConstantEstimate:
     """Exact periodic constant at (p, q) = (2, inf): the normalized lattice
     sum a^{-N-m/2} (2 pi)^{-m/2} (sum_k |symbol(k)|^2)^{1/2}, k in aV n Z^m.
+    """
+    return _p2_inf(body, op, a)[0]
+
+
+def _p2_inf(body: ConvexBody, op: DifferentialOperator,
+            a: float) -> tuple[SharpConstantEstimate, int]:
+    """``closed_p2_inf``'s estimate and the lattice size, its zeroth moment.
 
     The sum comes from lattice moments M_gamma = sum_k k^gamma, without
     building the lattice.  The lattice is symmetric in every coordinate,
@@ -191,8 +198,9 @@ def closed_p2_inf(body: ConvexBody, op: DifferentialOperator,
     s2 = _symbol_sq_sum(op, moment)
     value = (TWO_PI ** (-body.m / 2.0) *
              a ** (-(op.order + body.m / 2.0)) * math.sqrt(s2))
-    return SharpConstantEstimate(value, "exact-closed-form", 2.0, math.inf,
-                                 op.label, body.label, a, 1e-14)
+    return (SharpConstantEstimate(value, "exact-closed-form", 2.0, math.inf,
+                                  op.label, body.label, a, 1e-14),
+            int(np.maximum(2 * h + 1, 0).sum()))
 
 
 def closed_e2_inf(body: ConvexBody,
@@ -207,12 +215,22 @@ def closed_p22(body: ConvexBody, op: DifferentialOperator,
                a: float) -> SharpConstantEstimate:
     """Exact periodic constant at (2, 2): normalized lattice maximum of the
     symbol modulus (ties collapse; no extremal uniqueness is implied)."""
+    return _p22(body, op, a)[0]
+
+
+def _p22(body: ConvexBody, op: DifferentialOperator, a: float
+         ) -> tuple[SharpConstantEstimate, tuple[int, ...], int]:
+    """``closed_p22``'s estimate, the first lattice point where the symbol
+    modulus is largest, and the lattice size."""
     # converted here, the int64 lattice is freed before symbol_at_ik runs;
     # passed as is, it would stay alive beside symbol_at_ik's float copy
     pts = body.lattice_points(a).astype(float)
-    value = a ** (-op.order) * float(np.abs(op.symbol_at_ik(pts)).max())
-    return SharpConstantEstimate(value, "exact-closed-form", 2.0, 2.0,
-                                 op.label, body.label, a, 1e-14)
+    modulus = np.abs(op.symbol_at_ik(pts))
+    i = int(modulus.argmax())
+    value = a ** (-op.order) * float(modulus[i])
+    return (SharpConstantEstimate(value, "exact-closed-form", 2.0, 2.0,
+                                  op.label, body.label, a, 1e-14),
+            tuple(int(c) for c in pts[i]), len(pts))
 
 
 #: Unit directions from rows of m - 1 angles (given transposed), per m.
@@ -277,22 +295,47 @@ def closed_form(p: float, q: float, body: ConvexBody,
     ``closed_p22``'s lattice maximum |b| a^{-N} prod_j floor(a
     sigma_j)^{alpha_j} (Zygmund, Trigonometric Series, ch. X, for q >= 1;
     Arestov 1981 for q < 1), attained by one exponential at that corner.
+    Raises ValueError unless 0 < p <= q.
     """
+    if not (0 < p <= q):
+        raise ValueError("need 0 < p <= q")
+    if a is not None:
+        exact = _closed_periodic(p, q, body, op, a)
+        return None if exact is None else exact[0]
     if (p, q) == (2.0, math.inf):
-        return closed_e2_inf(body, op) if a is None else \
-            closed_p2_inf(body, op, a)
+        return closed_e2_inf(body, op)
     if p != q:
         return None
-    box_monomial = math.isinf(body.mu) and len(op.terms) == 1
-    if a is not None and (q == 2.0 or box_monomial):
-        return replace(closed_p22(body, op, a), p=float(q), q=float(q))
-    if box_monomial:
+    if _box_monomial(body, op):
         (alpha, b), = op.terms.items()
         return SharpConstantEstimate(
             abs(b) * math.prod(s ** al for s, al in zip(body.sigma, alpha)),
             "exact-closed-form", q, q, op.label, body.label, None, 0.0,
             "exact for every q")
     return closed_e22(body, op) if q == 2.0 else None
+
+
+def _box_monomial(body: ConvexBody, op: DifferentialOperator) -> bool:
+    return math.isinf(body.mu) and len(op.terms) == 1
+
+
+def _closed_periodic(p: float, q: float, body: ConvexBody,
+                     op: DifferentialOperator, a: float):
+    """``closed_form``'s value of P(a) with its witness coefficients and the
+    lattice size, all from one lattice pass; None where it has none.
+
+    At p = q the witness is the exponential at the symbol's argmax, which
+    attains a^{-N} max_k |symbol(k)| for every q.  At (2, inf) it is
+    c_k = conj(symbol(k)), the Cauchy-Schwarz extremal, which is not
+    built: the coefficients are {}.  The caller checks 0 < p <= q.
+    """
+    if (p, q) == (2.0, math.inf):
+        est, size = _p2_inf(body, op, a)
+        return est, {}, size
+    if p == q and (q == 2.0 or _box_monomial(body, op)):
+        est, k, size = _p22(body, op, a)
+        return replace(est, p=float(q), q=float(q)), {k: 1.0 + 0j}, size
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -712,13 +755,12 @@ def optimize_full(p: float, q: float, op: DifferentialOperator,
                   config: OptimizerConfig = OptimizerConfig(),
                   ) -> OptimizerOutcome:
     """The normalized ratio's supremum: the exact value where
-    ``closed_form`` has one at p = q, else a certified lower bound, and at
-    p = q = inf for small problems an upper bound too.
+    ``closed_form`` has one, else a certified lower bound, and at
+    p = q = inf for small problems an upper bound too.  The one place
+    that picks a route; raises ValueError unless 0 < p <= q.
 
-    At p = q, ``closed_form`` answers p = q = 2 on any body (Parseval) and
-    every q on a box with a monomial symbol (Bernstein).  Either value is
-    a^{-N} max_k |symbol(k)| over the lattice, and the exponential at the
-    argmax attains it for every q; no iteration runs.  Otherwise a box with
+    ``closed_form``'s periodic values go first, each with its witness and
+    no iteration (``_closed_periodic``).  Otherwise a box with
     a monomial symbol b D^alpha, m >= 2, q = inf and 1 <= p < inf goes to
     ``_product_rule``: one 1-D solve per distinct axis (sigma_j, alpha_j).
     At p = q = inf a problem whose orbit unknowns (``_cosine_orbits``)
@@ -787,17 +829,17 @@ def optimize_full(p: float, q: float, op: DifferentialOperator,
     the full complex coefficients, as do symbols of neither parity in some
     coordinate.
     """
-    exact = closed_form(p, q, body, op, a) if p == q > 0 else None
+    if not (0 < p <= q):
+        raise ValueError("need 0 < p <= q")
+    exact = _closed_periodic(p, q, body, op, a)
     if exact is not None:
-        keys = body.lattice_points(a)
-        k = keys[int(np.argmax(np.abs(op.symbol_at_ik(keys.astype(float)))))]
-        est = replace(exact, notes="ratio maximized exactly over the lattice "
-                                   "(Parseval at q = 2, Bernstein on a box "
-                                   "monomial); no iteration needed")
-        return OptimizerOutcome(est, (est.value,),
-                                {tuple(int(c) for c in k): 1.0 + 0j},
-                                best_rungs=(None,),
-                                unknowns=(0, len(keys), 1))
+        est, coeffs, size = exact
+        witness = ("the exponential at the symbol's lattice argmax" if coeffs
+                   else "c_k = conj(symbol(k)) (Cauchy-Schwarz), not built")
+        est = replace(est, notes=f"closed form, attained by {witness}; no "
+                                 f"iteration needed")
+        return OptimizerOutcome(est, (est.value,), coeffs, best_rungs=(None,),
+                                unknowns=(0, size, 1))
     out = _product_rule(p, q, op, a, body, config)
     if out is not None:
         return out
@@ -823,8 +865,8 @@ def _product_rule(p: float, q: float, op: DifferentialOperator, a: float,
     ``restart_values``; ``unknowns`` is (the distinct solves' unknowns,
     the m-D lattice size, the product of every axis's |G|).
     """
-    if not (math.isinf(body.mu) and body.m >= 2 and len(op.terms) == 1
-            and math.isinf(q) and 1.0 <= p < q):
+    if not (_box_monomial(body, op) and body.m >= 2 and math.isinf(q)
+            and 1.0 <= p < q):
         return None
     (alpha, b), = op.terms.items()
     axes = list(zip(body.sigma, alpha))
@@ -1029,9 +1071,9 @@ def optimize_ascent(p: float, q: float, op: DifferentialOperator,
     bound).  A restart's ladder stops at the first rung whose certified value
     is strictly below its best so far: hotter rungs only sharpen peaks
     between the coarse grid's nodes.  Each restart reports its
-    best-certified iterate, the first of equal ones.  ``optimize_full``
-    answers the p = q problems that ``closed_form`` holds before any
-    ascent runs.
+    best-certified iterate, the first of equal ones.  It runs whatever it
+    is given, closed forms included (the (2, inf) lattice sum is its
+    oracle); ``optimize_full`` answers those before any ascent runs.
 
     Where ``_cosine_orbits`` applies, the ascent runs on its real unknowns,
     one per orbit (the reduction of ``optimize_full``), even or odd axes
@@ -1152,8 +1194,9 @@ class LimitStudy:
 def limit_study(p: float, q: float, op: DifferentialOperator,
                 body: ConvexBody, a_list: Sequence[float],
                 config: OptimizerConfig = OptimizerConfig()) -> LimitStudy:
-    """Periodic constants along an increasing scale sweep, with the continuum
-    reference where a closed form exists.
+    """Periodic constants along an increasing scale sweep, each row
+    ``optimize_full``'s at that a, with the continuum reference where a
+    closed form exists.
 
     The paper proves E <= liminf P, with equality at q = inf.  That is the
     reason for the sweep; the rows and the reference are all it reports.
@@ -1164,10 +1207,7 @@ def limit_study(p: float, q: float, op: DifferentialOperator,
     rows, runtime_ms = [], []
     for a in a_list:
         t0 = time.perf_counter()
-        est = closed_form(p, q, body, op, a)
-        if est is None:
-            est = optimize_full(p, q, op, a, body, config).estimate
-        rows.append(est)
+        rows.append(optimize_full(p, q, op, a, body, config).estimate)
         runtime_ms.append((time.perf_counter() - t0) * 1000.0)
     return LimitStudy(tuple(rows), closed_form(p, q, body, op),
                       tuple(runtime_ms))

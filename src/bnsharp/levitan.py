@@ -163,6 +163,10 @@ def levitan_evaluate(f: BandLimitedFunction, a: float, x,
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[-1] != f.m:
         raise ValueError("point dimension mismatch")
+    bad = x[~np.isfinite(x).all(axis=1)]
+    if bad.size:
+        raise ValueError(f"periodization at non-finite points "
+                         f"{bad[:4].tolist()}")
     x_inf = float(np.abs(x).max()) if x.size else 0.0
     K, _ = plan_truncation(f, a, eps, x_inf=max(x_inf, a * math.pi))
 

@@ -11,7 +11,7 @@ import pytest
 import bnsharp
 from bnsharp.cli import (OperatorSpecError, main, operator_parse,
                          parse_exponent, parse_sweep)
-from bnsharp.body import ConvexBody
+from bnsharp.body import ConvexBody, parse_body
 from bnsharp.constants import (_TEMP_LADDER, OptimizerConfig,
                                optimize_ascent)
 from bnsharp.trigpoly import DifferentialOperator
@@ -88,27 +88,35 @@ def test_converge_csv_and_manifest(tmp_path):
 
 
 def test_converge_rows_equal_optimize_rows(tmp_path):
-    # sweep points do not seed each other, so each row is the optimize row
+    # sweep points do not seed each other, so each row is the optimize row,
+    # kind included
+    def rows(command, flags):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, *flags, "--out", str(out)]) == 0
+        return [r[:-1] for r in read_rows(out)[1:]]
+
     flags = ["--body", "cube:1", "--m", "1", "--operator", "1:1,0",
              "--p", "1", "--q", "inf", "--a", "2,4,8", "--restarts", "2",
              "--iterations", "80", "--seed", "3"]
-    conv, opt = tmp_path / "conv.csv", tmp_path / "opt.csv"
-    assert main(["converge", *flags, "--out", str(conv)]) == 0
-    assert main(["optimize", *flags, "--out", str(opt)]) == 0
-    strip = lambda p: [r[:-1] for r in read_rows(p)]
-    assert len(strip(conv)) == 4
-    assert strip(conv) == strip(opt)
-    # but at (2, inf) converge reports the closed form, and optimize the
-    # ascent's lower bound, which meets it to rounding
-    flags = ["--body", "ball:1", "--m", "2", "--operator", "laplacian:2",
-             "--p", "2", "--q", "inf", "--a", "4"]
-    assert main(["converge", *flags, "--out", str(conv)]) == 0
-    assert main(["optimize", *flags, "--out", str(opt)]) == 0
-    (c_row,), (o_row,) = read_rows(conv)[1:], read_rows(opt)[1:]
-    assert c_row[:5] == o_row[:5]
-    assert (c_row[5], o_row[5]) == ("exact-closed-form",
-                                    "lower-bound-optimizer")
-    assert float(o_row[6]) == pytest.approx(float(c_row[6]), rel=1e-9)
+    assert len(rows("converge", flags)) == 3
+    assert rows("converge", flags) == rows("optimize", flags)
+    # at (2, inf) both print the exact lattice sum: no ascent runs, and the
+    # lattice size comes from the sum's fibers
+    for spec, m, op, sweep in (("cube:1", 1, "identity", (1.0, 2.0, 4.0)),
+                               ("ball:1", 2, "laplacian:2", (4.0, 16.0, 32.0)),
+                               ("ball:1", 3, "laplacian:3", (8.0,))):
+        flags = ["--body", spec, "--m", str(m), "--operator", op, "--p", "2",
+                 "--q", "inf", "--a", ",".join(f"{a:g}" for a in sweep)]
+        conv = rows("converge", flags)
+        assert conv == rows("optimize", flags)
+        assert [r[5] for r in conv] == ["exact-closed-form"] * len(sweep)
+        results = json.loads(
+            (tmp_path / "optimize.csv.manifest.json").read_text())["results"]
+        for a in sweep:
+            assert results[f"ascent_work_a={a:g}"] == {"steps": 0,
+                                                       "evaluations": 0}
+            assert results[f"unknowns_a={a:g}"] == [
+                0, len(parse_body(spec, m).lattice_points(a)), 1]
 
 
 def test_optimize_manifest_counts_ascent_stops(tmp_path):

@@ -17,9 +17,9 @@ from bnsharp.constants import (OptimizerConfig, SharpConstantEstimate,
                                _peaks_above, bernstein_pq,
                                candidate_lower_bound_E,
                                check_order_consistency, closed_e2_inf,
-                               closed_e22, closed_p2_inf, closed_p22,
-                               crude_upper, derived_function, limit_study,
-                               exchange_lp, monomial_integral,
+                               closed_e22, closed_form, closed_p2_inf,
+                               closed_p22, crude_upper, derived_function,
+                               limit_study, exchange_lp, monomial_integral,
                                nikolskii_upper, optimize_ascent,
                                optimize_full, symbol_sq_integral)
 from bnsharp.trigpoly import CosineGrid, DifferentialOperator, SamplingGrid, \
@@ -315,7 +315,7 @@ def test_optimizer_matches_two_inf_closed_form():
     seg = ConvexBody.cube(1.0, 1)
     ident = DifferentialOperator.identity(1)
     cfg = OptimizerConfig(restarts=4, iterations=250, seed=0)
-    est = optimize_full(2.0, math.inf, ident, 1.0, seg, cfg).estimate
+    est = optimize_ascent(2.0, math.inf, ident, 1.0, seg, cfg).estimate
     assert est.value == pytest.approx(closed_p2_inf(seg, ident, 1.0).value,
                                       abs=1e-6)
     assert est.kind == "lower-bound-optimizer"
@@ -339,7 +339,7 @@ def test_optimizer_restart_robustness():
     seg = ConvexBody.cube(1.0, 1)
     ident = DifferentialOperator.identity(1)
     cfg = OptimizerConfig(restarts=10, iterations=250, seed=5)
-    out = optimize_full(2.0, math.inf, ident, 1.0, seg, cfg)
+    out = optimize_ascent(2.0, math.inf, ident, 1.0, seg, cfg)
     target = closed_p2_inf(seg, ident, 1.0).value
     hits = sum(1 for v in out.restart_values if abs(v - target) < 1e-4)
     assert hits >= 9
@@ -382,6 +382,21 @@ def test_box_monomial_at_p_equal_q_is_exact(spec, m, op, p):
         ratio = a ** -op.order * norm_lp(apply_operator(op, T), p).value / \
             norm_lp(T, p).value
         assert ratio == pytest.approx(est.value, rel=1e-12, abs=1e-12)
+
+
+def test_exact_routes_enumerate_the_lattice_at_most_once(monkeypatch):
+    # the pass that gives the value also gives the witness and the lattice
+    # size; at (2, inf) the sum runs over fibers and builds no lattice
+    calls, original = [], ConvexBody.lattice_points
+    monkeypatch.setattr(ConvexBody, "lattice_points",
+                        lambda self, a: calls.append(a) or original(self, a))
+    disk, lap = ConvexBody.ball(1.0, 2), DifferentialOperator.laplacian(2)
+    out = optimize_full(2.0, math.inf, lap, 16.0, disk)
+    assert calls == [] and out.best_coefficients == {}
+    assert out.estimate.value == closed_p2_inf(disk, lap, 16.0).value
+    assert out.unknowns == (0, len(original(disk, 16.0)), 1)
+    optimize_full(2.0, 2.0, lap, 16.0, disk)
+    assert calls == [16.0]
 
 
 def test_limit_study_at_p_equal_q_stays_below_the_box_value():
@@ -869,8 +884,8 @@ def test_exchange_lp_routing():
 
 def test_reduced_two_inf_optimum_is_the_closed_form():
     disk, lap = ConvexBody.ball(1.0, 2), DifferentialOperator.laplacian(2)
-    out = optimize_full(2.0, math.inf, lap, 4.0, disk,
-                        OptimizerConfig(restarts=2, seed=0))
+    out = optimize_ascent(2.0, math.inf, lap, 4.0, disk,
+                          OptimizerConfig(restarts=2, seed=0))
     assert out.unknowns[1:] == (49, 8)
     assert out.estimate.value == pytest.approx(
         closed_p2_inf(disk, lap, 4.0).value, rel=1e-9)
@@ -881,6 +896,15 @@ def test_optimizer_validation():
     ident = DifferentialOperator.identity(1)
     with pytest.raises(ValueError):
         optimize_full(3.0, 2.0, ident, 1.0, seg)
+    # closed_form once returned 1.0 at p = q = -1 on this box monomial
+    sq, op = ConvexBody.cube(1.0, 2), DifferentialOperator.monomial((1, 1))
+    for p, q in ((-1.0, -1.0), (0.0, 0.0), (math.nan, math.nan), (3.0, 2.0)):
+        with pytest.raises(ValueError, match="need 0 < p <= q"):
+            closed_form(p, q, sq, op, 3.0)
+        with pytest.raises(ValueError, match="need 0 < p <= q"):
+            closed_form(p, q, sq, op)
+        with pytest.raises(ValueError, match="need 0 < p <= q"):
+            optimize_full(p, q, op, 3.0, sq)
     with pytest.raises(ValueError, match="seed must be at least 0"):
         OptimizerConfig(seed=-1)
 

@@ -443,3 +443,17 @@ def test_levitan_cs_extremal_input():
     f = cs_extremal(body, op)
     rep = check_norm_contraction(f, 2.0, 2.0)
     assert rep.passed
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_evaluate_rejects_non_finite_points(bad):
+    # named before any truncation work: plan_truncation would otherwise
+    # fail on int(nan) or overflow on inf, naming no input
+    separable = sinc_sq_half_kernel(1)
+    transform = cs_extremal(ConvexBody.ball(1.0, 2),
+                            DifferentialOperator.identity(2),
+                            nodes_per_axis=16)
+    for f, xs in ((separable, [[0.3], [bad]]),
+                  (transform, [[0.3, 0.1], [0.2, bad]])):
+        with pytest.raises(ValueError, match="non-finite points"):
+            levitan_evaluate(f, 2.0, np.array(xs))
