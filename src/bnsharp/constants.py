@@ -327,14 +327,18 @@ def _closed_periodic(p: float, q: float, body: ConvexBody,
     At p = q the witness is the exponential at the symbol's argmax, which
     attains a^{-N} max_k |symbol(k)| for every q.  At (2, inf) it is
     c_k = conj(symbol(k)), the Cauchy-Schwarz extremal, which is not
-    built: the coefficients are {}.  The caller checks 0 < p <= q.
+    built: the coefficients are {}.  The notes name the witness.  The
+    caller checks 0 < p <= q.
     """
     if (p, q) == (2.0, math.inf):
         est, size = _p2_inf(body, op, a)
-        return est, {}, size
+        return replace(est, notes="attained by c_k = conj(symbol(k)) "
+                                  "(Cauchy-Schwarz), not built"), {}, size
     if p == q and (q == 2.0 or _box_monomial(body, op)):
         est, k, size = _p22(body, op, a)
-        return replace(est, p=float(q), q=float(q)), {k: 1.0 + 0j}, size
+        est = replace(est, p=float(q), q=float(q), notes="attained by the "
+                      "exponential at the symbol's lattice argmax")
+        return est, {k: 1.0 + 0j}, size
     return None
 
 
@@ -834,10 +838,6 @@ def optimize_full(p: float, q: float, op: DifferentialOperator,
     exact = _closed_periodic(p, q, body, op, a)
     if exact is not None:
         est, coeffs, size = exact
-        witness = ("the exponential at the symbol's lattice argmax" if coeffs
-                   else "c_k = conj(symbol(k)) (Cauchy-Schwarz), not built")
-        est = replace(est, notes=f"closed form, attained by {witness}; no "
-                                 f"iteration needed")
         return OptimizerOutcome(est, (est.value,), coeffs, best_rungs=(None,),
                                 unknowns=(0, size, 1))
     out = _product_rule(p, q, op, a, body, config)
