@@ -498,7 +498,11 @@ def _nearest_terms(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     t + l*pi = 0, through np.sinc: it holds the removable singularity, and
     there the rounding of l*pi would spoil sin(t)^2 / (t+l*pi)^2.
 
-    Returns (flat point index, l0, term), sorted by l0."""
+    Returns (flat point index, l0, term), sorted by l0.  Raises ValueError
+    at a non-finite point, whose l0 has no integer value."""
+    bad = theta[~np.isfinite(theta)]
+    if bad.size:
+        raise ValueError(f"window sum at non-finite points {bad[:4].tolist()}")
     l0 = np.rint(-theta / math.pi).astype(np.int64).ravel()
     sq = np.sinc(theta.ravel() / math.pi + l0) ** 2
     rows = np.argsort(l0, kind="stable")
@@ -524,12 +528,12 @@ def window_terms(theta: np.ndarray, K: int, shifts: range | None = None,
         shifts = range(-K, K + 1)
     if pi_l is None:
         pi_l = math.pi * np.arange(shifts.start, shifts.stop)
+    rows, l0, sq = _nearest_terms(theta) if nearest is None else nearest
     # sin(t+l*pi)^2 == sin(t)^2, so one sin per point serves every term
     total = np.add(theta[..., None], pi_l, out=out)
     total *= total
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(np.sin(theta)[..., None] ** 2, total, out=total)
-    rows, l0, sq = _nearest_terms(theta) if nearest is None else nearest
     if len(rows):
         col = l0 - shifts.start
         keep = (col >= 0) & (col < len(shifts))
@@ -571,9 +575,7 @@ def window_axis_sum(theta: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
     array ever being built.
     """
     theta = np.asarray(theta, dtype=float)
-    bad = theta[~np.isfinite(theta)]
-    if bad.size:
-        raise ValueError(f"window sum at non-finite points {bad[:4].tolist()}")
+    rows, l0, sq = _nearest_terms(theta)
     t0 = np.abs(theta) / math.pi
     if K <= np.max(t0) + 1:
         raise ValueError("truncation K too small for these arguments")
@@ -583,7 +585,6 @@ def window_axis_sum(theta: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
     leaf = min(2 * K + 1, _PAIRWISE_LEAF)
     work = np.empty(theta.size * leaf)
     base, pi_l = np.arange(leaf, dtype=float), np.empty(leaf)
-    rows, l0, sq = _nearest_terms(theta)
     l0_list = l0.tolist()
 
     def block_sum(lo: int, hi: int) -> np.ndarray:

@@ -31,7 +31,7 @@ import sys
 import tempfile
 import time
 from collections import Counter
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 import scipy
@@ -200,9 +200,6 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config",
                     help="JSON file of flag values, or a run manifest "
                          "(flags still win)")
-    # the defaults live in ExperimentConfig alone
-    sp.set_defaults(**{f.name: f.default for f in fields(ExperimentConfig)
-                       if f.default is not MISSING})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -216,37 +213,39 @@ def build_parser() -> argparse.ArgumentParser:
             ("converge", "periodic constant along a scale sweep"),
             ("levitan-check", "periodization property checks"),
             ("candidates", "continuum lower-bound candidates")]:
-        sp = sub.add_parser(name, help=doc)
+        # an absent flag sets nothing: the defaults live in ExperimentConfig
+        sp = sub.add_parser(name, help=doc,
+                            argument_default=argparse.SUPPRESS)
         _add_common(sp)
     return parser
 
 
 def config_from_args(argv: list[str]) -> ExperimentConfig:
-    parser = build_parser()
-    # first pass just to find --config; defaults from the file, flags win
-    pre, _ = parser.parse_known_args(argv)
-    if pre.config:
-        with open(pre.config) as fh:
+    # ExperimentConfig's defaults, then the --config file's values, then flags
+    given = vars(build_parser().parse_args(argv))
+    kind, path = given.pop("kind"), given.pop("config", None)
+    stored = {}
+    if path:
+        with open(path) as fh:
             stored = json.load(fh)
         if not isinstance(stored, dict):
-            raise ValueError(f"{pre.config}: expected a JSON object")
+            raise ValueError(f"{path}: expected a JSON object")
         # a run manifest keeps its flag values in its config block
         if isinstance(stored.get("config"), dict):
             stored = stored["config"]
         stored = {k.replace("-", "_"): v for k, v in stored.items()}
-        kind = stored.pop("kind", pre.kind)
-        if kind != pre.kind:
-            raise ValueError(f"{pre.config}: kind {kind!r} is not the "
-                             f"subcommand {pre.kind!r}")
-        unknown = sorted(set(stored) -
-                         {f.name for f in fields(ExperimentConfig)})
+        stored_kind = stored.pop("kind", kind)
+        if stored_kind != kind:
+            raise ValueError(f"{path}: kind {stored_kind!r} is not the "
+                             f"subcommand {kind!r}")
+        types = {f.name: type(f.default) for f in fields(ExperimentConfig)}
+        unknown = sorted(set(stored) - set(types))
         if unknown:
-            raise ValueError(f"{pre.config}: unknown keys {unknown}")
-        for sp in parser._subparsers._group_actions[0].choices.values():
-            sp.set_defaults(**stored)
-    ns = parser.parse_args(argv)
-    return ExperimentConfig(**{f.name: getattr(ns, f.name)
-                               for f in fields(ExperimentConfig)})
+            raise ValueError(f"{path}: unknown keys {unknown}")
+        # a string is read as the flag's value would be
+        stored = {k: types[k](v) if isinstance(v, str) else v
+                  for k, v in stored.items()}
+    return ExperimentConfig(kind=kind, **{**stored, **given})
 
 
 # ---------------------------------------------------------------------------

@@ -164,43 +164,10 @@ def _power_sums(h: np.ndarray, g: int) -> np.ndarray:
 def closed_p2_inf(body: ConvexBody, op: DifferentialOperator,
                   a: float) -> SharpConstantEstimate:
     """Exact periodic constant at (p, q) = (2, inf): the normalized lattice
-    sum a^{-N-m/2} (2 pi)^{-m/2} (sum_k |symbol(k)|^2)^{1/2}, k in aV n Z^m.
+    sum a^{-N-m/2} (2 pi)^{-m/2} (sum_k |symbol(k)|^2)^{1/2}, k in aV n Z^m
+    (``_closed_periodic``).
     """
-    return _p2_inf(body, op, a)[0]
-
-
-def _p2_inf(body: ConvexBody, op: DifferentialOperator,
-            a: float) -> tuple[SharpConstantEstimate, int]:
-    """``closed_p2_inf``'s estimate and the lattice size, its zeroth moment.
-
-    The sum comes from lattice moments M_gamma = sum_k k^gamma, without
-    building the lattice.  The lattice is symmetric in every coordinate,
-    so M_gamma = 0 when a power is odd.  Otherwise M_gamma sums
-    head^gamma' S_{gamma_m}(h) over the fibers of ``lattice_fibers``,
-    gamma' the head powers and S the power sums.  Each product is formed
-    from integer-valued float64 factors and the products are added by
-    ``math.fsum``, so a moment that is an integer below 2^53 is exact.
-    """
-    if a <= 0:
-        raise ValueError("a must be positive")
-    head, h = body.lattice_fibers(a)
-    head = head.astype(float)
-
-    def moment(gamma: tuple[int, ...]) -> float:
-        if any(g % 2 for g in gamma):
-            return 0.0
-        prods = _power_sums(h, gamma[-1])
-        for j, g in enumerate(gamma[:-1]):
-            if g:
-                prods = prods * head[:, j] ** g
-        return math.fsum(prods.tolist())
-
-    s2 = _symbol_sq_sum(op, moment)
-    value = (TWO_PI ** (-body.m / 2.0) *
-             a ** (-(op.order + body.m / 2.0)) * math.sqrt(s2))
-    return (SharpConstantEstimate(value, "exact-closed-form", 2.0, math.inf,
-                                  op.label, body.label, a, 1e-14),
-            int(np.maximum(2 * h + 1, 0).sum()))
+    return _closed_periodic(2.0, math.inf, body, op, a).estimate
 
 
 def closed_e2_inf(body: ConvexBody,
@@ -214,23 +181,9 @@ def closed_e2_inf(body: ConvexBody,
 def closed_p22(body: ConvexBody, op: DifferentialOperator,
                a: float) -> SharpConstantEstimate:
     """Exact periodic constant at (2, 2): normalized lattice maximum of the
-    symbol modulus (ties collapse; no extremal uniqueness is implied)."""
-    return _p22(body, op, a)[0]
-
-
-def _p22(body: ConvexBody, op: DifferentialOperator, a: float
-         ) -> tuple[SharpConstantEstimate, tuple[int, ...], int]:
-    """``closed_p22``'s estimate, the first lattice point where the symbol
-    modulus is largest, and the lattice size."""
-    # converted here, the int64 lattice is freed before symbol_at_ik runs;
-    # passed as is, it would stay alive beside symbol_at_ik's float copy
-    pts = body.lattice_points(a).astype(float)
-    modulus = np.abs(op.symbol_at_ik(pts))
-    i = int(modulus.argmax())
-    value = a ** (-op.order) * float(modulus[i])
-    return (SharpConstantEstimate(value, "exact-closed-form", 2.0, 2.0,
-                                  op.label, body.label, a, 1e-14),
-            tuple(int(c) for c in pts[i]), len(pts))
+    symbol modulus (ties collapse; no extremal uniqueness is implied;
+    ``_closed_periodic``)."""
+    return _closed_periodic(2.0, 2.0, body, op, a).estimate
 
 
 #: Unit directions from rows of m - 1 angles (given transposed), per m.
@@ -301,7 +254,7 @@ def closed_form(p: float, q: float, body: ConvexBody,
         raise ValueError("need 0 < p <= q")
     if a is not None:
         exact = _closed_periodic(p, q, body, op, a)
-        return None if exact is None else exact[0]
+        return None if exact is None else exact.estimate
     if (p, q) == (2.0, math.inf):
         return closed_e2_inf(body, op)
     if p != q:
@@ -320,26 +273,64 @@ def _box_monomial(body: ConvexBody, op: DifferentialOperator) -> bool:
 
 
 def _closed_periodic(p: float, q: float, body: ConvexBody,
-                     op: DifferentialOperator, a: float):
-    """``closed_form``'s value of P(a) with its witness coefficients and the
-    lattice size, all from one lattice pass; None where it has none.
-
-    At p = q the witness is the exponential at the symbol's argmax, which
-    attains a^{-N} max_k |symbol(k)| for every q.  At (2, inf) it is
-    c_k = conj(symbol(k)), the Cauchy-Schwarz extremal, which is not
-    built: the coefficients are {}.  The notes name the witness.  The
+                     op: DifferentialOperator, a: float
+                     ) -> OptimizerOutcome | None:
+    """``closed_form``'s value of P(a) as ``optimize_full``'s outcome, with
+    its witness coefficients and the lattice size, all from one lattice
+    pass; None where it has none.  Raises ValueError unless a > 0; the
     caller checks 0 < p <= q.
+
+    At (2, inf) the value is ``closed_p2_inf``'s lattice sum, from lattice
+    moments M_gamma = sum_k k^gamma, without building the lattice.  The
+    lattice is symmetric in every coordinate, so M_gamma = 0 when a power
+    is odd.  Otherwise M_gamma sums head^gamma' S_{gamma_m}(h) over the
+    fibers of ``lattice_fibers``, gamma' the head powers and S the power
+    sums.  Each product is formed from integer-valued float64 factors and
+    the products are added by ``math.fsum``, so a moment that is an
+    integer below 2^53 is exact.  The witness c_k = conj(symbol(k)), the
+    Cauchy-Schwarz extremal, is not built: the coefficients are {}.
+
+    At p = q the value is a^{-N} max_k |symbol(k)|, attained for every q by
+    the exponential at the first lattice point of largest modulus.  The
+    notes name the witness.
     """
+    if not a > 0:
+        raise ValueError(f"scale a must be positive, got {a!r}")
     if (p, q) == (2.0, math.inf):
-        est, size = _p2_inf(body, op, a)
-        return replace(est, notes="attained by c_k = conj(symbol(k)) "
-                                  "(Cauchy-Schwarz), not built"), {}, size
-    if p == q and (q == 2.0 or _box_monomial(body, op)):
-        est, k, size = _p22(body, op, a)
-        est = replace(est, p=float(q), q=float(q), notes="attained by the "
-                      "exponential at the symbol's lattice argmax")
-        return est, {k: 1.0 + 0j}, size
-    return None
+        head, h = body.lattice_fibers(a)
+        head = head.astype(float)
+
+        def moment(gamma: tuple[int, ...]) -> float:
+            if any(g % 2 for g in gamma):
+                return 0.0
+            prods = _power_sums(h, gamma[-1])
+            for j, g in enumerate(gamma[:-1]):
+                if g:
+                    prods = prods * head[:, j] ** g
+            return math.fsum(prods.tolist())
+
+        value = (TWO_PI ** (-body.m / 2.0) *
+                 a ** (-(op.order + body.m / 2.0)) *
+                 math.sqrt(_symbol_sq_sum(op, moment)))
+        coeffs, size = {}, int(np.maximum(2 * h + 1, 0).sum())
+        notes = "attained by c_k = conj(symbol(k)) (Cauchy-Schwarz), not built"
+    elif p == q and (q == 2.0 or _box_monomial(body, op)):
+        # converted here, the int64 lattice is freed before symbol_at_ik
+        # runs; passed as is, it would stay alive beside symbol_at_ik's
+        # float copy
+        pts = body.lattice_points(a).astype(float)
+        modulus = np.abs(op.symbol_at_ik(pts))
+        i = int(modulus.argmax())
+        value = a ** (-op.order) * float(modulus[i])
+        coeffs, size = {tuple(int(c) for c in pts[i]): 1.0 + 0j}, len(pts)
+        notes = "attained by the exponential at the symbol's lattice argmax"
+    else:
+        return None
+    est = SharpConstantEstimate(value, "exact-closed-form", float(p),
+                                float(q), op.label, body.label, a, 1e-14,
+                                notes)
+    return OptimizerOutcome(est, (value,), coeffs, best_rungs=(None,),
+                            unknowns=(0, size, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -763,8 +754,8 @@ def optimize_full(p: float, q: float, op: DifferentialOperator,
     p = q = inf for small problems an upper bound too.  The one place
     that picks a route; raises ValueError unless 0 < p <= q.
 
-    ``closed_form``'s periodic values go first, each with its witness and
-    no iteration (``_closed_periodic``).  Otherwise a box with
+    ``_closed_periodic``'s outcome goes first, as it is: ``closed_form``'s
+    value with its witness and no iteration.  Otherwise a box with
     a monomial symbol b D^alpha, m >= 2, q = inf and 1 <= p < inf goes to
     ``_product_rule``: one 1-D solve per distinct axis (sigma_j, alpha_j).
     At p = q = inf a problem whose orbit unknowns (``_cosine_orbits``)
@@ -835,12 +826,9 @@ def optimize_full(p: float, q: float, op: DifferentialOperator,
     """
     if not (0 < p <= q):
         raise ValueError("need 0 < p <= q")
-    exact = _closed_periodic(p, q, body, op, a)
-    if exact is not None:
-        est, coeffs, size = exact
-        return OptimizerOutcome(est, (est.value,), coeffs, best_rungs=(None,),
-                                unknowns=(0, size, 1))
-    out = _product_rule(p, q, op, a, body, config)
+    out = _closed_periodic(p, q, body, op, a)
+    if out is None:
+        out = _product_rule(p, q, op, a, body, config)
     if out is not None:
         return out
     if math.isinf(p) and math.isinf(q):

@@ -169,6 +169,10 @@ def test_window_sum_rejects_non_finite_points(bad):
         window_axis_sum(np.array([0.3, bad]), 10)
     with pytest.raises(ValueError, match="non-finite"):
         poisson_window_sum(np.array([[1.0, 2.0], [bad, 0.0]]), 10)
+    with pytest.raises(ValueError, match="non-finite"):
+        window_terms(np.array([bad, 0.3]), 3)
+    with pytest.raises(ValueError, match="non-finite"):
+        window_terms(np.array([[0.3], [bad]]), 3, range(-1, 2))
 
 
 def test_window_terms_by_shift_range_are_columns_of_the_full_array():

@@ -100,15 +100,18 @@ def test_converge_rows_equal_optimize_rows(tmp_path):
              "--iterations", "80", "--seed", "3"]
     assert len(rows("converge", flags)) == 3
     assert rows("converge", flags) == rows("optimize", flags)
-    # at (2, inf) both print the exact lattice sum: no ascent runs, and the
-    # lattice size comes from the sum's fibers
-    for spec, m, op, sweep in (("cube:1", 1, "identity", (1.0, 2.0, 4.0)),
-                               ("ball:1", 2, "laplacian:2", (4.0, 16.0, 32.0)),
-                               ("ball:1", 3, "laplacian:3", (8.0,))):
+    # at (2, inf) and at (2, 2) all three print the exact value: no ascent
+    # runs, and the lattice size comes from the same pass
+    for spec, m, op, q, sweep in (
+            ("cube:1", 1, "identity", "inf", (1.0, 2.0, 4.0)),
+            ("ball:1", 2, "laplacian:2", "inf", (4.0, 16.0, 32.0)),
+            ("ball:1", 3, "laplacian:3", "inf", (8.0,)),
+            ("lp:1,2:3", 2, "1,1:1,0", "2", (4.0, 16.0))):
         flags = ["--body", spec, "--m", str(m), "--operator", op, "--p", "2",
-                 "--q", "inf", "--a", ",".join(f"{a:g}" for a in sweep)]
+                 "--q", q, "--a", ",".join(f"{a:g}" for a in sweep)]
         conv = rows("converge", flags)
         assert conv == rows("optimize", flags)
+        assert [r for r in rows("constant", flags) if r[4] != "limit"] == conv
         assert [r[5] for r in conv] == ["exact-closed-form"] * len(sweep)
         results = json.loads(
             (tmp_path / "optimize.csv.manifest.json").read_text())["results"]
@@ -353,14 +356,20 @@ def test_candidates_disk_laplacian(tmp_path):
 
 
 def test_config_file_defaults(tmp_path):
-    cfg_file = tmp_path / "exp.json"
-    cfg_file.write_text(json.dumps({"body": "cube:1", "m": 1, "p": "2",
-                                    "q": "inf", "a": "1,2"}))
-    out = tmp_path / "from_config.csv"
-    code = main(["converge", "--config", str(cfg_file), "--out", str(out)])
-    assert code == 0
-    rows = read_rows(out)
-    assert len(rows) == 3  # header + 2 sweep points
+    # a string value is read as its flag's would be: "1" is the integer 1
+    for m in (1, "1"):
+        cfg_file = tmp_path / "exp.json"
+        cfg_file.write_text(json.dumps({"body": "cube:1", "m": m, "p": "2",
+                                        "q": "inf", "a": "1,2"}))
+        out = tmp_path / "from_config.csv"
+        code = main(["converge", "--config", str(cfg_file),
+                     "--out", str(out)])
+        assert code == 0
+        rows = read_rows(out)
+        assert len(rows) == 3  # header + 2 sweep points
+        manifest = json.loads(
+            (tmp_path / "from_config.csv.manifest.json").read_text())
+        assert manifest["config"]["m"] == 1
 
 
 def test_manifest_replays_its_run(tmp_path):
@@ -399,6 +408,13 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     for sweep in ("inf", "1:inf:3:geom"):
         assert main(["converge", "--body", "cube:1", "--m", "1", "--p", "2",
                      "--q", "inf", "--a", sweep, "--out", str(out)]) == 2
+    # a scale a <= 0 is refused at every (p, q), not only where a closed
+    # form holds
+    capsys.readouterr()
+    assert main(["constant", "--body", "cube:1", "--m", "1", "--p", "1",
+                 "--q", "inf", "--a", "-4", "--out", str(out)]) == 2
+    assert "usage error: scale a must be positive, got -4.0" in \
+        capsys.readouterr().err
     # the optimizer's grid factor is fixed: no flag or config key sets it
     with pytest.raises(SystemExit) as exc:
         main(["optimize", "--oversample", "4", "--out", str(out)])

@@ -905,6 +905,12 @@ def test_optimizer_validation():
             closed_form(p, q, sq, op)
         with pytest.raises(ValueError, match="need 0 < p <= q"):
             optimize_full(p, q, op, 3.0, sq)
+    # a scale a <= 0 or NaN gets one answer whichever form (p, q) picks
+    for a in (-4.0, 0.0, math.nan):
+        for p, q, body in ((1.0, math.inf, seg), (2.0, math.inf, seg),
+                           (2.0, 2.0, seg), (3.0, 3.0, sq)):
+            with pytest.raises(ValueError, match="scale a must be positive"):
+                closed_form(p, q, body, ident if body is seg else op, a)
     with pytest.raises(ValueError, match="seed must be at least 0"):
         OptimizerConfig(seed=-1)
 
